@@ -57,6 +57,7 @@ func TestBatchTupleParity(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			batch := buildRandomDB(t, 3)
 			tuple := buildRandomDB(t, 3)
+			ledger := buildRandomDB(t, 3)
 			tuple.batchExec = false
 			if indexed {
 				for _, ddl := range []string{
@@ -66,6 +67,7 @@ func TestBatchTupleParity(t *testing.T) {
 				} {
 					mustExec(t, batch, ddl)
 					mustExec(t, tuple, ddl)
+					mustExec(t, ledger, ddl)
 				}
 			}
 			// Interleave reads and writes so the write-target scan path is
@@ -92,6 +94,7 @@ func TestBatchTupleParity(t *testing.T) {
 					t.Fatalf("%q: stats diverge\nbatch: %+v\ntuple: %+v", sql, rb.Stats, rt.Stats)
 				}
 			}
+			replayGolden(t, "parity/"+name, ledger, script)
 		})
 	}
 }
@@ -105,7 +108,9 @@ func TestBatchTupleParityRandomized(t *testing.T) {
 		batch := buildRandomDB(t, trial)
 		tuple := buildRandomDB(t, trial)
 		tuple.batchExec = false
-		for _, sql := range randomQueries(rng, 60) {
+		script := randomQueries(rng, 60)
+		replayGolden(t, fmt.Sprintf("random/%d", trial), buildRandomDB(t, trial), script)
+		for _, sql := range script {
 			rb, err1 := batch.Exec(sql)
 			rt, err2 := tuple.Exec(sql)
 			if (err1 == nil) != (err2 == nil) {
