@@ -562,7 +562,11 @@ func runFig8(seed int64, quick bool) error {
 		return err
 	}
 	fmt.Printf("statements:          %d (→ %d templates)\n", res.Statements, res.Templates)
-	fmt.Printf("tuning time:         template=%dms query-level=%dms (−%.1f%%)\n",
+	fmt.Printf("what-if evaluations: template=%d query-level=%d (−%.1f%%)\n",
+		res.TemplateEvals, res.QueryLevelEvals, res.EvalReduction*100)
+	fmt.Printf("planner invocations: template=%d query-level=%d (−%.1f%%)\n",
+		res.TemplatePlans, res.QueryLevelPlans, res.PlanReduction*100)
+	fmt.Printf("tuning time (wall):  template=%dms query-level=%dms (−%.1f%%)\n",
 		res.TemplateTuneMs, res.QueryLevelTuneMs, res.OverheadReduction*100)
 	fmt.Printf("eval workload cost:  template=%.0f query-level=%.0f (delta %.2f%%)\n",
 		res.TemplateEvalCost, res.QueryEvalCost, res.PerfDelta*100)

@@ -3,15 +3,15 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
-// TestBatchTupleParity is the vectorization contract: the batch pipeline
-// must be observably indistinguishable from the tuple pipeline — identical
-// rows AND identical work accounting (IOCounter, operator evals, tuples
-// processed), because those counters are the cost model's training signal.
-// Every experiment query shape goes through both paths on twin databases.
+// TestBatchTupleParity replays every experiment query shape, reads and
+// writes interleaved, heap-only and indexed, against the ledger recorded
+// when the executor still had a batch and a tuple scan path and a
+// differential test held them equal: identical rows AND identical work
+// accounting (IOCounter, operator evals, tuples processed), because those
+// counters are the cost model's training signal.
 func TestBatchTupleParity(t *testing.T) {
 	queries := []string{
 		// seq scan, no filter
@@ -48,6 +48,12 @@ func TestBatchTupleParity(t *testing.T) {
 		"DELETE FROM l WHERE a = 5 AND b > 20",
 		"DELETE FROM l WHERE id = 9001",
 	}
+	// Interleave reads and writes so the write-target scan is exercised
+	// between the read shapes, on evolving heap states (tombstones included).
+	script := append([]string{}, queries...)
+	for i, w := range writes {
+		script = append(script, w, queries[i%len(queries)])
+	}
 
 	for _, indexed := range []bool{false, true} {
 		name := "heap-only"
@@ -55,78 +61,24 @@ func TestBatchTupleParity(t *testing.T) {
 			name = "indexed"
 		}
 		t.Run(name, func(t *testing.T) {
-			batch := buildRandomDB(t, 3)
-			tuple := buildRandomDB(t, 3)
-			ledger := buildRandomDB(t, 3)
-			tuple.batchExec = false
+			db := buildRandomDB(t, 3)
 			if indexed {
-				for _, ddl := range []string{
-					"CREATE INDEX p_a ON l (a)",
-					"CREATE INDEX p_ab ON l (a, b)",
-					"CREATE INDEX p_la ON r (la)",
-				} {
-					mustExec(t, batch, ddl)
-					mustExec(t, tuple, ddl)
-					mustExec(t, ledger, ddl)
-				}
+				mustExec(t, db, "CREATE INDEX p_a ON l (a)")
+				mustExec(t, db, "CREATE INDEX p_ab ON l (a, b)")
+				mustExec(t, db, "CREATE INDEX p_la ON r (la)")
 			}
-			// Interleave reads and writes so the write-target scan path is
-			// exercised between the read shapes, on evolving heap states
-			// (tombstones included).
-			script := append([]string{}, queries...)
-			for i, w := range writes {
-				script = append(script, w)
-				script = append(script, queries[i%len(queries)])
-			}
-			for _, sql := range script {
-				rb, err1 := batch.Exec(sql)
-				rt, err2 := tuple.Exec(sql)
-				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("%q: batch err=%v, tuple err=%v", sql, err1, err2)
-				}
-				if err1 != nil {
-					continue
-				}
-				if !reflect.DeepEqual(rb.Rows, rt.Rows) {
-					t.Fatalf("%q: rows diverge\nbatch: %v\ntuple: %v", sql, rb.Rows, rt.Rows)
-				}
-				if rb.Stats != rt.Stats {
-					t.Fatalf("%q: stats diverge\nbatch: %+v\ntuple: %+v", sql, rb.Stats, rt.Stats)
-				}
-			}
-			replayGolden(t, "parity/"+name, ledger, script)
+			replayGolden(t, "parity/"+name, db, script)
 		})
 	}
 }
 
 // TestBatchTupleParityRandomized widens the contract over generated
-// predicates: same random query stream, twin databases, stats compared
-// statement by statement.
+// predicates: the same random query streams, held to the ledger statement
+// by statement.
 func TestBatchTupleParityRandomized(t *testing.T) {
 	for trial := int64(0); trial < 4; trial++ {
 		rng := rand.New(rand.NewSource(trial*977 + 5))
-		batch := buildRandomDB(t, trial)
-		tuple := buildRandomDB(t, trial)
-		tuple.batchExec = false
-		script := randomQueries(rng, 60)
-		replayGolden(t, fmt.Sprintf("random/%d", trial), buildRandomDB(t, trial), script)
-		for _, sql := range script {
-			rb, err1 := batch.Exec(sql)
-			rt, err2 := tuple.Exec(sql)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("trial %d %q: batch err=%v, tuple err=%v", trial, sql, err1, err2)
-			}
-			if err1 != nil {
-				continue
-			}
-			if !reflect.DeepEqual(rb.Rows, rt.Rows) {
-				t.Fatalf("trial %d %q: rows diverge", trial, sql)
-			}
-			if rb.Stats != rt.Stats {
-				t.Fatalf("trial %d %q: stats diverge\nbatch: %+v\ntuple: %+v",
-					trial, sql, rb.Stats, rt.Stats)
-			}
-		}
+		replayGolden(t, fmt.Sprintf("random/%d", trial), buildRandomDB(t, trial), randomQueries(rng, 60))
 	}
 }
 

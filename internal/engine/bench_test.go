@@ -87,23 +87,11 @@ func BenchmarkGroupByAggregate(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchScan measures the vectorized seq-scan pipeline on the
-// dominant filter shape (<col> cmp <literal> AND <col> cmp <literal>) and
-// reports tuples filtered per op; BenchmarkTupleScan is the same statement
-// forced down the tuple-at-a-time path, so the pair quantifies the batch
-// speedup directly.
-func BenchmarkBatchScan(b *testing.B) {
-	benchScanPath(b, true)
-}
-
-// BenchmarkTupleScan is BenchmarkBatchScan's tuple-path control.
-func BenchmarkTupleScan(b *testing.B) {
-	benchScanPath(b, false)
-}
-
-func benchScanPath(b *testing.B, batch bool) {
+// BenchmarkSeqScan measures the seq-scan pipeline on the dominant filter
+// shape (<col> cmp <literal> AND <col> cmp <literal>) and reports tuples
+// filtered per op.
+func BenchmarkSeqScan(b *testing.B) {
 	db := benchDB(b, false)
-	db.batchExec = batch
 	q := "SELECT id FROM ev WHERE k > 1000 AND v < 100.0"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

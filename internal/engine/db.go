@@ -62,10 +62,6 @@ type DB struct {
 	// nextHeapID assigns buffer-pool table ids in table-creation order, so
 	// page identities are deterministic for a deterministic DDL sequence.
 	nextHeapID int32
-	// batchExec routes seq scans and write-target scans through the
-	// vectorized page-batch pipeline. On by default; the batch-parity
-	// differential tests flip it to compare against the tuple path.
-	batchExec bool
 }
 
 // SetObserver installs a statement observer (nil to detach). The observer
@@ -143,7 +139,6 @@ func New() *DB {
 		indexUsage: make(map[string]int64),
 		order:      BTreeOrder,
 		pool:       bufferpool.NewManager(0),
-		batchExec:  true,
 	}
 	if reg := obs.DefaultRegistry(); reg != nil {
 		db.SetMetrics(reg)

@@ -135,25 +135,35 @@ func (db *DB) execSelect(st *stmtState, stmt *sqlparser.SelectStmt) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	ctx := &evalCtx{db: db, st: st, cols: make(colIndex)}
+	ctx, err := db.newEvalCtx(st, plan.Root)
+	if err != nil {
+		return nil, err
+	}
 	rows, err := db.runNode(ctx, plan.Root)
 	if err != nil {
 		return nil, err
 	}
 	st.operatorEvals += ctx.ops
 
-	// The root is Project/Agg/Limit/Sort; its output rows carry a synthetic
-	// "" binding holding the final projected tuple.
+	// The root is Project/Agg/Limit/Sort; its output rows carry the final
+	// projected tuple in resultSlot.
 	out := &Result{Plan: planner.Explain(plan.Root)}
 	out.Columns = outputColumns(stmt)
 	for _, r := range rows {
-		out.Rows = append(out.Rows, r.vals[resultBinding])
+		out.Rows = append(out.Rows, r[resultSlot])
 	}
 	return out, nil
 }
 
-// resultBinding is the synthetic binding final projected tuples live under.
-const resultBinding = "\x00result"
+// newEvalCtx resolves the plan's bindings to row slots, once, before the
+// first tuple is read.
+func (db *DB) newEvalCtx(st *stmtState, root planner.Node) (*evalCtx, error) {
+	lay, err := db.planLayout(root, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &evalCtx{db: db, st: st, lay: lay}, nil
+}
 
 func outputColumns(stmt *sqlparser.SelectStmt) []string {
 	var cols []string
@@ -174,23 +184,31 @@ func outputColumns(stmt *sqlparser.SelectStmt) []string {
 	return cols
 }
 
-// runNode executes a plan node, returning its rows.
+// runNode executes a plan node, returning its rows. A runtime evaluation
+// failure (ctx.err) surfaces here, whichever operator's closure hit it.
 func (db *DB) runNode(ctx *evalCtx, n planner.Node) ([]row, error) {
+	rows, err := db.runOperator(ctx, n)
+	if err == nil {
+		err = ctx.err
+	}
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+func (db *DB) runOperator(ctx *evalCtx, n planner.Node) ([]row, error) {
 	switch v := n.(type) {
 	case *planner.SeqScanNode:
 		return db.runSeqScan(ctx, v)
 	case *planner.IndexScanNode:
-		return db.runIndexScan(ctx, v, nil)
+		return db.runIndexScan(ctx, v)
 	case *planner.MaterializeNode:
 		return db.runMaterialize(ctx, v)
 	case *planner.JoinNode:
 		return db.runJoin(ctx, v)
 	case *planner.FilterNode:
-		rows, err := db.runNode(ctx, v.Input)
-		if err != nil {
-			return nil, err
-		}
-		return db.filterRows(ctx, rows, v.Cond)
+		return db.runFilter(ctx, v)
 	case *planner.AggNode:
 		return db.runAgg(ctx, v)
 	case *planner.SortNode:
@@ -211,173 +229,125 @@ func (db *DB) runNode(ctx *evalCtx, n planner.Node) ([]row, error) {
 	}
 }
 
-func (db *DB) bindTable(ctx *evalCtx, table, binding string) error {
-	t := db.cat.Table(table)
-	if t == nil {
-		return fmt.Errorf("engine: unknown table %q", table)
+// seqScan is the executor's one sequential-scan loop: page batches through
+// the node's compiled filter, emit called with every accepted (RID, tuple).
+// Reads and write-target location share it.
+func (db *DB) seqScan(ctx *evalCtx, n *planner.SeqScanNode, emit func(btree.RID, sqltypes.Tuple)) error {
+	filter, err := ctx.compilePred(n.Filter)
+	if err != nil {
+		return err
 	}
-	ctx.cols.addBinding(binding, t.ColumnNames())
-	return nil
+	scratch := ctx.newRow()
+	cur := &scratch[ctx.lay.slot(n.Binding)]
+	db.heaps[n.Table].ScanBatch(&ctx.st.io, func(b *storage.Batch) bool {
+		ctx.st.tuplesProcessed += int64(b.Len())
+		tups := b.Tuples
+		for _, s := range b.Sel {
+			*cur = tups[s]
+			if filter == nil || filter(scratch) {
+				emit(b.RID(s), *cur)
+			}
+		}
+		return ctx.err == nil
+	})
+	return ctx.err
 }
 
 func (db *DB) runSeqScan(ctx *evalCtx, n *planner.SeqScanNode) ([]row, error) {
-	if err := db.bindTable(ctx, n.Table, n.Binding); err != nil {
-		return nil, err
-	}
-	heap := db.heaps[n.Table]
+	slot := ctx.lay.slot(n.Binding)
 	var out []row
-	var scanErr error
-	if db.batchExec {
-		// Vectorized path: one callback per page, compiled filter applied
-		// over the whole batch. Identical rows, IO charges, and ops totals
-		// as the tuple path below (the parity differential test pins this);
-		// n.Filter == nil vectorizes trivially.
-		var pred *batchPred
-		vectorized := n.Filter == nil
-		if n.Filter != nil {
-			pred = compileBatchPred(n.Filter, n.Binding, ctx.cols[n.Binding])
-			vectorized = pred != nil
-		}
-		if vectorized {
-			heap.ScanBatch(&ctx.st.io, func(b *storage.Batch) bool {
-				ctx.st.tuplesProcessed += int64(b.Len())
-				sel := b.Sel
-				if pred != nil {
-					sel = pred.Select(b.Tuples, b.Sel, &ctx.ops)
-				}
-				for _, s := range sel {
-					r := newRow()
-					r.vals[n.Binding] = b.Tuples[s]
-					out = append(out, r)
-				}
-				return true
-			})
-			return out, nil
-		}
-	}
-	if n.Filter != nil {
-		if fast := compileExpr(n.Filter, n.Binding, ctx.cols[n.Binding]); fast != nil {
-			// Compiled path: filter before allocating the row map, so
-			// rejected tuples cost zero allocations.
-			heap.Scan(&ctx.st.io, func(rid btree.RID, tup sqltypes.Tuple) bool {
-				ctx.st.tuplesProcessed++
-				ok, err := fast(tup, &ctx.ops)
-				if err != nil {
-					scanErr = err
-					return false
-				}
-				if !truthy(ok) {
-					return true
-				}
-				r := newRow()
-				r.vals[n.Binding] = tup
-				out = append(out, r)
-				return true
-			})
-			return out, scanErr
-		}
-	}
-	heap.Scan(&ctx.st.io, func(rid btree.RID, tup sqltypes.Tuple) bool {
-		ctx.st.tuplesProcessed++
-		r := newRow()
-		r.vals[n.Binding] = tup
-		if n.Filter != nil {
-			ok, err := ctx.evalExpr(n.Filter, r)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if !truthy(ok) {
-				return true
-			}
-		}
+	err := db.seqScan(ctx, n, func(_ btree.RID, tup sqltypes.Tuple) {
+		r := ctx.newRow()
+		r[slot] = tup
 		out = append(out, r)
-		return true
 	})
-	return out, scanErr
+	return out, err
 }
 
-// runIndexScan probes the index. outer, when non-nil, provides the bindings
-// referenced by parameterized bounds (index nested-loop joins).
-func (db *DB) runIndexScan(ctx *evalCtx, n *planner.IndexScanNode, outer *row) ([]row, error) {
-	if err := db.bindTable(ctx, n.Table, n.Binding); err != nil {
-		return nil, err
-	}
-	trees := db.indexes[n.Index.Name]
-	if len(trees) == 0 {
+// indexProbe is an index scan compiled for one statement: bound and
+// residual closures are built once and run once per probe — once for a
+// standalone scan, once per outer row under an index nested-loop join.
+type indexProbe struct {
+	n        *planner.IndexScanNode
+	trees    []*btree.Tree
+	heap     *storage.Heap
+	slot     int
+	eq, in   []valFn
+	lo, hi   valFn
+	residual predFn
+}
+
+func (db *DB) compileIndexScan(ctx *evalCtx, n *planner.IndexScanNode) (*indexProbe, error) {
+	p := &indexProbe{n: n, trees: db.indexes[n.Index.Name], heap: db.heaps[n.Table], slot: ctx.lay.slot(n.Binding)}
+	if len(p.trees) == 0 {
 		return nil, fmt.Errorf("engine: index %q has no tree (hypothetical index executed?)", n.Index.Name)
 	}
-	db.bumpIndexUsage(n.Index.Name)
-	if db.metrics != nil {
-		db.metrics.indexProbes.With(n.Index.Name).Inc()
-	}
-	heap := db.heaps[n.Table]
-
-	env := newRow()
-	if outer != nil {
-		env = *outer
-	}
-	bounds, eqKey, err := db.buildProbeBounds(ctx, n, env)
-	if err != nil {
+	var err error
+	if p.eq, err = compileEach(n.EqVals, ctx.compile); err != nil {
 		return nil, err
 	}
-
-	// Compiled residual fast path: only for standalone scans (outer == nil),
-	// where every column reference resolves against this scan's binding.
-	var fast compiledExpr
-	if n.Residual != nil && outer == nil {
-		fast = compileExpr(n.Residual, n.Binding, ctx.cols[n.Binding])
+	if p.in, err = compileEach(n.In, ctx.compile); err != nil {
+		return nil, err
 	}
+	if p.lo, err = ctx.compile(n.Lo); err != nil {
+		return nil, err
+	}
+	if p.hi, err = ctx.compile(n.Hi); err != nil {
+		return nil, err
+	}
+	p.residual, err = ctx.compilePred(n.Residual)
+	return p, err
+}
 
-	probe := db.probeTrees(n.Index, eqKey, trees)
-	var out []row
-	var scanErr error
+// indexScan is the executor's one index-probe loop. env carries the outer
+// bindings the bounds and residual may reference (empty for a standalone
+// scan); each fetched tuple is placed in env's slot for this scan, and emit
+// is called, with env so populated, for every tuple the residual accepts.
+func (db *DB) indexScan(ctx *evalCtx, p *indexProbe, env row, emit func(btree.RID, sqltypes.Tuple)) error {
+	db.bumpIndexUsage(p.n.Index.Name)
+	if db.metrics != nil {
+		db.metrics.indexProbes.With(p.n.Index.Name).Inc()
+	}
+	bounds, eqKey := p.bounds(env)
+	if ctx.err != nil {
+		return ctx.err
+	}
+	st := ctx.st
 	for _, pb := range bounds {
-		for _, tree := range probe {
-			ctx.st.indexDescents += int64(tree.Height())
-			pages := tree.ScanRange(pb.lo, pb.hi, pb.loInc, pb.hiInc, func(e btree.Entry) bool {
-				ctx.st.indexTuplesRW++
-				tup := heap.Fetch(e.RID, &ctx.st.io)
+		for _, tree := range db.probeTrees(p.n.Index, eqKey, p.trees) {
+			st.indexDescents += int64(tree.Height())
+			st.io.IndexPagesRead += tree.ScanRange(pb.lo, pb.hi, pb.loInc, pb.hiInc, func(e btree.Entry) bool {
+				st.indexTuplesRW++
+				tup := p.heap.Fetch(e.RID, &st.io)
 				if tup == nil {
 					return true // tombstoned heap tuple with stale index entry
 				}
-				ctx.st.tuplesProcessed++
-				if fast != nil {
-					ok, err := fast(tup, &ctx.ops)
-					if err != nil {
-						scanErr = err
-						return false
-					}
-					if !truthy(ok) {
-						return true
-					}
-					r := env.clone()
-					r.vals[n.Binding] = tup
-					out = append(out, r)
-					return true
+				st.tuplesProcessed++
+				env[p.slot] = tup
+				if p.residual == nil || p.residual(env) {
+					emit(e.RID, tup)
 				}
-				r := env.clone()
-				r.vals[n.Binding] = tup
-				if n.Residual != nil {
-					ok, err := ctx.evalExpr(n.Residual, r)
-					if err != nil {
-						scanErr = err
-						return false
-					}
-					if !truthy(ok) {
-						return true
-					}
-				}
-				out = append(out, r)
-				return true
+				return ctx.err == nil
 			})
-			ctx.st.io.IndexPagesRead += pages
-			if scanErr != nil {
-				return nil, scanErr
+			if ctx.err != nil {
+				return ctx.err
 			}
 		}
 	}
-	return out, nil
+	return nil
+}
+
+func (db *DB) runIndexScan(ctx *evalCtx, n *planner.IndexScanNode) ([]row, error) {
+	p, err := db.compileIndexScan(ctx, n)
+	if err != nil {
+		return nil, err
+	}
+	var out []row
+	env := ctx.newRow()
+	err = db.indexScan(ctx, p, env, func(btree.RID, sqltypes.Tuple) {
+		out = append(out, ctx.cloneRow(env))
+	})
+	return out, err
 }
 
 // probeBound is one (lo, hi) key window an index scan visits.
@@ -386,28 +356,21 @@ type probeBound struct {
 	loInc, hiInc bool
 }
 
-// buildProbeBounds evaluates the scan's bound expressions into one or more
-// probe windows: a single window for eq-prefix(+range) scans, or one window
-// per IN-list value (deduplicated). It also returns the equality prefix for
+// bounds evaluates the scan's bound expressions into one or more probe
+// windows: a single window for eq-prefix(+range) scans, or one window per
+// IN-list value (deduplicated). It also returns the equality prefix for
 // partition pruning.
-func (db *DB) buildProbeBounds(ctx *evalCtx, n *planner.IndexScanNode, env row) ([]probeBound, sqltypes.Key, error) {
-	var eqKey sqltypes.Key
-	for _, e := range n.EqVals {
-		v, err := ctx.evalExpr(e, env)
-		if err != nil {
-			return nil, nil, err
-		}
-		eqKey = append(eqKey, v)
+func (p *indexProbe) bounds(env row) ([]probeBound, sqltypes.Key) {
+	eqKey := make(sqltypes.Key, len(p.eq))
+	for i, f := range p.eq {
+		eqKey[i] = f(env)
 	}
 
-	if len(n.In) > 0 {
-		seen := make(map[string]bool, len(n.In))
-		bounds := make([]probeBound, 0, len(n.In))
-		for _, e := range n.In {
-			v, err := ctx.evalExpr(e, env)
-			if err != nil {
-				return nil, nil, err
-			}
+	if len(p.in) > 0 {
+		seen := make(map[string]bool, len(p.in))
+		bounds := make([]probeBound, 0, len(p.in))
+		for _, f := range p.in {
+			v := f(env)
 			if seen[v.String()] {
 				continue
 			}
@@ -415,27 +378,19 @@ func (db *DB) buildProbeBounds(ctx *evalCtx, n *planner.IndexScanNode, env row) 
 			key := append(append(sqltypes.Key{}, eqKey...), v)
 			bounds = append(bounds, probeBound{lo: key, hi: key, loInc: true, hiInc: true})
 		}
-		return bounds, eqKey, nil
+		return bounds, eqKey
 	}
 
 	lo := append(sqltypes.Key{}, eqKey...)
 	hi := append(sqltypes.Key{}, eqKey...)
 	loInc, hiInc := true, true
-	if n.Lo != nil {
-		v, err := ctx.evalExpr(n.Lo, env)
-		if err != nil {
-			return nil, nil, err
-		}
-		lo = append(lo, v)
-		loInc = n.LoInc
+	if p.lo != nil {
+		lo = append(lo, p.lo(env))
+		loInc = p.n.LoInc
 	}
-	if n.Hi != nil {
-		v, err := ctx.evalExpr(n.Hi, env)
-		if err != nil {
-			return nil, nil, err
-		}
-		hi = append(hi, v)
-		hiInc = n.HiInc
+	if p.hi != nil {
+		hi = append(hi, p.hi(env))
+		hiInc = p.n.HiInc
 	}
 	var loKey, hiKey sqltypes.Key
 	if len(lo) > 0 {
@@ -444,7 +399,7 @@ func (db *DB) buildProbeBounds(ctx *evalCtx, n *planner.IndexScanNode, env row) 
 	if len(hi) > 0 {
 		hiKey = hi
 	}
-	return []probeBound{{lo: loKey, hi: hiKey, loInc: loInc, hiInc: hiInc}}, eqKey, nil
+	return []probeBound{{lo: loKey, hi: hiKey, loInc: loInc, hiInc: hiInc}}, eqKey
 }
 
 // probeTrees selects which trees an index lookup must visit: one for
@@ -471,20 +426,29 @@ func (db *DB) probeTrees(meta *catalog.IndexMeta, eqKey sqltypes.Key, trees []*b
 }
 
 func (db *DB) runMaterialize(ctx *evalCtx, n *planner.MaterializeNode) ([]row, error) {
-	// Execute the subquery in a child context, then re-expose its projected
-	// tuples under this binding.
+	// Execute the subquery as a statement of its own, then re-expose its
+	// projected tuples under this binding.
 	res, err := db.execSelect(ctx.st, n.Select)
 	if err != nil {
 		return nil, err
 	}
-	ctx.cols.addBinding(n.Binding, n.Columns)
-	out := make([]row, 0, len(res.Rows))
-	for _, tup := range res.Rows {
-		r := newRow()
-		r.vals[n.Binding] = tup
-		out = append(out, r)
+	slot := ctx.lay.slot(n.Binding)
+	out := make([]row, len(res.Rows))
+	for i, tup := range res.Rows {
+		out[i] = ctx.newRow()
+		out[i][slot] = tup
 	}
 	return out, nil
+}
+
+// mergeRows overlays src's bound tuples onto dst. Every row of one join
+// input binds the same slots, so successive overlays replace each other.
+func mergeRows(dst, src row) {
+	for i, tup := range src {
+		if tup != nil {
+			dst[i] = tup
+		}
+	}
 }
 
 func (db *DB) runJoin(ctx *evalCtx, n *planner.JoinNode) ([]row, error) {
@@ -492,118 +456,98 @@ func (db *DB) runJoin(ctx *evalCtx, n *planner.JoinNode) ([]row, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch n.Strategy {
-	case planner.JoinIndexNL:
+	cond, err := ctx.compilePred(n.Cond)
+	if err != nil {
+		return nil, err
+	}
+	// Candidate pairs are assembled in one scratch row and copied out only
+	// when the join condition accepts them.
+	scratch := ctx.newRow()
+	var out []row
+	accept := func() {
+		if cond == nil || cond(scratch) {
+			out = append(out, ctx.cloneRow(scratch))
+		}
+	}
+
+	if n.Strategy == planner.JoinIndexNL {
 		inner, ok := n.Right.(*planner.IndexScanNode)
 		if !ok {
 			return nil, fmt.Errorf("engine: IndexNL join requires index scan inner")
 		}
-		var out []row
-		for i := range left {
-			matches, err := db.runIndexScan(ctx, inner, &left[i])
-			if err != nil {
-				return nil, err
-			}
-			for _, m := range matches {
-				if n.Cond != nil {
-					ok, err := ctx.evalExpr(n.Cond, m)
-					if err != nil {
-						return nil, err
-					}
-					if !truthy(ok) {
-						continue
-					}
-				}
-				out = append(out, m)
-			}
-		}
-		return out, nil
-
-	case planner.JoinHash:
-		right, err := db.runNode(ctx, n.Right)
+		probe, err := db.compileIndexScan(ctx, inner)
 		if err != nil {
 			return nil, err
 		}
-		table := make(map[string][]int, len(right))
-		for i := range right {
-			v, err := ctx.evalExpr(n.RightKey, right[i])
-			if err != nil {
+		emit := func(btree.RID, sqltypes.Tuple) { accept() }
+		for _, l := range left {
+			copy(scratch, l)
+			if err := db.indexScan(ctx, probe, scratch, emit); err != nil {
 				return nil, err
-			}
-			if v.IsNull() {
-				continue
-			}
-			k := v.String()
-			table[k] = append(table[k], i)
-			ctx.st.tuplesProcessed++
-		}
-		var out []row
-		for li := range left {
-			v, err := ctx.evalExpr(n.LeftKey, left[li])
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				continue
-			}
-			for _, ri := range table[v.String()] {
-				merged := left[li].clone()
-				for b, tup := range right[ri].vals {
-					merged.vals[b] = tup
-				}
-				if n.Cond != nil {
-					ok, err := ctx.evalExpr(n.Cond, merged)
-					if err != nil {
-						return nil, err
-					}
-					if !truthy(ok) {
-						continue
-					}
-				}
-				out = append(out, merged)
-			}
-		}
-		return out, nil
-
-	default: // nested loop
-		right, err := db.runNode(ctx, n.Right)
-		if err != nil {
-			return nil, err
-		}
-		var out []row
-		for li := range left {
-			for ri := range right {
-				merged := left[li].clone()
-				for b, tup := range right[ri].vals {
-					merged.vals[b] = tup
-				}
-				if n.Cond != nil {
-					ok, err := ctx.evalExpr(n.Cond, merged)
-					if err != nil {
-						return nil, err
-					}
-					if !truthy(ok) {
-						continue
-					}
-				}
-				out = append(out, merged)
 			}
 		}
 		return out, nil
 	}
+
+	right, err := db.runNode(ctx, n.Right)
+	if err != nil {
+		return nil, err
+	}
+	if n.Strategy != planner.JoinHash { // nested loop
+		for _, l := range left {
+			copy(scratch, l)
+			for _, r := range right {
+				mergeRows(scratch, r)
+				accept()
+			}
+		}
+		return out, nil
+	}
+
+	leftKey, err := ctx.compile(n.LeftKey)
+	if err != nil {
+		return nil, err
+	}
+	rightKey, err := ctx.compile(n.RightKey)
+	if err != nil {
+		return nil, err
+	}
+	table := make(map[string][]int, len(right))
+	for i, r := range right {
+		v := rightKey(r)
+		if v.IsNull() {
+			continue
+		}
+		k := v.String()
+		table[k] = append(table[k], i)
+		ctx.st.tuplesProcessed++
+	}
+	for _, l := range left {
+		v := leftKey(l)
+		if v.IsNull() {
+			continue
+		}
+		copy(scratch, l)
+		for _, ri := range table[v.String()] {
+			mergeRows(scratch, right[ri])
+			accept()
+		}
+	}
+	return out, nil
 }
 
-func (db *DB) filterRows(ctx *evalCtx, rows []row, cond sqlparser.Expr) ([]row, error) {
-	if cond == nil {
-		return rows, nil
+func (db *DB) runFilter(ctx *evalCtx, n *planner.FilterNode) ([]row, error) {
+	rows, err := db.runNode(ctx, n.Input)
+	if err != nil {
+		return nil, err
 	}
-	out := rows[:0:0]
+	cond, err := ctx.compilePred(n.Cond)
+	if err != nil || cond == nil {
+		return rows, err
+	}
+	var out []row
 	for _, r := range rows {
-		ok, err := ctx.evalExpr(cond, r)
-		if err != nil {
-			return nil, err
-		}
-		if truthy(ok) {
+		if cond(r) {
 			out = append(out, r)
 		}
 	}
@@ -696,149 +640,93 @@ func (db *DB) runAgg(ctx *evalCtx, n *planner.AggNode) ([]row, error) {
 		collectAggs(n.Having)
 	}
 
+	// Per input row: group keys and aggregate arguments, in row context.
+	// Per group: HAVING and the select list, over the aggregates' values.
+	keys, err := compileEach(n.GroupBy, ctx.compile)
+	if err != nil {
+		return nil, err
+	}
+	argExprs := make([]sqlparser.Expr, len(aggExprs))
+	for i, f := range aggExprs {
+		if !f.Star {
+			argExprs[i] = f.Args[0]
+		}
+	}
+	args, err := compileEach(argExprs, ctx.compile)
+	if err != nil {
+		return nil, err
+	}
+	perGroup, err := compileEach(append(selectExprs(n.Select), n.Having), func(e sqlparser.Expr) (valFn, error) {
+		return ctx.compileGroup(e, aggExprs)
+	})
+	if err != nil {
+		return nil, err
+	}
+	items, having := perGroup[:len(n.Select)], perGroup[len(n.Select)]
+
 	type group struct {
 		keyVals []sqltypes.Value
-		states  []*aggState
+		states  []aggState
 		sample  row
 	}
 	groups := make(map[string]*group)
-	var order []string
+	var order []*group
 
 	for _, r := range input {
 		ctx.st.tuplesProcessed++
-		keyVals := make([]sqltypes.Value, len(n.GroupBy))
+		keyVals := make([]sqltypes.Value, len(keys))
 		var sb strings.Builder
-		for i, g := range n.GroupBy {
-			v, err := ctx.evalExpr(g, r)
-			if err != nil {
-				return nil, err
-			}
-			keyVals[i] = v
-			sb.WriteString(v.String())
+		for i, key := range keys {
+			keyVals[i] = key(r)
+			sb.WriteString(keyVals[i].String())
 			sb.WriteByte('|')
 		}
-		k := sb.String()
-		gr, ok := groups[k]
+		gr, ok := groups[sb.String()]
 		if !ok {
-			gr = &group{keyVals: keyVals, states: make([]*aggState, len(aggExprs)), sample: r}
-			for i := range gr.states {
-				gr.states[i] = &aggState{}
-			}
-			groups[k] = gr
-			order = append(order, k)
+			gr = &group{keyVals: keyVals, states: make([]aggState, len(aggExprs)), sample: r}
+			groups[sb.String()] = gr
+			order = append(order, gr)
 		}
-		for i, f := range aggExprs {
-			if f.Star {
+		for i, arg := range args {
+			if arg == nil { // COUNT(*)
 				gr.states[i].add(sqltypes.NewInt(1))
-				continue
+			} else {
+				gr.states[i].add(arg(r))
 			}
-			v, err := ctx.evalExpr(f.Args[0], r)
-			if err != nil {
-				return nil, err
-			}
-			gr.states[i].add(v)
 		}
 	}
 
 	// Plain aggregate over empty input still yields one row.
-	if len(n.GroupBy) == 0 && len(groups) == 0 {
-		gr := &group{states: make([]*aggState, len(aggExprs)), sample: newRow()}
-		for i := range gr.states {
-			gr.states[i] = &aggState{}
-		}
-		groups[""] = gr
-		order = append(order, "")
+	if len(n.GroupBy) == 0 && len(order) == 0 {
+		order = append(order, &group{states: make([]aggState, len(aggExprs)), sample: ctx.newRow()})
 	}
 
 	var out []row
-	for _, k := range order {
-		gr := groups[k]
-		// Substitute aggregate results when evaluating projection and HAVING.
-		sub := func(e sqlparser.Expr) (sqltypes.Value, error) {
-			return db.evalWithAggs(ctx, e, gr.sample, aggExprs, gr.states)
+	for _, gr := range order {
+		// The group's sample row, with the aggregates' values where the
+		// per-group closures read them.
+		r := ctx.cloneRow(gr.sample)
+		aggVals := make(sqltypes.Tuple, len(aggExprs))
+		for i, f := range aggExprs {
+			aggVals[i] = gr.states[i].result(f.Name)
 		}
-		if n.Having != nil {
-			hv, err := sub(n.Having)
-			if err != nil {
-				return nil, err
-			}
-			if !truthy(hv) {
-				continue
-			}
+		r[resultSlot] = aggVals
+		if having != nil && !truthy(having(r)) {
+			continue
 		}
 		tup := make(sqltypes.Tuple, 0, len(n.Select))
-		for _, it := range n.Select {
+		for i, it := range n.Select {
 			if it.Star {
 				// star under aggregation: emit group key values
 				tup = append(tup, gr.keyVals...)
 				continue
 			}
-			v, err := sub(it.Expr)
-			if err != nil {
-				return nil, err
-			}
-			tup = append(tup, v)
+			tup = append(tup, items[i](r))
 		}
-		r := gr.sample.clone()
-		r.vals[resultBinding] = tup
+		r[resultSlot] = tup
 		out = append(out, r)
 	}
-	ctx.cols.addBinding(resultBinding, outputColumns(&sqlparser.SelectStmt{Select: n.Select}))
 	return out, nil
-}
-
-// evalWithAggs evaluates e over a group sample row, substituting aggregate
-// function values from the computed states.
-func (db *DB) evalWithAggs(ctx *evalCtx, e sqlparser.Expr, sample row,
-	aggs []*sqlparser.FuncExpr, states []*aggState) (sqltypes.Value, error) {
-	for i, f := range aggs {
-		if e == sqlparser.Expr(f) {
-			return states[i].result(f.Name), nil
-		}
-	}
-	switch v := e.(type) {
-	case *sqlparser.BinaryExpr:
-		l, err := db.evalWithAggs(ctx, v.L, sample, aggs, states)
-		if err != nil {
-			return sqltypes.Null(), err
-		}
-		r, err := db.evalWithAggs(ctx, v.R, sample, aggs, states)
-		if err != nil {
-			return sqltypes.Null(), err
-		}
-		switch v.Op {
-		case sqlparser.OpAdd, sqlparser.OpSub, sqlparser.OpMul, sqlparser.OpDiv:
-			return arith(v.Op, l, r), nil
-		case sqlparser.OpEQ:
-			return boolVal(sqltypes.Equal(l, r)), nil
-		case sqlparser.OpNE, sqlparser.OpLT, sqlparser.OpLE, sqlparser.OpGT, sqlparser.OpGE:
-			if l.IsNull() || r.IsNull() {
-				return boolVal(false), nil
-			}
-			cmp := sqltypes.Compare(l, r)
-			var ok bool
-			switch v.Op {
-			case sqlparser.OpNE:
-				ok = cmp != 0
-			case sqlparser.OpLT:
-				ok = cmp < 0
-			case sqlparser.OpLE:
-				ok = cmp <= 0
-			case sqlparser.OpGT:
-				ok = cmp > 0
-			default:
-				ok = cmp >= 0
-			}
-			return boolVal(ok), nil
-		case sqlparser.OpAnd:
-			return boolVal(truthy(l) && truthy(r)), nil
-		case sqlparser.OpOr:
-			return boolVal(truthy(l) || truthy(r)), nil
-		}
-		return sqltypes.Null(), fmt.Errorf("engine: operator %v in aggregate context", v.Op)
-	default:
-		return ctx.evalExpr(e, sample)
-	}
 }
 
 func (db *DB) runSort(ctx *evalCtx, n *planner.SortNode) ([]row, error) {
@@ -852,8 +740,10 @@ func (db *DB) runSort(ctx *evalCtx, n *planner.SortNode) ([]row, error) {
 	// When sorting above an aggregation, ORDER BY may reference aggregate
 	// expressions or select aliases. Those values live positionally in the
 	// result tuple; build expression/alias → position lookup.
-	resultPos := make(map[string]int)
-	if agg, ok := n.Input.(*planner.AggNode); ok {
+	agg, overAgg := n.Input.(*planner.AggNode)
+	var resultPos map[string]int
+	if overAgg {
+		resultPos = make(map[string]int)
 		pos := 0
 		for _, item := range agg.Select {
 			if item.Star {
@@ -867,18 +757,37 @@ func (db *DB) runSort(ctx *evalCtx, n *planner.SortNode) ([]row, error) {
 			pos++
 		}
 	}
-	orderVal := func(o sqlparser.OrderItem, r row) (sqltypes.Value, error) {
-		if tup, ok := r.vals[resultBinding]; ok {
-			if p, ok := resultPos[o.Expr.String()]; ok && p < len(tup) {
-				return tup[p], nil
-			}
-			if ref, ok := o.Expr.(*sqlparser.ColumnRef); ok && ref.Table == "" {
-				if p, ok := resultPos[ref.Column]; ok && p < len(tup) {
-					return tup[p], nil
-				}
+	resultCol := func(p int) valFn {
+		return func(r row) sqltypes.Value { return r[resultSlot][p] }
+	}
+	keys := make([]valFn, len(n.OrderBy))
+	for j, o := range n.OrderBy {
+		if p, ok := resultPos[o.Expr.String()]; ok {
+			keys[j] = resultCol(p)
+			continue
+		}
+		if ref, ok := o.Expr.(*sqlparser.ColumnRef); ok && ref.Table == "" {
+			if p, ok := resultPos[ref.Column]; ok {
+				keys[j] = resultCol(p)
+				continue
 			}
 		}
-		return ctx.evalExprOrResult(o.Expr, r)
+		cc := ctx.newCompiler(nil)
+		keys[j] = cc.value(o.Expr, false)
+		if cc.err == nil {
+			continue
+		}
+		if !overAgg {
+			return nil, cc.err
+		}
+		// A key that exists only in the aggregation's output yet is not
+		// one of its columns (an aggregate outside the select list) sorts
+		// by the first output column, charged the nodes it took to find out.
+		wasted := int64(cc.visited)
+		keys[j] = func(r row) sqltypes.Value {
+			ctx.ops += wasted
+			return r[resultSlot][0]
+		}
 	}
 	type keyed struct {
 		r    row
@@ -886,13 +795,9 @@ func (db *DB) runSort(ctx *evalCtx, n *planner.SortNode) ([]row, error) {
 	}
 	items := make([]keyed, len(rows))
 	for i, r := range rows {
-		ks := make([]sqltypes.Value, len(n.OrderBy))
-		for j, o := range n.OrderBy {
-			v, err := orderVal(o, r)
-			if err != nil {
-				return nil, err
-			}
-			ks[j] = v
+		ks := make([]sqltypes.Value, len(keys))
+		for j, key := range keys {
+			ks[j] = key(r)
 		}
 		items[i] = keyed{r: r, keys: ks}
 		ctx.st.operatorEvals++
@@ -917,50 +822,37 @@ func (db *DB) runSort(ctx *evalCtx, n *planner.SortNode) ([]row, error) {
 	return out, nil
 }
 
-// evalExprOrResult evaluates against base bindings; if the expression fails
-// because the value only exists in the projected result (aggregation), fall
-// back to positional lookup in the result tuple.
-func (c *evalCtx) evalExprOrResult(e sqlparser.Expr, r row) (sqltypes.Value, error) {
-	v, err := c.evalExpr(e, r)
-	if err == nil {
-		return v, nil
-	}
-	if tup, ok := r.vals[resultBinding]; ok && len(tup) > 0 {
-		return tup[0], nil
-	}
-	return sqltypes.Null(), err
-}
-
 func (db *DB) runProject(ctx *evalCtx, n *planner.ProjectNode) ([]row, error) {
 	rows, err := db.runNode(ctx, n.Input)
 	if err != nil {
 		return nil, err
 	}
-	var out []row
-	seen := make(map[string]bool)
+	items, err := compileEach(selectExprs(n.Select), ctx.compile)
+	if err != nil {
+		return nil, err
+	}
+	var star []int // SELECT * expands the bindings in name order
+	for _, it := range n.Select {
+		if it.Star {
+			star = ctx.lay.slotsByName()
+			break
+		}
+	}
+	out := rows[:0]
+	var seen map[string]bool
+	if n.Distinct {
+		seen = make(map[string]bool)
+	}
 	for _, r := range rows {
-		var tup sqltypes.Tuple
-		for _, it := range n.Select {
-			if it.Star {
-				// expand all bindings in deterministic order
-				var bindings []string
-				for b := range r.vals {
-					if b == resultBinding {
-						continue
-					}
-					bindings = append(bindings, b)
-				}
-				sort.Strings(bindings)
-				for _, b := range bindings {
-					tup = append(tup, r.vals[b]...)
-				}
+		tup := make(sqltypes.Tuple, 0, len(items))
+		for _, item := range items {
+			if item != nil {
+				tup = append(tup, item(r))
 				continue
 			}
-			v, err := ctx.evalExpr(it.Expr, r)
-			if err != nil {
-				return nil, err
+			for _, slot := range star {
+				tup = append(tup, r[slot]...)
 			}
-			tup = append(tup, v)
 		}
 		if n.Distinct {
 			var sb strings.Builder
@@ -973,9 +865,8 @@ func (db *DB) runProject(ctx *evalCtx, n *planner.ProjectNode) ([]row, error) {
 			}
 			seen[sb.String()] = true
 		}
-		nr := r.clone()
-		nr.vals[resultBinding] = tup
-		out = append(out, nr)
+		r[resultSlot] = tup
+		out = append(out, r)
 	}
 	return out, nil
 }

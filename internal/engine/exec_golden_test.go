@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -20,7 +19,7 @@ import (
 // differential tests; it is now the reference those three were for one
 // another. Regenerate only when a ledger is meant to move:
 //
-//	go test ./internal/engine -run 'TestExecGolden|TestBatchTupleParity' -update
+//	go test ./internal/engine -run 'TestExecGolden|TestBatchTupleParity|TestCompiledFilterMatchesInterpreter' -update
 var updateGolden = flag.Bool("update", false, "rewrite testdata/exec_golden.json from the current executor")
 
 const goldenPath = "testdata/exec_golden.json"
@@ -36,8 +35,9 @@ type goldenEntry struct {
 	Stats  ExecStats `json:"stats"`
 }
 
+// golden is the ledger, loaded on first use (the engine's tests do not run
+// in parallel).
 var golden struct {
-	sync.Mutex
 	loaded   bool
 	sections map[string][]goldenEntry
 }
@@ -45,8 +45,6 @@ var golden struct {
 // goldenSection returns the recorded entries of one section.
 func goldenSection(t *testing.T, section string) []goldenEntry {
 	t.Helper()
-	golden.Lock()
-	defer golden.Unlock()
 	if !golden.loaded {
 		golden.sections = make(map[string][]goldenEntry)
 		raw, err := os.ReadFile(goldenPath)
@@ -64,8 +62,6 @@ func goldenSection(t *testing.T, section string) []goldenEntry {
 // storeGoldenSection records a section and rewrites the ledger file.
 func storeGoldenSection(t *testing.T, section string, entries []goldenEntry) {
 	t.Helper()
-	golden.Lock()
-	defer golden.Unlock()
 	golden.sections[section] = entries
 	raw, err := json.MarshalIndent(golden.sections, "", " ")
 	if err != nil {
@@ -120,19 +116,26 @@ func replayGolden(t *testing.T, section string, db *DB, script []string) {
 			section, len(want), len(script))
 	}
 	for i, sql := range script {
-		got, w := observe(db, sql), want[i]
-		if w.SQL != sql {
-			t.Fatalf("section %q #%d: ledger recorded %q, script runs %q", section, i, w.SQL, sql)
-		}
-		if got.Err != w.Err {
-			t.Fatalf("%q: error=%v, ledger says error=%v", sql, got.Err, w.Err)
-		}
-		if got.Digest != w.Digest {
-			t.Fatalf("%q: rows moved\n got head: %v\nwant head: %v", sql, got.Head, w.Head)
-		}
-		if got.Stats != w.Stats {
-			t.Fatalf("%q: ExecStats moved\n got: %+v\nwant: %+v", sql, got.Stats, w.Stats)
-		}
+		holdToLedger(t, db, sql, want[i])
+	}
+}
+
+// holdToLedger executes one statement and fails the test on any departure
+// from its recorded outcome.
+func holdToLedger(t *testing.T, db *DB, sql string, want goldenEntry) {
+	t.Helper()
+	got := observe(db, sql)
+	if want.SQL != sql {
+		t.Fatalf("ledger recorded %q, script runs %q", want.SQL, sql)
+	}
+	if got.Err != want.Err {
+		t.Fatalf("%q: error=%v, ledger says error=%v", sql, got.Err, want.Err)
+	}
+	if got.Digest != want.Digest {
+		t.Fatalf("%q: rows moved\n got head: %v\nwant head: %v", sql, got.Head, want.Head)
+	}
+	if got.Stats != want.Stats {
+		t.Fatalf("%q: ExecStats moved\n got: %+v\nwant: %+v", sql, got.Stats, want.Stats)
 	}
 }
 
@@ -171,92 +174,83 @@ var filterPreds = []string{
 	"b + 1 = 2 AND NOT s LIKE 'row9%'",
 }
 
-// TestExecGolden replays the predicate list over the NULL-bearing filter
-// table, then the statement shapes the three retired evaluators used to
-// split between them: subqueries, scalar functions, cross-binding join
-// residuals, arithmetic and HAVING over aggregates, ORDER BY over
+// TestExecGolden replays the statement shapes the three retired evaluators
+// used to split between them: subqueries, scalar functions, cross-binding
+// join residuals, arithmetic and HAVING over aggregates, ORDER BY over
 // aggregates and aliases, SELECT * over joins, DISTINCT, derived tables,
-// and writes whose SET/WHERE need more than one bound tuple.
+// and writes whose SET/WHERE need more than one bound tuple. (The ledger's
+// other sections belong to TestBatchTupleParity[Randomized] and
+// TestCompiledFilterMatchesInterpreter.)
 func TestExecGolden(t *testing.T) {
-	t.Run("predicates", func(t *testing.T) {
-		script := make([]string, len(filterPreds))
-		for i, p := range filterPreds {
-			script[i] = "SELECT * FROM ft WHERE " + p
-		}
-		replayGolden(t, "predicates", filterDB(t), script)
-	})
-
-	t.Run("shapes", func(t *testing.T) {
-		db := newTestDB(t)
-		mustExec(t, db, "CREATE INDEX g_cid ON orders (cid)")
-		mustExec(t, db, "CREATE INDEX g_city ON customer (city)")
-		if err := db.AnalyzeAll(); err != nil {
-			t.Fatal(err)
-		}
-		// The cross-binding residual must run under an index nested loop,
-		// or the shape this section names is not the one being pinned.
-		inl := "SELECT c.id, o.oid FROM customer c JOIN orders o ON c.id = o.cid AND o.amount > c.balance WHERE c.id < 3"
-		if res := mustExec(t, db, inl); !strings.Contains(res.Plan, "IndexNLJoin") {
-			t.Fatalf("expected an IndexNL plan, got:\n%s", res.Plan)
-		}
-		replayGolden(t, "shapes", db, []string{
-			// subqueries: IN, scalar, both in one predicate, empty, failing
-			"SELECT name FROM customer WHERE id IN (SELECT cid FROM orders WHERE amount = 499)",
-			"SELECT oid FROM orders WHERE amount = (SELECT MAX(amount) FROM orders)",
-			"SELECT id FROM customer WHERE id IN (SELECT cid FROM orders WHERE amount > 495) AND balance > (SELECT AVG(balance) FROM customer)",
-			"SELECT id FROM customer WHERE id IN (3, (SELECT MIN(cid) FROM orders), 7)",
-			"SELECT id FROM customer WHERE balance = (SELECT balance FROM customer WHERE id < 0)",
-			"SELECT id FROM customer WHERE id IN (SELECT x FROM missing_table)",
-			// scalar function in filter and projection
-			"SELECT id, ABS(balance - 1000) FROM customer WHERE ABS(id - 100) < 3",
-			"SELECT ABS(0 - id) FROM customer WHERE id < 4",
-			"SELECT id FROM customer WHERE ABS(id, 2) = 1",
-			// joins: IndexNL with cross-binding residual, hash, nested loop,
-			// leftover cross filter, three-way, derived table
-			inl,
-			"SELECT c.name, o.amount FROM customer c JOIN orders o ON c.id = o.cid WHERE o.status = 'void' AND o.amount > 480",
-			"SELECT c.id, o.oid FROM customer c, orders o WHERE c.id < 3 AND o.oid < 4",
-			"SELECT c.id, o.oid FROM customer c, orders o WHERE c.id < 5 AND o.oid < 40 AND c.id + 1 > o.oid",
-			"SELECT c.id, o.oid FROM customer c JOIN orders o ON c.id = o.cid WHERE c.balance < o.amount AND c.id < 20",
-			"SELECT c.name FROM customer c, (SELECT cid FROM orders WHERE amount > 490) big WHERE c.id = big.cid",
-			"SELECT a.id, b.id FROM customer a JOIN customer b ON a.id = b.id JOIN orders o ON o.cid = b.id WHERE o.amount = 7",
-			// SELECT * over a join expands bindings in sorted-name order
-			"SELECT * FROM customer c JOIN orders o ON c.id = o.cid WHERE o.oid < 3",
-			"SELECT * FROM orders z JOIN customer y ON y.id = z.cid WHERE z.oid = 5",
-			// aggregates: arithmetic in projection, HAVING, empty input,
-			// star under aggregation, group key not projected
-			"SELECT status, SUM(amount) / COUNT(*), MAX(amount) - MIN(amount) FROM orders GROUP BY status",
-			"SELECT cid, COUNT(*) FROM orders GROUP BY cid HAVING COUNT(*) > 4 AND SUM(amount) > 1000",
-			"SELECT cid, SUM(amount) FROM orders GROUP BY cid HAVING SUM(amount) > 2400 OR cid = 3",
-			"SELECT status, COUNT(*) + 1 FROM orders WHERE amount < 0 GROUP BY status",
-			"SELECT COUNT(*), SUM(amount), AVG(amount), MIN(status), MAX(oid) FROM orders WHERE oid < 0",
-			"SELECT COUNT(*), AVG(balance) FROM customer WHERE city = 'oslo'",
-			"SELECT COUNT(*) FROM orders GROUP BY status",
-			"SELECT *, COUNT(*) FROM orders GROUP BY status",
-			// ORDER BY: aggregate, alias, expression, column outside the
-			// projection, DESC with LIMIT, over a join
-			"SELECT status, COUNT(*) FROM orders GROUP BY status ORDER BY COUNT(*) DESC",
-			"SELECT cid, SUM(amount) AS total FROM orders GROUP BY cid ORDER BY total DESC LIMIT 5",
-			"SELECT cid, COUNT(*) AS n FROM orders GROUP BY cid ORDER BY cid DESC LIMIT 4",
-			"SELECT city, COUNT(*) FROM customer GROUP BY city ORDER BY MAX(balance)",
-			"SELECT id, balance * 2 AS dbl FROM customer WHERE id < 30 ORDER BY dbl DESC LIMIT 7",
-			"SELECT name FROM customer WHERE city = 'lima' ORDER BY balance DESC, id LIMIT 6",
-			"SELECT o.oid FROM customer c JOIN orders o ON c.id = o.cid WHERE c.city = 'cairo' ORDER BY o.amount DESC, o.oid LIMIT 9",
-			// DISTINCT
-			"SELECT DISTINCT status FROM orders",
-			"SELECT DISTINCT city, balance > 1000 FROM customer",
-			// projection arithmetic, NULL propagation, placeholder
-			"SELECT id + 1, balance / 0, name FROM customer WHERE id < 3",
-			// writes: SET over the old tuple, subquery in WHERE and SET,
-			// multi-row VALUES with expressions, failing subquery
-			"UPDATE customer SET balance = balance * 2 + id WHERE city = 'oslo' AND id < 50",
-			"UPDATE orders SET amount = (SELECT MAX(balance) FROM customer) WHERE cid IN (SELECT id FROM customer WHERE city = 'lima' AND id < 30)",
-			"INSERT INTO customer (id, name, city, balance) VALUES (900, 'x', 'rome', 1 + 2 * 3), (901, 'y', 'oslo', ABS(0 - 4))",
-			"DELETE FROM orders WHERE cid IN (SELECT id FROM customer WHERE balance > 1500)",
-			"DELETE FROM orders WHERE cid IN (SELECT x FROM missing_table)",
-			"UPDATE orders SET amount = 1 WHERE cid IN (SELECT x FROM missing_table)",
-			"UPDATE customer SET nope = 1 WHERE id = 3",
-			"SELECT COUNT(*), SUM(amount), SUM(balance) FROM customer c JOIN orders o ON c.id = o.cid",
-		})
+	db := newTestDB(t)
+	mustExec(t, db, "CREATE INDEX g_cid ON orders (cid)")
+	mustExec(t, db, "CREATE INDEX g_city ON customer (city)")
+	if err := db.AnalyzeAll(); err != nil {
+		t.Fatal(err)
+	}
+	// The cross-binding residual must run under an index nested loop,
+	// or the shape this section names is not the one being pinned.
+	inl := "SELECT c.id, o.oid FROM customer c JOIN orders o ON c.id = o.cid AND o.amount > c.balance WHERE c.id < 3"
+	if res := mustExec(t, db, inl); !strings.Contains(res.Plan, "IndexNLJoin") {
+		t.Fatalf("expected an IndexNL plan, got:\n%s", res.Plan)
+	}
+	replayGolden(t, "shapes", db, []string{
+		// subqueries: IN, scalar, both in one predicate, empty, failing
+		"SELECT name FROM customer WHERE id IN (SELECT cid FROM orders WHERE amount = 499)",
+		"SELECT oid FROM orders WHERE amount = (SELECT MAX(amount) FROM orders)",
+		"SELECT id FROM customer WHERE id IN (SELECT cid FROM orders WHERE amount > 495) AND balance > (SELECT AVG(balance) FROM customer)",
+		"SELECT id FROM customer WHERE id IN (3, (SELECT MIN(cid) FROM orders), 7)",
+		"SELECT id FROM customer WHERE balance = (SELECT balance FROM customer WHERE id < 0)",
+		"SELECT id FROM customer WHERE id IN (SELECT x FROM missing_table)",
+		// scalar function in filter and projection
+		"SELECT id, ABS(balance - 1000) FROM customer WHERE ABS(id - 100) < 3",
+		"SELECT ABS(0 - id) FROM customer WHERE id < 4",
+		"SELECT id FROM customer WHERE ABS(id, 2) = 1",
+		// joins: IndexNL with cross-binding residual, hash, nested loop,
+		// leftover cross filter, three-way, derived table
+		inl,
+		"SELECT c.name, o.amount FROM customer c JOIN orders o ON c.id = o.cid WHERE o.status = 'void' AND o.amount > 480",
+		"SELECT c.id, o.oid FROM customer c, orders o WHERE c.id < 3 AND o.oid < 4",
+		"SELECT c.id, o.oid FROM customer c, orders o WHERE c.id < 5 AND o.oid < 40 AND c.id + 1 > o.oid",
+		"SELECT c.id, o.oid FROM customer c JOIN orders o ON c.id = o.cid WHERE c.balance < o.amount AND c.id < 20",
+		"SELECT c.name FROM customer c, (SELECT cid FROM orders WHERE amount > 490) big WHERE c.id = big.cid",
+		"SELECT a.id, b.id FROM customer a JOIN customer b ON a.id = b.id JOIN orders o ON o.cid = b.id WHERE o.amount = 7",
+		// SELECT * over a join expands bindings in sorted-name order
+		"SELECT * FROM customer c JOIN orders o ON c.id = o.cid WHERE o.oid < 3",
+		"SELECT * FROM orders z JOIN customer y ON y.id = z.cid WHERE z.oid = 5",
+		// aggregates: arithmetic in projection, HAVING, empty input,
+		// star under aggregation, group key not projected
+		"SELECT status, SUM(amount) / COUNT(*), MAX(amount) - MIN(amount) FROM orders GROUP BY status",
+		"SELECT cid, COUNT(*) FROM orders GROUP BY cid HAVING COUNT(*) > 4 AND SUM(amount) > 1000",
+		"SELECT cid, SUM(amount) FROM orders GROUP BY cid HAVING SUM(amount) > 2400 OR cid = 3",
+		"SELECT status, COUNT(*) + 1 FROM orders WHERE amount < 0 GROUP BY status",
+		"SELECT COUNT(*), SUM(amount), AVG(amount), MIN(status), MAX(oid) FROM orders WHERE oid < 0",
+		"SELECT COUNT(*), AVG(balance) FROM customer WHERE city = 'oslo'",
+		"SELECT COUNT(*) FROM orders GROUP BY status",
+		"SELECT *, COUNT(*) FROM orders GROUP BY status",
+		// ORDER BY: aggregate, alias, expression, column outside the
+		// projection, DESC with LIMIT, over a join
+		"SELECT status, COUNT(*) FROM orders GROUP BY status ORDER BY COUNT(*) DESC",
+		"SELECT cid, SUM(amount) AS total FROM orders GROUP BY cid ORDER BY total DESC LIMIT 5",
+		"SELECT cid, COUNT(*) AS n FROM orders GROUP BY cid ORDER BY cid DESC LIMIT 4",
+		"SELECT city, COUNT(*) FROM customer GROUP BY city ORDER BY MAX(balance)",
+		"SELECT id, balance * 2 AS dbl FROM customer WHERE id < 30 ORDER BY dbl DESC LIMIT 7",
+		"SELECT name FROM customer WHERE city = 'lima' ORDER BY balance DESC, id LIMIT 6",
+		"SELECT o.oid FROM customer c JOIN orders o ON c.id = o.cid WHERE c.city = 'cairo' ORDER BY o.amount DESC, o.oid LIMIT 9",
+		// DISTINCT
+		"SELECT DISTINCT status FROM orders",
+		"SELECT DISTINCT city, balance > 1000 FROM customer",
+		// projection arithmetic, NULL propagation, placeholder
+		"SELECT id + 1, balance / 0, name FROM customer WHERE id < 3",
+		// writes: SET over the old tuple, subquery in WHERE and SET,
+		// multi-row VALUES with expressions, failing subquery
+		"UPDATE customer SET balance = balance * 2 + id WHERE city = 'oslo' AND id < 50",
+		"UPDATE orders SET amount = (SELECT MAX(balance) FROM customer) WHERE cid IN (SELECT id FROM customer WHERE city = 'lima' AND id < 30)",
+		"INSERT INTO customer (id, name, city, balance) VALUES (900, 'x', 'rome', 1 + 2 * 3), (901, 'y', 'oslo', ABS(0 - 4))",
+		"DELETE FROM orders WHERE cid IN (SELECT id FROM customer WHERE balance > 1500)",
+		"DELETE FROM orders WHERE cid IN (SELECT x FROM missing_table)",
+		"UPDATE orders SET amount = 1 WHERE cid IN (SELECT x FROM missing_table)",
+		"UPDATE customer SET nope = 1 WHERE id = 3",
+		"SELECT COUNT(*), SUM(amount), SUM(balance) FROM customer c JOIN orders o ON c.id = o.cid",
 	})
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/planner"
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
-	"repro/internal/storage"
 )
 
 // execInsert appends tuples and maintains every real index instantly.
@@ -18,8 +17,7 @@ func (db *DB) execInsert(st *stmtState, s *sqlparser.InsertStmt) (*Result, error
 		return nil, fmt.Errorf("engine: unknown table %q", s.Table)
 	}
 	heap := db.heaps[t.Name]
-	ctx := &evalCtx{db: db, st: st, cols: make(colIndex)}
-	empty := newRow()
+	ctx := &evalCtx{db: db, st: st}
 
 	// Column mapping: explicit list or positional.
 	positions := make([]int, 0, len(t.Columns))
@@ -49,7 +47,7 @@ func (db *DB) execInsert(st *stmtState, s *sqlparser.InsertStmt) (*Result, error
 			tup[i] = sqltypes.Null()
 		}
 		for i, e := range rowExprs {
-			v, err := ctx.evalExpr(e, empty)
+			v, err := ctx.once(e)
 			if err != nil {
 				return nil, err
 			}
@@ -131,185 +129,49 @@ func (db *DB) buildKey(meta *catalog.IndexMeta, t *catalog.Table, tup sqltypes.T
 }
 
 // targetRows locates the rows an UPDATE/DELETE affects, using the planner's
-// access path (indexes included).
-func (db *DB) targetRows(st *stmtState, table string, where sqlparser.Expr) ([]btree.RID, []sqltypes.Tuple, error) {
-	t := db.cat.Table(table)
-	if t == nil {
-		return nil, nil, fmt.Errorf("engine: unknown table %q", table)
-	}
+// access path (indexes included) and the executor's scan loops. The returned
+// context is bound to the target table, for the caller's SET expressions.
+func (db *DB) targetRows(st *stmtState, table string, where sqlparser.Expr) (*evalCtx, []btree.RID, []sqltypes.Tuple, error) {
 	sel := &sqlparser.SelectStmt{
 		Select: []sqlparser.SelectItem{{Star: true}},
-		From:   []sqlparser.TableRef{{Name: t.Name}},
+		From:   []sqlparser.TableRef{{Name: table}},
 		Where:  where,
 		Limit:  -1,
 	}
 	plan, err := planner.PlanSelect(db.cat, sel)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	// Locate the scan node beneath projection.
-	var scan planner.Node = plan.Root
-	for {
-		switch v := scan.(type) {
-		case *planner.ProjectNode:
-			scan = v.Input
-			continue
-		case *planner.LimitNode:
-			scan = v.Input
-			continue
-		}
-		break
+	scan := plan.Root
+	if p, ok := scan.(*planner.ProjectNode); ok {
+		scan = p.Input
 	}
-
-	ctx := &evalCtx{db: db, st: st, cols: make(colIndex)}
+	ctx, err := db.newEvalCtx(st, scan)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	var rids []btree.RID
 	var tups []sqltypes.Tuple
-
+	collect := func(rid btree.RID, tup sqltypes.Tuple) {
+		rids = append(rids, rid)
+		tups = append(tups, tup)
+	}
 	switch sc := scan.(type) {
 	case *planner.SeqScanNode:
-		if err := db.bindTable(ctx, sc.Table, sc.Binding); err != nil {
-			return nil, nil, err
-		}
-		heap := db.heaps[t.Name]
-		if db.batchExec {
-			// Vectorized write-target scan, mirroring runSeqScan's batch
-			// path. The batch's tuples are collected (not copied), which is
-			// all the update/delete loops need.
-			var pred *batchPred
-			vectorized := sc.Filter == nil
-			if sc.Filter != nil {
-				pred = compileBatchPred(sc.Filter, sc.Binding, ctx.cols[sc.Binding])
-				vectorized = pred != nil
-			}
-			if vectorized {
-				heap.ScanBatch(&st.io, func(b *storage.Batch) bool {
-					st.tuplesProcessed += int64(b.Len())
-					sel := b.Sel
-					if pred != nil {
-						sel = pred.Select(b.Tuples, b.Sel, &ctx.ops)
-					}
-					for _, s := range sel {
-						rids = append(rids, b.RID(s))
-						tups = append(tups, b.Tuples[s])
-					}
-					return true
-				})
-				st.operatorEvals += ctx.ops
-				return rids, tups, nil
-			}
-		}
-		var fast compiledExpr
-		if sc.Filter != nil {
-			fast = compileExpr(sc.Filter, sc.Binding, ctx.cols[sc.Binding])
-		}
-		var scanErr error
-		heap.Scan(&st.io, func(rid btree.RID, tup sqltypes.Tuple) bool {
-			st.tuplesProcessed++
-			if fast != nil {
-				ok, err := fast(tup, &ctx.ops)
-				if err != nil {
-					scanErr = err
-					return false
-				}
-				if !truthy(ok) {
-					return true
-				}
-				rids = append(rids, rid)
-				tups = append(tups, tup)
-				return true
-			}
-			r := newRow()
-			r.vals[sc.Binding] = tup
-			if sc.Filter != nil {
-				ok, err := ctx.evalExpr(sc.Filter, r)
-				if err != nil {
-					scanErr = err
-					return false
-				}
-				if !truthy(ok) {
-					return true
-				}
-			}
-			rids = append(rids, rid)
-			tups = append(tups, tup)
-			return true
-		})
-		if scanErr != nil {
-			return nil, nil, scanErr
-		}
+		err = db.seqScan(ctx, sc, collect)
 	case *planner.IndexScanNode:
-		if err := db.bindTable(ctx, sc.Table, sc.Binding); err != nil {
-			return nil, nil, err
-		}
-		trees := db.indexes[sc.Index.Name]
-		if len(trees) == 0 {
-			return nil, nil, fmt.Errorf("engine: index %q has no tree", sc.Index.Name)
-		}
-		db.bumpIndexUsage(sc.Index.Name)
-		if db.metrics != nil {
-			db.metrics.indexProbes.With(sc.Index.Name).Inc()
-		}
-		heap := db.heaps[t.Name]
-		env := newRow()
-		bounds, eqKey, err := db.buildProbeBounds(ctx, sc, env)
-		if err != nil {
-			return nil, nil, err
-		}
-		var fast compiledExpr
-		if sc.Residual != nil {
-			fast = compileExpr(sc.Residual, sc.Binding, ctx.cols[sc.Binding])
-		}
-		var scanErr error
-		for _, pb := range bounds {
-			for _, tree := range db.probeTrees(sc.Index, eqKey, trees) {
-				st.indexDescents += int64(tree.Height())
-				pages := tree.ScanRange(pb.lo, pb.hi, pb.loInc, pb.hiInc, func(e btree.Entry) bool {
-					st.indexTuplesRW++
-					tup := heap.Fetch(e.RID, &st.io)
-					if tup == nil {
-						return true
-					}
-					st.tuplesProcessed++
-					if fast != nil {
-						ok, err := fast(tup, &ctx.ops)
-						if err != nil {
-							scanErr = err
-							return false
-						}
-						if !truthy(ok) {
-							return true
-						}
-						rids = append(rids, e.RID)
-						tups = append(tups, tup)
-						return true
-					}
-					r := newRow()
-					r.vals[sc.Binding] = tup
-					if sc.Residual != nil {
-						ok, err := ctx.evalExpr(sc.Residual, r)
-						if err != nil {
-							scanErr = err
-							return false
-						}
-						if !truthy(ok) {
-							return true
-						}
-					}
-					rids = append(rids, e.RID)
-					tups = append(tups, tup)
-					return true
-				})
-				st.io.IndexPagesRead += pages
-				if scanErr != nil {
-					return nil, nil, scanErr
-				}
-			}
+		var probe *indexProbe
+		if probe, err = db.compileIndexScan(ctx, sc); err == nil {
+			err = db.indexScan(ctx, probe, ctx.newRow(), collect)
 		}
 	default:
-		return nil, nil, fmt.Errorf("engine: unexpected write-target scan %T", scan)
+		err = fmt.Errorf("engine: unexpected write-target scan %T", scan)
 	}
-	st.operatorEvals += ctx.ops
-	return rids, tups, nil
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return ctx, rids, tups, nil
 }
 
 // execUpdate rewrites matching tuples; indexes whose key columns changed are
@@ -319,13 +181,11 @@ func (db *DB) execUpdate(st *stmtState, s *sqlparser.UpdateStmt) (*Result, error
 	if t == nil {
 		return nil, fmt.Errorf("engine: unknown table %q", s.Table)
 	}
-	rids, tups, err := db.targetRows(st, s.Table, s.Where)
+	ctx, rids, tups, err := db.targetRows(st, t.Name, s.Where)
 	if err != nil {
 		return nil, err
 	}
 	heap := db.heaps[t.Name]
-	ctx := &evalCtx{db: db, st: st, cols: make(colIndex)}
-	ctx.cols.addBinding(t.Name, t.ColumnNames())
 
 	// Which indexes have a key column among the SET targets?
 	touched := make(map[string]bool, len(s.Set))
@@ -343,26 +203,35 @@ func (db *DB) execUpdate(st *stmtState, s *sqlparser.UpdateStmt) (*Result, error
 	}
 
 	// SET expressions may reference columns unqualified; bind them to the
-	// target table before evaluation.
-	for _, a := range s.Set {
+	// target table before compiling.
+	type assignment struct {
+		pos int
+		val valFn
+	}
+	set := make([]assignment, len(s.Set))
+	for i, a := range s.Set {
+		col := t.Column(a.Column)
+		if col == nil {
+			return nil, fmt.Errorf("engine: unknown column %s.%s", t.Name, a.Column)
+		}
 		qualifyColumns(a.Value, t.Name)
+		set[i].pos = col.Pos
+		if set[i].val, err = ctx.compile(a.Value); err != nil {
+			return nil, err
+		}
 	}
 
+	r := ctx.newRow()
+	slot := ctx.lay.slot(t.Name)
 	for i, rid := range rids {
 		old := tups[i]
-		r := newRow()
-		r.vals[t.Name] = old
+		r[slot] = old
 		newTup := old.Clone()
-		for _, a := range s.Set {
-			col := t.Column(a.Column)
-			if col == nil {
-				return nil, fmt.Errorf("engine: unknown column %s.%s", t.Name, a.Column)
-			}
-			v, err := ctx.evalExpr(a.Value, r)
-			if err != nil {
-				return nil, err
-			}
-			newTup[col.Pos] = v
+		for _, a := range set {
+			newTup[a.pos] = a.val(r)
+		}
+		if ctx.err != nil {
+			return nil, ctx.err
 		}
 		if err := heap.Update(rid, newTup, &st.io); err != nil {
 			return nil, err
@@ -422,10 +291,11 @@ func (db *DB) execDelete(st *stmtState, s *sqlparser.DeleteStmt) (*Result, error
 	if t == nil {
 		return nil, fmt.Errorf("engine: unknown table %q", s.Table)
 	}
-	rids, tups, err := db.targetRows(st, s.Table, s.Where)
+	ctx, rids, tups, err := db.targetRows(st, t.Name, s.Where)
 	if err != nil {
 		return nil, err
 	}
+	st.operatorEvals += ctx.ops
 	heap := db.heaps[t.Name]
 	for _, rid := range rids {
 		if err := heap.Delete(rid, &st.io); err != nil {

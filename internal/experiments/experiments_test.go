@@ -117,9 +117,18 @@ func TestFig8TemplateOverheadShape(t *testing.T) {
 		t.Errorf("templates should compress the stream: %d templates for %d stmts",
 			res.Templates, res.Statements)
 	}
-	if res.OverheadReduction < 0.5 {
-		t.Errorf("template path should cut management overhead: %.0f%%",
-			res.OverheadReduction*100)
+	// Overhead is asserted in counted units (seed-deterministic); the
+	// wall-clock OverheadReduction is reported, never asserted on.
+	t.Logf("what-if evaluations %d vs %d, planner invocations %d vs %d, wall %d ms vs %d ms",
+		res.TemplateEvals, res.QueryLevelEvals, res.TemplatePlans, res.QueryLevelPlans,
+		res.TemplateTuneMs, res.QueryLevelTuneMs)
+	if res.EvalReduction < 0.9 {
+		t.Errorf("template path should cut what-if evaluations by >= 90%%: %d vs %d (%.1f%%)",
+			res.TemplateEvals, res.QueryLevelEvals, res.EvalReduction*100)
+	}
+	if res.PlanReduction < 0.9 {
+		t.Errorf("template path should cut planner invocations by >= 90%%: %d vs %d (%.1f%%)",
+			res.TemplatePlans, res.QueryLevelPlans, res.PlanReduction*100)
 	}
 	// Performance parity within 10%.
 	if res.PerfDelta < -0.1 {

@@ -7,26 +7,6 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// ctxTargets are the packages on the tune/apply path: every tuning round
-// flows Tune → diagnose → candgen → MCTS → estimate → apply through them,
-// and the deadline/cancellation contract only holds if the round's context
-// reaches each layer. Entry points (cmd/*, examples, experiments) sit above
-// the path and legitimately mint context.Background.
-// session is on the path too: online index builds thread the round's
-// context through snapshot/catchup loops, and a minted Background there
-// would make a cancelled tuning round keep building.
-var ctxTargets = stringSet{
-	"autoindex": true,
-	"mcts":      true,
-	"diagnosis": true,
-	"candgen":   true,
-	"costmodel": true,
-	"session":   true,
-	// guardrail reverts run ApplyDrops under the session Exclusive seam;
-	// RevertOutcome must thread the caller's context into it.
-	"guardrail": true,
-}
-
 // CtxFirst enforces the context-threading contract on the tune/apply path:
 // an exported function or method that accepts a context.Context must take
 // it as the first parameter (Go convention, and what keeps call sites
@@ -40,7 +20,7 @@ var CtxFirst = &analysis.Analyzer{
 }
 
 func runCtxFirst(pass *analysis.Pass) (any, error) {
-	if !inTargets(pass.Pkg.Path(), ctxTargets) {
+	if !inTargets(pass.Pkg.Path(), "ctxfirst") {
 		return nil, nil
 	}
 	for _, f := range pass.Files {

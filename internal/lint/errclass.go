@@ -33,9 +33,6 @@ var ErrClass = &analysis.Analyzer{
 	Run:  runErrClass,
 }
 
-// errClassTargets are the packages the analyzer runs over.
-var errClassTargets = stringSet{"session": true, "autoindex": true, "guardrail": true}
-
 // errClassRoots name the build- and revert-path entry points; the checked
 // set is their transitive callees within the target packages.
 var errClassRoots = stringSet{
@@ -53,7 +50,7 @@ func errClassBuildPath(prog *analysis.Program) map[*types.Func]bool {
 		return m
 	}
 	inScope := func(fn *types.Func) bool {
-		return fn.Pkg() != nil && inTargets(fn.Pkg().Path(), errClassTargets)
+		return fn.Pkg() != nil && inTargets(fn.Pkg().Path(), "errclass")
 	}
 	reach := make(map[*types.Func]bool)
 	var queue []*types.Func
@@ -85,7 +82,7 @@ func errClassBuildPath(prog *analysis.Program) map[*types.Func]bool {
 }
 
 func runErrClass(pass *analysis.Pass) (any, error) {
-	if !inTargets(pass.Pkg.Path(), errClassTargets) {
+	if !inTargets(pass.Pkg.Path(), "errclass") {
 		return nil, nil
 	}
 	if pass.Program != nil {

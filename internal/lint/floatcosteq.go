@@ -7,13 +7,6 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// floatEqTargets are the packages doing cost/benefit arithmetic, where two
-// independently-computed float64 costs must never be compared with ==/!=.
-var floatEqTargets = stringSet{
-	"costmodel": true,
-	"mcts":      true,
-}
-
 // FloatCostEq flags `==`/`!=` between two non-constant floating-point
 // expressions in cost-model code: costs arrive through different summation
 // orders and must be compared with the epsilon helpers in
@@ -27,7 +20,7 @@ var FloatCostEq = &analysis.Analyzer{
 }
 
 func runFloatCostEq(pass *analysis.Pass) (any, error) {
-	if !inTargets(pass.Pkg.Path(), floatEqTargets) {
+	if !inTargets(pass.Pkg.Path(), "floatcosteq") {
 		return nil, nil
 	}
 	for _, f := range pass.Files {

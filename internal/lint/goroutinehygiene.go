@@ -26,15 +26,8 @@ var GoroutineHygiene = &analysis.Analyzer{
 	Run:  runGoroutineHygiene,
 }
 
-// goroutineHygieneTargets are the packages that launch background work.
-var goroutineHygieneTargets = stringSet{
-	"engine": true, "session": true, "loadgen": true,
-	"costmodel": true, "obs": true, "benchrunner": true,
-	"bufferpool": true,
-}
-
 func runGoroutineHygiene(pass *analysis.Pass) (any, error) {
-	if !inTargets(pass.Pkg.Path(), goroutineHygieneTargets) {
+	if !inTargets(pass.Pkg.Path(), "goroutinehygiene") {
 		return nil, nil
 	}
 	for _, f := range pass.Files {

@@ -8,17 +8,6 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// mapIterTargets are the recommendation-path packages where map iteration
-// order must never influence output: candidate generation, search, cost
-// estimation, diagnosis, and the pipeline glue.
-var mapIterTargets = stringSet{
-	"candgen":   true,
-	"mcts":      true,
-	"costmodel": true,
-	"diagnosis": true,
-	"autoindex": true,
-}
-
 // MapIterOrder flags `for … range` over maps whose iteration order can leak
 // into recommendation output: appends into outer slices (unless the loop is
 // the single-append half of the collect-then-sort idiom), float
@@ -32,7 +21,7 @@ var MapIterOrder = &analysis.Analyzer{
 }
 
 func runMapIterOrder(pass *analysis.Pass) (any, error) {
-	if !inTargets(pass.Pkg.Path(), mapIterTargets) {
+	if !inTargets(pass.Pkg.Path(), "mapiterorder") {
 		return nil, nil
 	}
 	for _, f := range pass.Files {

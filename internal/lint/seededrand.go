@@ -7,42 +7,6 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// randTargets are the packages with stochastic or estimation logic: any
-// randomness there must flow from an explicitly seeded *rand.Rand so a run
-// is reproducible from its config.
-var randTargets = stringSet{
-	"mcts":      true,
-	"costmodel": true,
-	"candgen":   true,
-	"diagnosis": true,
-	"hypo":      true,
-	"baseline":  true,
-	"autoindex": true,
-	"loadgen":   true,
-	// session draws build-retry jitter; an unseeded source there would make
-	// retry schedules (and thus chaos-test outcomes) irreproducible.
-	"session": true,
-	// bufferpool's eviction choices feed deterministic physical counters;
-	// a randomized policy (e.g. random replacement) must be seeded.
-	"bufferpool": true,
-	// guardrail draws revert-retry backoff jitter; verdicts must be a
-	// deterministic function of (seed, measured series).
-	"guardrail": true,
-}
-
-// timeNowBanned are the pure-estimation packages where wall-clock time must
-// never appear at all: costs are deterministic cost units, and time.Now()
-// in these packages is either a smuggled seed or a nondeterministic input.
-// (autoindex/baseline legitimately measure wall-clock durations for
-// reporting and are exempt from the time.Now ban, but not the rand one.)
-var timeNowBanned = stringSet{
-	"mcts":      true,
-	"costmodel": true,
-	"candgen":   true,
-	"diagnosis": true,
-	"hypo":      true,
-}
-
 // globalRandFuncs are the math/rand package-level functions backed by the
 // shared, unseedable-in-tests global source.
 var globalRandFuncs = map[string]bool{
@@ -64,11 +28,10 @@ var SeededRand = &analysis.Analyzer{
 }
 
 func runSeededRand(pass *analysis.Pass) (any, error) {
-	base := analysis.PathBase(pass.Pkg.Path())
-	if !randTargets[base] {
+	if !inTargets(pass.Pkg.Path(), "seededrand") {
 		return nil, nil
 	}
-	banTimeNow := timeNowBanned[base]
+	banTimeNow := inTargets(pass.Pkg.Path(), "seededrand/timenow")
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)

@@ -39,11 +39,6 @@ var SessionLock = &analysis.Analyzer{
 	Run:  runSessionLock,
 }
 
-// sessionLockDBTargets are the packages where rule 3 applies. guardrail
-// reverts catalog state through the Manager (never the engine directly), so
-// any future direct engine.DB access there is a seam violation too.
-var sessionLockDBTargets = stringSet{"autoindex": true, "guardrail": true}
-
 // lockLevel orders the session-lock contexts a statement can run under.
 type lockLevel int
 
@@ -383,7 +378,7 @@ func runSessionLock(pass *analysis.Pass) (any, error) {
 	// Rule 3 covers the autoindex library, not `package main` drivers: a
 	// binary's entry point sequences its own single-threaded setup and
 	// shutdown phases, where bare engine access cannot race a session.
-	checkDB := inTargets(pass.Pkg.Path(), sessionLockDBTargets) && pass.Pkg.Name() != "main"
+	checkDB := inTargets(pass.Pkg.Path(), "sessionlock/db") && pass.Pkg.Name() != "main"
 
 	for _, info := range programFuncs(prog) {
 		if info.Pkg.Types != pass.Pkg {
