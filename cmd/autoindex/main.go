@@ -7,7 +7,6 @@
 //
 //	autoindex -scenario tpcc -scale 10 -budget 2000000
 //	autoindex -scenario banking -apply
-//	autoindex -scenario tpcc -apply -online   # non-blocking online index builds
 //	autoindex -schema schema.sql -workload queries.sql
 package main
 
@@ -41,8 +40,6 @@ func main() {
 	budget := flag.Int64("budget", 0, "storage budget in bytes (0 = unlimited)")
 	seed := flag.Int64("seed", 1, "deterministic seed")
 	apply := flag.Bool("apply", false, "apply the recommendation and re-measure")
-	online := flag.Bool("online", false,
-		"with -apply: build indexes as non-blocking online builds through a concurrent session layer")
 	stmts := flag.Int("n", 1000, "scenario workload size (statements)")
 	loadSnap := flag.String("load", "", "load database snapshot instead of a scenario")
 	saveSnap := flag.String("save", "", "save database snapshot after tuning")
@@ -62,7 +59,6 @@ func main() {
 	flag.Parse()
 	showReport = *report
 	jsonOut = *jsonReport
-	onlineApply = *online
 
 	if *metricsAddr != "" {
 		metricsRegistry = obs.NewRegistry()
@@ -86,10 +82,6 @@ var showReport bool
 
 // jsonOut switches state reports to JSON (set from -json).
 var jsonOut bool
-
-// onlineApply routes Apply through the concurrent session layer so index
-// creations run as non-blocking online builds (set from -online).
-var onlineApply bool
 
 // metricsRegistry / metricsTracer are set when -metrics-addr is given.
 var (
@@ -202,10 +194,7 @@ func tune(db *engine.DB, stream []string, budget, seed int64, apply bool,
 		db.SetMetrics(metricsRegistry)
 		mgr.Instrument(metricsRegistry, metricsTracer)
 	}
-	if onlineApply {
-		sm := session.New(db, session.Options{Seed: seed, Registry: metricsRegistry})
-		mgr.UseSessions(sm)
-	}
+	mgr.UseSessions(session.New(db, session.Options{Seed: seed, Registry: metricsRegistry}))
 	var guard *guardrail.Controller
 	if guardrailOn {
 		guard = guardrail.Attach(mgr, guardrail.Config{
@@ -286,13 +275,8 @@ func tune(db *engine.DB, stream []string, budget, seed int64, apply bool,
 				}
 				return err
 			}
-			if report.Background {
-				fmt.Printf("applied online: %d created, %d dropped (catchup rows %d)\n",
-					len(report.Created), len(report.Dropped), report.CatchupRows)
-			} else {
-				fmt.Printf("applied: %d created, %d dropped\n",
-					len(report.Created), len(report.Dropped))
-			}
+			fmt.Printf("applied: %d created, %d dropped\n",
+				len(report.Created), len(report.Dropped))
 		}
 	}
 

@@ -290,9 +290,8 @@ func runLoadgen(o loadgenOpts) error {
 		if out.err != nil {
 			return fmt.Errorf("online tune: %w", out.err)
 		}
-		fmt.Printf("online tune: %d created, %d dropped (background=%v catchup_rows=%d code=%s)\n",
-			len(out.rep.Created), len(out.rep.Dropped), out.rep.Background,
-			out.rep.CatchupRows, out.rep.Code)
+		fmt.Printf("online tune: %d created, %d dropped (catchup_rows=%d code=%s)\n",
+			len(out.rep.Created), len(out.rep.Dropped), out.rep.CatchupRows, out.rep.Code)
 		fmt.Printf("foreground during build: %d requests, %d failed, max concurrent readers %d\n",
 			res.Requests, res.Errors, sm.MaxConcurrentReaders())
 		if res.Errors > 0 {

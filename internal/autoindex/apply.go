@@ -10,12 +10,12 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/session"
-	"repro/internal/sqlparser"
 )
 
-// applyRetries is how many extra attempts a single create/drop gets when it
-// fails with a transient (retryable) injected fault.
-const applyRetries = 2
+// dropRetries is how many extra attempts a single drop gets when it fails
+// with a transient (retryable) injected fault. Builds retry inside the
+// session layer (session.Options.MaxRetries), never here.
+const dropRetries = 2
 
 // ApplyReport is the outcome of one transactional apply. Created and Dropped
 // list only changes that committed and survived: after a successful apply
@@ -37,11 +37,8 @@ type ApplyReport struct {
 	RollbackErr error
 	// Err is the failure that triggered the rollback (nil on success).
 	Err error
-	// Background reports that creates ran as non-blocking online builds
-	// through the session layer instead of stop-the-world CREATE INDEX.
-	Background bool
-	// CatchupRows counts change-log writes the online builds replayed after
-	// their snapshots (0 for foreground applies).
+	// CatchupRows counts change-log writes the index builds (creates and
+	// rollback rebuilds) replayed after their snapshots.
 	CatchupRows int64
 	// Code classifies Err on the async-index convention: 0 success,
 	// [1,10000) temporary (already retried with seeded backoff before
@@ -50,8 +47,8 @@ type ApplyReport struct {
 }
 
 // String summarizes the report on one line for logs: change counts, the
-// background/catchup detail when the session layer built online, and — on
-// failure — the symbolic error class plus rollback status.
+// builds' catch-up rows, and — on failure — the symbolic error class plus
+// rollback status.
 func (r *ApplyReport) String() string {
 	var b strings.Builder
 	if r.Err == nil {
@@ -77,9 +74,7 @@ func (r *ApplyReport) String() string {
 		}
 		fmt.Fprintf(&b, " drop=[%s]", strings.Join(names, " "))
 	}
-	if r.Background {
-		fmt.Fprintf(&b, " background catchup_rows=%d", r.CatchupRows)
-	}
+	fmt.Fprintf(&b, " catchup_rows=%d", r.CatchupRows)
 	return b.String()
 }
 
@@ -87,8 +82,10 @@ func (r *ApplyReport) String() string {
 // budget), then creates. On any failure every completed change is rolled
 // back in reverse order — new creates are dropped, dropped indexes are
 // rebuilt from their recorded specs — so the live index set always matches
-// exactly the pre-apply or the post-apply configuration. Transient faults
-// are retried in place before counting as failure. Each apply (successful
+// exactly the pre-apply or the post-apply configuration. Every index is built
+// online through the session layer (snapshot, bulk-build, change-log
+// catch-up, atomic publish), rollback rebuilds included. Transient faults are
+// retried before counting as failure. Each apply (successful
 // or failed) is recorded in the benefit ledger; successful ones with real
 // changes open a predicted-vs-actual record completed by the next
 // ObserveMeasuredCost.
@@ -105,16 +102,13 @@ func (m *Manager) ApplyDrops(ctx context.Context, names []string) (*ApplyReport,
 
 func (m *Manager) applySpanned(ctx context.Context, rec *Recommendation, parent *obs.Span) (rep *ApplyReport, err error) {
 	span := m.childOrRoot(parent, "apply")
-	rep = &ApplyReport{Background: m.sessions != nil}
+	rep = &ApplyReport{}
 	defer func() {
 		rep.Err = err
 		rep.Code = session.Classify(err)
 		span.SetAttr("created", len(rep.Created))
 		span.SetAttr("dropped", len(rep.Dropped))
-		if rep.Background {
-			span.SetAttr("background", true)
-			span.SetAttr("catchup_rows", rep.CatchupRows)
-		}
+		span.SetAttr("catchup_rows", rep.CatchupRows)
 		if rep.RolledBack {
 			span.SetAttr("rolled_back", true)
 			if rep.RollbackErr != nil {
@@ -126,27 +120,27 @@ func (m *Manager) applySpanned(ctx context.Context, rec *Recommendation, parent 
 	}()
 	for _, name := range rec.Drop {
 		if cerr := ctx.Err(); cerr != nil {
-			m.rollback(rep)
+			m.rollback(ctx, span, rep)
 			return rep, cerr
 		}
 		snapshot := m.lookupIndex(name)
-		if derr := m.retryTransient(func() error { return m.dropIndex(name) }); derr != nil {
-			m.rollback(rep)
+		if derr := m.dropIndex(name); derr != nil {
+			m.rollback(ctx, span, rep)
 			return rep, fmt.Errorf("autoindex: drop %s: %w", name, derr)
 		}
 		rep.Dropped = append(rep.Dropped, snapshot)
 	}
 	for _, spec := range rec.Create {
 		if cerr := ctx.Err(); cerr != nil {
-			m.rollback(rep)
+			m.rollback(ctx, span, rep)
 			return rep, cerr
 		}
 		name := buildName(spec)
 		if m.lookupIndex(name) != nil {
 			continue // already exists (e.g. a concurrent manual CREATE INDEX)
 		}
-		if cerr := m.createIndex(ctx, span, name, spec, rep); cerr != nil {
-			m.rollback(rep)
+		if cerr := m.buildIndex(ctx, span, name, spec, rep); cerr != nil {
+			m.rollback(ctx, span, rep)
 			return rep, fmt.Errorf("autoindex: create %s: %w", name, cerr)
 		}
 		rep.Created = append(rep.Created, name)
@@ -154,46 +148,39 @@ func (m *Manager) applySpanned(ctx context.Context, rec *Recommendation, parent 
 	return rep, nil
 }
 
-// createIndex builds one index. With a session layer attached the build is
-// online — snapshot, bulk-build, change-log catchup, atomic publish — and
-// traced as an online_build child span; retries on temporary errors happen
-// inside the session layer with seeded backoff, so the foreground
-// retryTransient wrapper applies only to the direct path.
-func (m *Manager) createIndex(ctx context.Context, span *obs.Span, name string, spec *catalog.IndexMeta, rep *ApplyReport) error {
-	if m.sessions != nil {
-		bspan := span.Child("online_build")
-		bspan.SetAttr("index", name)
-		buildRep, err := m.sessions.BuildIndexOnlineMonitored(ctx, engine.IndexBuildSpec{
-			Name:    name,
-			Table:   spec.Table,
-			Columns: spec.Columns,
-			Unique:  spec.Unique,
-			Local:   spec.Local,
-		}, &buildSpanMonitor{span: bspan})
-		if buildRep != nil {
-			rep.CatchupRows += buildRep.CatchupRows
-			bspan.SetAttr("state", buildRep.State.String())
-			bspan.SetAttr("catchup_rows", buildRep.CatchupRows)
-			bspan.SetAttr("retries", buildRep.Retries)
-			bspan.SetAttr("code", int(buildRep.Code))
-		}
-		bspan.End()
-		return err
-	}
-	stmt := &sqlparser.CreateIndexStmt{
+// buildIndex builds one index online — snapshot, bulk-build, change-log
+// catchup, atomic publish — traced as an online_build child span. Temporary
+// errors are retried inside the session layer with seeded backoff.
+func (m *Manager) buildIndex(ctx context.Context, span *obs.Span, name string, spec *catalog.IndexMeta, rep *ApplyReport) error {
+	bspan := span.Child("online_build")
+	bspan.SetAttr("index", name)
+	buildRep, err := m.sessions.BuildIndexOnlineMonitored(ctx, engine.IndexBuildSpec{
 		Name:    name,
 		Table:   spec.Table,
 		Columns: spec.Columns,
 		Unique:  spec.Unique,
 		Local:   spec.Local,
+	}, &buildSpanMonitor{span: bspan})
+	if buildRep != nil {
+		rep.CatchupRows += buildRep.CatchupRows
+		bspan.SetAttr("state", buildRep.State.String())
+		bspan.SetAttr("catchup_rows", buildRep.CatchupRows)
+		bspan.SetAttr("retries", buildRep.Retries)
+		bspan.SetAttr("code", int(buildRep.Code))
 	}
-	return m.retryTransient(func() error { return m.execStmt(stmt) })
+	bspan.End()
+	return err
 }
 
-// dropIndex removes an index behind the exclusive seam (a drop swaps
-// catalog and tree state under running readers).
+// dropIndex removes an index under the exclusive lock (a drop swaps catalog
+// and tree state under running readers), retrying transient faults.
 func (m *Manager) dropIndex(name string) error {
-	return m.exclusiveIfSessions(func() error { return m.db.DropIndex(name) })
+	for attempt := 0; ; attempt++ {
+		err := m.sessions.Exclusive(func(db *engine.DB) error { return db.DropIndex(name) })
+		if err == nil || attempt >= dropRetries || !fault.IsTransient(err) {
+			return err
+		}
+	}
 }
 
 // lookupIndex fetches a deep copy of an index's metadata under the reader
@@ -202,8 +189,8 @@ func (m *Manager) dropIndex(name string) error {
 // publish cannot invalidate it.
 func (m *Manager) lookupIndex(name string) *catalog.IndexMeta {
 	var meta *catalog.IndexMeta
-	_ = m.readIfSessions(func() error {
-		if live := m.db.Catalog().Index(name); live != nil {
+	_ = m.sessions.Read(func(db *engine.DB) error {
+		if live := db.Catalog().Index(name); live != nil {
 			meta = cloneIndexMeta(live)
 		}
 		return nil
@@ -211,73 +198,28 @@ func (m *Manager) lookupIndex(name string) *catalog.IndexMeta {
 	return meta
 }
 
-// execStmt routes one DDL statement through the session layer when attached
-// (counting it like any other session write), else through the exclusive
-// seam directly.
-func (m *Manager) execStmt(stmt sqlparser.Statement) error {
-	if m.sessions != nil {
-		_, err := m.sessions.ExecStmt(stmt)
-		return err
-	}
-	return m.exclusiveIfSessions(func() error {
-		_, err := m.db.ExecStmt(stmt)
-		return err
-	})
-}
-
 // rollback reverts the report's completed changes in reverse order of
 // completion: creates are dropped newest-first, then drops are rebuilt
-// newest-first from their snapshots. Rollback steps retry transient faults;
-// the first hard failure is recorded in rep.RollbackErr and the remaining
-// steps still run (restoring as much as possible).
-func (m *Manager) rollback(rep *ApplyReport) {
+// newest-first from their snapshots, online like any other build. It runs to
+// the end whatever happened to the apply's context: the first hard failure
+// is recorded in rep.RollbackErr and the remaining steps still run
+// (restoring as much as possible).
+func (m *Manager) rollback(ctx context.Context, span *obs.Span, rep *ApplyReport) {
+	ctx = context.WithoutCancel(ctx)
 	rep.RolledBack = true
 	for i := len(rep.Created) - 1; i >= 0; i-- {
 		name := rep.Created[i]
-		if err := m.retryTransient(func() error { return m.dropIndex(name) }); err != nil {
-			if rep.RollbackErr == nil {
-				rep.RollbackErr = fmt.Errorf("autoindex: rollback drop %s: %w", name, err)
-			}
+		if err := m.dropIndex(name); err != nil && rep.RollbackErr == nil {
+			rep.RollbackErr = fmt.Errorf("autoindex: rollback drop %s: %w", name, err)
 		}
 	}
 	for i := len(rep.Dropped) - 1; i >= 0; i-- {
 		meta := rep.Dropped[i]
-		if meta == nil {
+		if meta == nil || m.lookupIndex(meta.Name) != nil {
 			continue
 		}
-		if err := m.retryTransient(func() error { return m.rebuildIndex(meta) }); err != nil {
-			if rep.RollbackErr == nil {
-				rep.RollbackErr = fmt.Errorf("autoindex: rollback rebuild %s: %w", meta.Name, err)
-			}
-		}
-	}
-}
-
-// rebuildIndex recreates a dropped index from its snapshot, preserving
-// uniqueness and locality. It goes through the engine's statement boundary
-// so injected faults during the rebuild surface as errors, not panics; with
-// a session layer attached the statement routes through its exclusive lock.
-func (m *Manager) rebuildIndex(meta *catalog.IndexMeta) error {
-	if m.lookupIndex(meta.Name) != nil {
-		return nil
-	}
-	return m.execStmt(&sqlparser.CreateIndexStmt{
-		Name:    meta.Name,
-		Table:   meta.Table,
-		Columns: meta.Columns,
-		Unique:  meta.Unique,
-		Local:   meta.Local,
-	})
-}
-
-// retryTransient runs do, retrying up to applyRetries extra times while it
-// fails with a retryable injected fault (lock timeout, throttled IO).
-func (m *Manager) retryTransient(do func() error) error {
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = do()
-		if err == nil || attempt >= applyRetries || !fault.IsTransient(err) {
-			return err
+		if err := m.buildIndex(ctx, span, meta.Name, meta, rep); err != nil && rep.RollbackErr == nil {
+			rep.RollbackErr = fmt.Errorf("autoindex: rollback rebuild %s: %w", meta.Name, err)
 		}
 	}
 }

@@ -2,10 +2,14 @@ package autoindex
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/fault"
+	"repro/internal/obs"
+	"repro/internal/session"
 )
 
 func TestApplyEmptyRecommendationIsNoOp(t *testing.T) {
@@ -159,5 +163,91 @@ func TestRecommendWithoutTimeoutIsNotDegraded(t *testing.T) {
 	}
 	if rec.Degraded {
 		t.Error("unbounded rounds must never be degraded")
+	}
+}
+
+// buildStatesOf returns, per online_build span the tracer recorded, the
+// build-state sequence its monitor reported.
+func buildStatesOf(tracer *obs.Tracer) (states [][]string, retries []any) {
+	for _, span := range tracer.Recent() {
+		if span.Name != "online_build" {
+			continue
+		}
+		var seq []string
+		for _, ev := range span.Events {
+			if ev.Name == "build_state" {
+				seq = append(seq, ev.Attrs["state"].(string))
+			}
+		}
+		states = append(states, seq)
+		retries = append(retries, span.Attrs["retries"])
+	}
+	return states, retries
+}
+
+// A rollback rebuild is a build like any other: the dropped index comes back
+// through snapshot → bulk → catchup → published (its scan runs under the
+// reader lock, never the exclusive one), and a transient fault in that scan
+// is retried once, by the session layer alone — apply adds no second loop
+// around it.
+func TestRollbackRebuildIsAnOnlineBuild(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		faulted bool
+		want    []string
+	}{
+		{"clean", false, []string{"snapshot", "bulk", "catchup", "published"}},
+		{"transient_scan_fault", true, []string{"snapshot", "snapshot", "bulk", "catchup", "published"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, _ := readHeavyDB(t)
+			if _, err := db.Exec("CREATE INDEX idx_kind ON ev (kind)"); err != nil {
+				t.Fatal(err)
+			}
+			reg, tracer := obs.NewRegistry(), obs.NewTracer(nil)
+			m := New(db, Options{MCTS: mctsFast()})
+			m.UseSessions(session.New(db, session.Options{Seed: 1, Registry: reg}))
+			m.Instrument(nil, tracer)
+			if tc.faulted {
+				// No page is read before the rebuild's scan: the 5th read is
+				// inside it.
+				db.SetFaultInjector(fault.New(1, fault.Rule{Site: fault.SitePageRead, Kind: fault.KindTransient, Nth: 5}))
+			}
+
+			rep, err := m.ApplyDrops(context.Background(), []string{"idx_kind", "no_such_index"})
+			if err == nil {
+				t.Fatal("second drop should fail")
+			}
+			if !rep.RolledBack || rep.RollbackErr != nil {
+				t.Fatalf("rollback should run and succeed: %+v", rep)
+			}
+			if db.Catalog().Index("idx_kind") == nil {
+				t.Fatal("the first drop must be rolled back (index rebuilt)")
+			}
+			if db.AttachedChangeLog() != nil {
+				t.Fatal("rebuild left its change log attached")
+			}
+
+			states, retries := buildStatesOf(tracer)
+			if len(states) != 1 {
+				t.Fatalf("want exactly one build (the rebuild), got %v", states)
+			}
+			if !reflect.DeepEqual(states[0], tc.want) {
+				t.Errorf("rebuild states = %v, want %v", states[0], tc.want)
+			}
+			wantRetries := 0
+			if tc.faulted {
+				wantRetries = 1
+			}
+			if retries[0] != wantRetries {
+				t.Errorf("rebuild retries = %v, want %d", retries[0], wantRetries)
+			}
+			if got := reg.Counter("session_builds_total", "").Value(); got != 1 {
+				t.Errorf("session_builds_total = %d, want 1", got)
+			}
+			if got := reg.Counter("session_build_retries_total", "").Value(); got != int64(wantRetries) {
+				t.Errorf("session_build_retries_total = %d, want %d", got, wantRetries)
+			}
+		})
 	}
 }

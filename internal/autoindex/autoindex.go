@@ -94,7 +94,6 @@ func (o Options) withDefaults() Options {
 
 // Manager is the AutoIndex system bound to one database.
 type Manager struct {
-	db        *engine.DB
 	opts      Options
 	store     *template.Store
 	estimator *costmodel.Estimator
@@ -112,10 +111,12 @@ type Manager struct {
 	// watcher, when set, observes every ledger append and measured cost —
 	// the guardrail controller's feed (see SetApplyWatcher).
 	watcher ApplyWatcher
-	// sessions, when set, is the concurrent serving layer the manager tunes
-	// through: search phases take its exclusive lock (what-if estimation
-	// mounts hypothetical indexes on the shared catalog), creates become
-	// online background builds, and drops serialize behind the same lock.
+	// sessions is the serving layer the manager tunes through, and its only
+	// way to the database: search phases take the exclusive lock (what-if
+	// estimation mounts hypothetical indexes on the shared catalog), every
+	// index is built online, and drops serialize behind the same lock. New
+	// wraps the database in a private one; UseSessions swaps in the one the
+	// foreground traffic shares.
 	sessions *session.Manager
 	// observeMu serializes Observe: under sessions, the statement observer
 	// fires from concurrent reader goroutines, and the template store is not
@@ -123,22 +124,22 @@ type Manager struct {
 	observeMu sync.Mutex
 }
 
-// New creates a manager over a live database. Observability defaults to the
-// process-wide obs.DefaultTracer / obs.DefaultRegistry (both nil unless a
-// binary opts in); override per manager with Instrument.
+// New creates a manager over a live database, reaching it through a private
+// session layer: enough for a caller that runs statements and tuning from one
+// goroutine. Observability defaults to the process-wide obs.DefaultTracer /
+// obs.DefaultRegistry (both nil unless a binary opts in); override per
+// manager with Instrument.
 func New(db *engine.DB, opts Options) *Manager {
 	opts = opts.withDefaults()
-	//autoindexlint:ignore sessionlock construction precedes any concurrent session over db
 	est := costmodel.NewEstimator(db.Catalog())
 	est.Parallelism = opts.EstimatorParallelism
 	est.Instrument(obs.DefaultRegistry())
 	return &Manager{
-		db:        db,
-		opts:      opts,
-		store:     template.NewStore(opts.TemplateCapacity),
-		estimator: est,
-		//autoindexlint:ignore sessionlock construction precedes any concurrent session over db
+		opts:             opts,
+		store:            template.NewStore(opts.TemplateCapacity),
+		estimator:        est,
 		generator:        candgen.NewGenerator(db.Catalog()),
+		sessions:         session.New(db, session.Options{}),
 		tracer:           obs.DefaultTracer(),
 		metrics:          newManagerMetrics(obs.DefaultRegistry()),
 		lastMeasuredCost: math.NaN(),
@@ -151,38 +152,17 @@ func (m *Manager) Estimator() *costmodel.Estimator { return m.estimator }
 // TemplateStore exposes the SQL2Template store.
 func (m *Manager) TemplateStore() *template.Store { return m.store }
 
-// UseSessions routes the manager's tuning through a session layer: search
+// UseSessions makes the manager tune through the session layer the
+// foreground traffic runs on, in place of the private one New made: search
 // phases (Diagnose, Recommend, Tune's search half, PruneRecommendation) run
-// under the exclusive lock so concurrent readers never plan against
-// hypothetical what-if indexes, index creates become non-blocking online
-// builds (session.BuildIndexOnline), and drops serialize behind the same
-// lock. The session manager must wrap the same database. Pass nil to revert
-// to direct (single-threaded) mode.
+// under its exclusive lock so concurrent readers never plan against
+// hypothetical what-if indexes, index builds snapshot under its reader lock
+// and publish under its exclusive lock, and drops serialize behind the same
+// lock. sm must wrap the database the manager was created over.
 func (m *Manager) UseSessions(sm *session.Manager) { m.sessions = sm }
 
-// Sessions returns the attached session layer (nil in direct mode).
+// Sessions returns the session layer the manager tunes through.
 func (m *Manager) Sessions() *session.Manager { return m.sessions }
-
-// exclusiveIfSessions runs fn under the session layer's exclusive lock when
-// one is attached, else directly. Do not call from inside another exclusive
-// section — the lock does not re-enter.
-func (m *Manager) exclusiveIfSessions(fn func() error) error {
-	if m.sessions == nil {
-		return fn()
-	}
-	return m.sessions.Exclusive(func(*engine.DB) error { return fn() })
-}
-
-// readIfSessions runs fn under the session layer's shared reader lock when
-// one is attached, else directly. For read-only engine access: the reader
-// lock admits concurrent readers but excludes DDL and online publishes, so
-// catalog walks see a consistent snapshot.
-func (m *Manager) readIfSessions(fn func() error) error {
-	if m.sessions == nil {
-		return fn()
-	}
-	return m.sessions.Read(func(*engine.DB) error { return fn() })
-}
 
 // Observe routes one executed statement into the template store. Call it
 // for every workload statement (or use Attach to hook the engine directly).
@@ -202,8 +182,8 @@ func (m *Manager) Observe(sql string) error {
 func (m *Manager) Attach() {
 	// Swapping the observer is a hook mutation: take the exclusive lock so
 	// in-flight readers never observe a half-installed hook.
-	_ = m.exclusiveIfSessions(func() error {
-		m.db.SetObserver(func(sql string) {
+	_ = m.sessions.Exclusive(func(db *engine.DB) error {
+		db.SetObserver(func(sql string) {
 			trimmed := strings.TrimLeft(sql, " \t\n")
 			if len(trimmed) < 6 {
 				return
@@ -219,8 +199,8 @@ func (m *Manager) Attach() {
 
 // Detach removes the statement observer.
 func (m *Manager) Detach() {
-	_ = m.exclusiveIfSessions(func() error {
-		m.db.SetObserver(nil)
+	_ = m.sessions.Exclusive(func(db *engine.DB) error {
+		db.SetObserver(nil)
 		return nil
 	})
 }
@@ -240,23 +220,23 @@ func (m *Manager) TrainEstimator() error {
 // SampleCount returns how many training samples are logged.
 func (m *Manager) SampleCount() int { return len(m.samples) }
 
-// Diagnose runs the index diagnosis over the current window. With a session
-// layer attached it holds the exclusive lock for the duration.
+// Diagnose runs the index diagnosis over the current window, holding the
+// exclusive lock for the duration.
 func (m *Manager) Diagnose(ctx context.Context) (*diagnosis.Report, error) {
 	var rep *diagnosis.Report
-	err := m.exclusiveIfSessions(func() error {
+	err := m.sessions.Exclusive(func(db *engine.DB) error {
 		var derr error
-		rep, derr = m.diagnoseSpanned(ctx, nil)
+		rep, derr = m.diagnoseSpanned(ctx, db, nil)
 		return derr
 	})
 	return rep, err
 }
 
-func (m *Manager) diagnoseSpanned(ctx context.Context, parent *obs.Span) (*diagnosis.Report, error) {
+func (m *Manager) diagnoseSpanned(ctx context.Context, db *engine.DB, parent *obs.Span) (*diagnosis.Report, error) {
 	span := m.childOrRoot(parent, "diagnose")
 	defer span.End()
 	w := m.store.Workload()
-	rep, err := diagnosis.Diagnose(ctx, m.db.Catalog(), m.db.IndexUsage(), m.db.StatementCount(),
+	rep, err := diagnosis.Diagnose(ctx, db.Catalog(), db.IndexUsage(), db.StatementCount(),
 		w, m.estimator, m.generator, m.opts.Diagnosis)
 	if err == nil {
 		span.SetAttr("beneficial_uncreated", len(rep.BeneficialUncreated))
@@ -314,9 +294,9 @@ func (m *Manager) Recommend(ctx context.Context) (*Recommendation, error) {
 	ctx, cancel := m.roundContext(ctx)
 	defer cancel()
 	var rec *Recommendation
-	err := m.exclusiveIfSessions(func() error {
+	err := m.sessions.Exclusive(func(db *engine.DB) error {
 		var rerr error
-		rec, rerr = m.recommendSpanned(ctx, m.spannedRoundWorkload(round), round)
+		rec, rerr = m.recommendSpanned(ctx, db, m.spannedRoundWorkload(round), round)
 		return rerr
 	})
 	return rec, err
@@ -357,9 +337,9 @@ func (m *Manager) RecommendOn(ctx context.Context, w *workload.Workload) (*Recom
 	ctx, cancel := m.roundContext(ctx)
 	defer cancel()
 	var rec *Recommendation
-	err := m.exclusiveIfSessions(func() error {
+	err := m.sessions.Exclusive(func(db *engine.DB) error {
 		var rerr error
-		rec, rerr = m.recommendSpanned(ctx, w, round)
+		rec, rerr = m.recommendSpanned(ctx, db, w, round)
 		return rerr
 	})
 	return rec, err
@@ -368,7 +348,7 @@ func (m *Manager) RecommendOn(ctx context.Context, w *workload.Workload) (*Recom
 // recommendSpanned is the tuning-round core; round (nil-safe) receives the
 // candgen → mcts → estimate child spans and the round summary attributes.
 // On context deadline it degrades to best-so-far rather than erroring.
-func (m *Manager) recommendSpanned(ctx context.Context, w *workload.Workload, round *obs.Span) (*Recommendation, error) {
+func (m *Manager) recommendSpanned(ctx context.Context, db *engine.DB, w *workload.Workload, round *obs.Span) (*Recommendation, error) {
 	start := time.Now()
 	if len(w.Queries) == 0 {
 		round.SetAttr("empty_workload", true)
@@ -393,7 +373,7 @@ func (m *Manager) recommendSpanned(ctx context.Context, w *workload.Workload, ro
 		m.metrics.templates.Set(float64(len(w.Queries)))
 	}
 
-	existing := m.realSecondaryIndexes()
+	existing := realSecondaryIndexes(db)
 
 	cfg := m.opts.MCTS
 	// The budget is enforced against hypothetical size estimates (that is
@@ -527,17 +507,17 @@ func (m *Manager) recommendSpanned(ctx context.Context, w *workload.Workload, ro
 // to reason about the contested indexes. Returns the names to drop.
 func (m *Manager) PruneRecommendation(ctx context.Context, w *workload.Workload) ([]string, error) {
 	var drops []string
-	err := m.exclusiveIfSessions(func() error {
+	err := m.sessions.Exclusive(func(db *engine.DB) error {
 		var perr error
-		drops, perr = m.pruneRecommendation(ctx, w)
+		drops, perr = m.pruneRecommendation(ctx, db, w)
 		return perr
 	})
 	return drops, err
 }
 
-func (m *Manager) pruneRecommendation(ctx context.Context, w *workload.Workload) ([]string, error) {
-	usage := m.db.IndexUsage()
-	existing := m.realSecondaryIndexes()
+func (m *Manager) pruneRecommendation(ctx context.Context, db *engine.DB, w *workload.Workload) ([]string, error) {
+	usage := db.IndexUsage()
+	existing := realSecondaryIndexes(db)
 	if len(w.Queries) == 0 {
 		return nil, nil
 	}
@@ -595,9 +575,9 @@ func (m *Manager) Tune(ctx context.Context, force bool) (*Recommendation, error)
 	// reader lock for their snapshot phase without self-deadlocking.
 	var rec *Recommendation
 	skipped := false
-	err := m.exclusiveIfSessions(func() error {
+	err := m.sessions.Exclusive(func(db *engine.DB) error {
 		if !force {
-			rep, derr := m.diagnoseSpanned(searchCtx, round)
+			rep, derr := m.diagnoseSpanned(searchCtx, db, round)
 			if derr != nil {
 				return derr
 			}
@@ -608,7 +588,7 @@ func (m *Manager) Tune(ctx context.Context, force bool) (*Recommendation, error)
 			}
 		}
 		var rerr error
-		rec, rerr = m.recommendSpanned(searchCtx, m.spannedRoundWorkload(round), round)
+		rec, rerr = m.recommendSpanned(searchCtx, db, m.spannedRoundWorkload(round), round)
 		return rerr
 	})
 	if err != nil || skipped {
@@ -641,9 +621,9 @@ func (m *Manager) MaybeDecayTemplates() bool {
 }
 
 // realSecondaryIndexes lists droppable (non-PK, real) indexes.
-func (m *Manager) realSecondaryIndexes() []*catalog.IndexMeta {
+func realSecondaryIndexes(db *engine.DB) []*catalog.IndexMeta {
 	var out []*catalog.IndexMeta
-	for _, idx := range m.db.Catalog().Indexes(false) {
+	for _, idx := range db.Catalog().Indexes(false) {
 		if strings.HasPrefix(idx.Name, "pk_") {
 			continue
 		}

@@ -3,6 +3,9 @@ package autoindex
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -96,16 +99,25 @@ func TestSameSeedRunsAreByteIdentical(t *testing.T) {
 }
 
 // TestSameSeedRunsAreByteIdenticalWithSessions repeats the determinism
-// contract through the session layer: routing the identical pipeline through
-// session.Manager — exclusive-locked search, online background builds with
-// change-log catchup instead of stop-the-world CREATE INDEX — must leave the
-// recommendation and the StateReport byte-identical to the direct path. The
-// concurrency machinery may change timing, never results.
+// contract across the two ways a manager reaches its database — the private
+// session layer New makes, and a shared one attached with UseSessions. Both
+// run the same builder, so the recommendation, the StateReport and every
+// ledger the tuner and the bench snapshots read (engine_* counters, the
+// statement-cost histogram) must be identical, and every counted statement
+// must carry a cost sample.
 func TestSameSeedRunsAreByteIdenticalWithSessions(t *testing.T) {
-	run := func(useSessions bool) (*Recommendation, []byte) {
+	type ledger struct {
+		counters  map[string]int64
+		costCount int64
+		costSum   float64
+	}
+	run := func(shared bool, parallelism int, cacheDisabled bool) (*Recommendation, []byte, ledger) {
+		reg := obs.NewRegistry()
 		db, reads := readHeavyDB(t)
-		m := New(db, Options{MCTS: mctsFast()})
-		if useSessions {
+		db.SetMetrics(reg)
+		m := New(db, Options{MCTS: mctsFast(), EstimatorParallelism: parallelism})
+		m.Estimator().CacheDisabled = cacheDisabled
+		if shared {
 			m.UseSessions(session.New(db, session.Options{Seed: 1}))
 		}
 		for _, sql := range reads {
@@ -117,30 +129,53 @@ func TestSameSeedRunsAreByteIdenticalWithSessions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := m.Apply(context.Background(), rec)
-		if err != nil {
+		if _, err := m.Apply(context.Background(), rec); err != nil {
 			t.Fatal(err)
-		}
-		if useSessions != rep.Background {
-			t.Fatalf("Background = %v with sessions = %v", rep.Background, useSessions)
 		}
 		js, err := m.Report().JSON()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rec, js
+		led := ledger{counters: map[string]int64{}}
+		for name, v := range reg.Snapshot() {
+			if n, ok := v.(int64); ok && strings.HasPrefix(name, "engine_") {
+				led.counters[name] = n
+			}
+		}
+		h := reg.LookupHistogram("engine_statement_cost")
+		led.costCount, led.costSum = h.Count(), h.Sum()
+		if total := led.counters["engine_statements_total"]; led.costCount != total {
+			t.Errorf("shared=%v: engine_statement_cost has %d samples for %d statements", shared, led.costCount, total)
+		}
+		return rec, js, led
 	}
 
-	recDirect, jsDirect := run(false)
-	recSess, jsSess := run(true)
-	if k1, k2 := recKeys(recDirect), recKeys(recSess); k1 != k2 {
-		t.Fatalf("recommendations differ: %q vs %q", k1, k2)
+	recPriv, jsPriv, ledPriv := run(false, 1, false)
+	if len(recPriv.Create) == 0 {
+		t.Fatal("nothing was built — the ledger comparison lost its point")
 	}
-	if recDirect.BaseCost != recSess.BaseCost || recDirect.BestCost != recSess.BestCost {
-		t.Fatalf("costs differ: base %v vs %v, best %v vs %v",
-			recDirect.BaseCost, recSess.BaseCost, recDirect.BestCost, recSess.BestCost)
+	if ledPriv.counters["engine_heap_pages_read_total"] == 0 {
+		t.Fatal("the build's snapshot scan charged no heap pages")
 	}
-	if !bytes.Equal(jsDirect, jsSess) {
-		t.Fatalf("session-routed run is not byte-identical to the direct run:\n--- direct ---\n%s\n--- sessions ---\n%s", jsDirect, jsSess)
+	// The shared arm under every estimator variant of
+	// TestSameSeedRunsAreByteIdentical, each against the private baseline.
+	for _, parallelism := range []int{1, 4} {
+		for _, cacheDisabled := range []bool{false, true} {
+			recShared, jsShared, ledShared := run(true, parallelism, cacheDisabled)
+			name := fmt.Sprintf("shared/parallelism=%d/cacheDisabled=%v", parallelism, cacheDisabled)
+			if k1, k2 := recKeys(recPriv), recKeys(recShared); k1 != k2 {
+				t.Fatalf("%s: recommendations differ: %q vs %q", name, k1, k2)
+			}
+			if recPriv.BaseCost != recShared.BaseCost || recPriv.BestCost != recShared.BestCost {
+				t.Fatalf("%s: costs differ: base %v vs %v, best %v vs %v", name,
+					recPriv.BaseCost, recShared.BaseCost, recPriv.BestCost, recShared.BestCost)
+			}
+			if !bytes.Equal(jsPriv, jsShared) {
+				t.Fatalf("%s: not byte-identical to the private-session run:\n--- private ---\n%s\n--- shared ---\n%s", name, jsPriv, jsShared)
+			}
+			if !reflect.DeepEqual(ledPriv, ledShared) {
+				t.Fatalf("%s: engine ledgers differ:\nprivate: %+v\nshared:  %+v", name, ledPriv, ledShared)
+			}
+		}
 	}
 }

@@ -1,5 +1,7 @@
 package autoindex
 
+import "repro/internal/engine"
+
 // LifecycleState is one stage of an applied recommendation's guardrail
 // lifecycle. Every apply that creates indexes is born LifecycleStaged; a
 // guardrail controller (internal/guardrail) then moves it through
@@ -92,8 +94,8 @@ func (m *Manager) OutcomeLifecycle(idx int) LifecycleState {
 // counter never moves across a verify window carried no query.
 func (m *Manager) IndexProbes() map[string]int64 {
 	var usage map[string]int64
-	_ = m.readIfSessions(func() error {
-		usage = m.db.IndexUsage()
+	_ = m.sessions.Read(func(db *engine.DB) error {
+		usage = db.IndexUsage()
 		return nil
 	})
 	return usage

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/engine"
 )
 
 // IndexState is one index's entry in the state report.
@@ -83,12 +85,12 @@ func (r *StateReport) JSON() ([]byte, error) {
 func (m *Manager) Report() *StateReport {
 	rep := &StateReport{Templates: m.store.Len()}
 	rep.TemplateMatches, rep.TemplateMisses = m.store.MatchStats()
-	_ = m.readIfSessions(func() error {
-		rep.Tables = len(m.db.Catalog().Tables())
-		rep.Statements = m.db.StatementCount()
-		usage := m.db.IndexUsage()
+	_ = m.sessions.Read(func(db *engine.DB) error {
+		rep.Tables = len(db.Catalog().Tables())
+		rep.Statements = db.StatementCount()
+		usage := db.IndexUsage()
 
-		for _, idx := range m.db.Catalog().Indexes(false) {
+		for _, idx := range db.Catalog().Indexes(false) {
 			if strings.HasPrefix(idx.Name, "pk_") {
 				continue
 			}

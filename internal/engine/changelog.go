@@ -37,7 +37,6 @@ type ChangeEntry struct {
 // drains concurrently without any session lock.
 type ChangeLog struct {
 	mu      sync.Mutex
-	next    uint64
 	entries []ChangeEntry
 }
 
@@ -47,8 +46,7 @@ func NewChangeLog() *ChangeLog { return &ChangeLog{} }
 // Append stamps the entry with the next LSN and records it.
 func (l *ChangeLog) Append(e ChangeEntry) {
 	l.mu.Lock()
-	l.next++
-	e.LSN = l.next
+	e.LSN = uint64(len(l.entries)) + 1
 	l.entries = append(l.entries, e)
 	l.mu.Unlock()
 }
@@ -57,34 +55,24 @@ func (l *ChangeLog) Append(e ChangeEntry) {
 func (l *ChangeLog) LSN() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.next
-}
-
-// Len returns the number of logged entries.
-func (l *ChangeLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.entries)
+	return uint64(len(l.entries))
 }
 
 // Since returns up to max entries with LSN > after, in LSN order (all of
-// them when max <= 0). The returned slice is a copy.
+// them when max <= 0). LSNs are dense from 1, so entry i carries LSN i+1 and
+// the unreplayed tail starts at index after. The returned slice is a copy:
+// writers keep appending while the builder replays it.
 func (l *ChangeLog) Since(after uint64, max int) []ChangeEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	// Entries are appended in LSN order; binary-search-free scan is fine at
-	// catchup batch sizes, but skip the already-replayed prefix cheaply.
-	i := 0
-	for i < len(l.entries) && l.entries[i].LSN <= after {
-		i++
+	if after >= uint64(len(l.entries)) {
+		return nil
 	}
-	j := len(l.entries)
-	if max > 0 && i+max < j {
-		j = i + max
+	tail := l.entries[after:]
+	if max > 0 && max < len(tail) {
+		tail = tail[:max]
 	}
-	out := make([]ChangeEntry, j-i)
-	copy(out, l.entries[i:j])
-	return out
+	return append([]ChangeEntry(nil), tail...)
 }
 
 // SetChangeLog attaches (or with nil detaches) the write change log. The

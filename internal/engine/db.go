@@ -268,93 +268,10 @@ func (db *DB) CreateTable(stmt *sqlparser.CreateTableStmt) error {
 	}
 	db.heaps[t.Name] = heap
 	if len(stmt.PrimaryKey) > 0 {
-		return db.createIndex(&stmtState{}, "pk_"+t.Name, t.Name, stmt.PrimaryKey, true, false)
+		return db.createIndex(&stmtState{}, IndexBuildSpec{
+			Name: "pk_" + t.Name, Table: t.Name, Columns: stmt.PrimaryKey, Unique: true,
+		})
 	}
-	return nil
-}
-
-// CreateIndex builds a real index, populating it from the heap.
-func (db *DB) CreateIndex(stmt *sqlparser.CreateIndexStmt) error {
-	return db.createIndex(&stmtState{}, stmt.Name, stmt.Table, stmt.Columns, stmt.Unique, stmt.Local)
-}
-
-func (db *DB) createIndex(st *stmtState, name, table string, columns []string, unique, local bool) error {
-	t := db.cat.Table(table)
-	if t == nil {
-		return fmt.Errorf("engine: unknown table %q", table)
-	}
-	if local && !t.IsPartitioned() {
-		return fmt.Errorf("engine: LOCAL index requires a partitioned table, %q is not", t.Name)
-	}
-	lower := make([]string, len(columns))
-	for i, c := range columns {
-		lower[i] = strings.ToLower(c)
-	}
-	meta := &catalog.IndexMeta{
-		Name:    strings.ToLower(name),
-		Table:   t.Name,
-		Columns: lower,
-		Unique:  unique,
-		Local:   local,
-	}
-	if err := db.cat.AddIndex(meta); err != nil {
-		return err
-	}
-	// From here on the catalog holds the entry: if the build fails — by
-	// error return or by a panic (e.g. an injected fault during the heap
-	// scan) — undo the registration so the catalog is never poisoned with a
-	// half-built index. The panic keeps unwinding to the statement boundary.
-	committed := false
-	defer func() {
-		if committed {
-			return
-		}
-		_ = db.cat.DropIndex(meta.Name)
-		delete(db.indexes, meta.Name)
-	}()
-	nTrees := 1
-	if local {
-		nTrees = t.Partitions
-	}
-	heap := db.heaps[t.Name]
-	positions := make([]int, len(lower))
-	for i, c := range lower {
-		col := t.Column(c)
-		if col == nil {
-			return fmt.Errorf("engine: unknown column %s.%s", table, c)
-		}
-		positions[i] = col.Pos
-	}
-	partPos := -1
-	if local {
-		partPos = t.Column(t.PartitionBy).Pos
-	}
-	// Collect entries per tree, then bulk-build bottom-up (the CREATE INDEX
-	// fast path: one sort, packed pages, no splits).
-	entries := make([][]btree.Entry, nTrees)
-	var keyBytes int64
-	heap.Scan(&st.io, func(rid btree.RID, tup sqltypes.Tuple) bool {
-		key := make(sqltypes.Key, len(positions))
-		for i, p := range positions {
-			key[i] = tup[p]
-			keyBytes += int64(tup[p].EncodedSize())
-		}
-		ti := 0
-		if local {
-			ti = partitionOf(tup[partPos], t.Partitions)
-		}
-		entries[ti] = append(entries[ti], btree.Entry{Key: key, RID: rid})
-		return true
-	})
-	trees := make([]*btree.Tree, nTrees)
-	for i := range trees {
-		trees[i] = btree.BulkBuild(entries[i], db.order)
-		trees[i].SetFaultInjector(db.faults)
-	}
-	db.indexes[meta.Name] = trees
-	db.refreshIndexMeta(meta, trees, keyBytes)
-	db.monitorIndex(meta.Name, trees)
-	committed = true
 	return nil
 }
 

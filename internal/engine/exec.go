@@ -73,7 +73,9 @@ func (db *DB) ExecStmt(stmt sqlparser.Statement) (res *Result, err error) {
 		err = db.CreateTable(s)
 		res = &Result{}
 	case *sqlparser.CreateIndexStmt:
-		err = db.createIndex(st, s.Name, s.Table, s.Columns, s.Unique, s.Local)
+		err = db.createIndex(st, IndexBuildSpec{
+			Name: s.Name, Table: s.Table, Columns: s.Columns, Unique: s.Unique, Local: s.Local,
+		})
 		res = &Result{}
 	case *sqlparser.DropIndexStmt:
 		err = db.DropIndex(s.Name)
@@ -91,8 +93,7 @@ func (db *DB) ExecStmt(stmt sqlparser.Statement) (res *Result, err error) {
 	res.Stats.RowsReturned = int64(len(res.Rows))
 	res.Stats.RowsAffected = affected
 	if db.metrics != nil {
-		db.metrics.recordStmt(res.Stats)
-		db.metrics.stmtSeconds.Observe(time.Since(wallStart).Seconds())
+		db.metrics.recordStmt(res.Stats, wallStart)
 	}
 	return res, nil
 }

@@ -3,14 +3,16 @@ package engine
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"repro/internal/btree"
 	"repro/internal/catalog"
 	"repro/internal/fault"
 	"repro/internal/sqltypes"
+	"repro/internal/storage"
 )
 
-// IndexBuildSpec names the index an online build is to produce.
+// IndexBuildSpec names the index a build is to produce.
 type IndexBuildSpec struct {
 	Name    string
 	Table   string
@@ -19,8 +21,8 @@ type IndexBuildSpec struct {
 	Local   bool
 }
 
-// OnlineIndexBuild is the engine half of a non-blocking index build. The
-// protocol, in caller-lock order:
+// IndexBuild is the only code that turns a spec into a live index. The
+// non-blocking protocol, in caller-lock order:
 //
 //  1. StartLogging + Snapshot under a session *reader* lock — the reader
 //     lock excludes all writers, so the change log attaches empty and the
@@ -36,7 +38,12 @@ type IndexBuildSpec struct {
 //
 // Abort (under the exclusive lock) detaches the log and discards the trees;
 // nothing was published, so nothing needs rolling back.
-type OnlineIndexBuild struct {
+//
+// A CREATE INDEX statement (and CreateTable's pk_ index, and snapshot Load)
+// holds the caller's lock from start to end, so no write can interleave: it
+// runs the same Snapshot → Build → register steps with no change log
+// (db.createIndex).
+type IndexBuild struct {
 	db        *DB
 	spec      IndexBuildSpec
 	table     *catalog.Table
@@ -47,16 +54,20 @@ type OnlineIndexBuild struct {
 	entries   [][]btree.Entry
 	trees     []*btree.Tree
 	keyBytes  int64
+	// io is the snapshot scan's logical IO — what the build costs as the one
+	// CREATE INDEX statement it stands for.
+	io storage.IOCounter
+	// start times the build for engine_statement_seconds.
+	start time.Time
 	// lastSync is the LSN watermark: every change-log entry with LSN <=
 	// lastSync has been replayed into the offline trees.
 	lastSync    uint64
 	catchupRows int64
-	published   bool
 }
 
-// NewOnlineIndexBuild validates the spec against the catalog without
-// touching it: the catalog learns about the index only at Publish.
-func (db *DB) NewOnlineIndexBuild(spec IndexBuildSpec) (*OnlineIndexBuild, error) {
+// NewIndexBuild validates the spec against the catalog without touching it:
+// the catalog learns about the index only when the build registers.
+func (db *DB) NewIndexBuild(spec IndexBuildSpec) (*IndexBuild, error) {
 	spec.Name = strings.ToLower(spec.Name)
 	t := db.cat.Table(spec.Table)
 	if t == nil {
@@ -79,26 +90,43 @@ func (db *DB) NewOnlineIndexBuild(spec IndexBuildSpec) (*OnlineIndexBuild, error
 		positions[i] = col.Pos
 	}
 	spec.Columns = lower
-	nTrees := 1
-	partPos := -1
-	if spec.Local {
-		nTrees = t.Partitions
-		partPos = t.Column(t.PartitionBy).Pos
-	}
-	return &OnlineIndexBuild{
+	b := &IndexBuild{
 		db:        db,
 		spec:      spec,
 		table:     t,
 		positions: positions,
-		partPos:   partPos,
-		nTrees:    nTrees,
-	}, nil
+		partPos:   -1,
+		nTrees:    1,
+		start:     time.Now(),
+	}
+	if spec.Local {
+		b.nTrees = t.Partitions
+		b.partPos = t.Column(t.PartitionBy).Pos
+	}
+	return b, nil
+}
+
+// createIndex runs a build to completion under the caller's lock, charging
+// the scan to the calling statement.
+func (db *DB) createIndex(st *stmtState, spec IndexBuildSpec) error {
+	b, err := db.NewIndexBuild(spec)
+	if err != nil {
+		return err
+	}
+	if err := b.Snapshot(); err != nil {
+		return err
+	}
+	st.io.Add(b.io)
+	if err := b.Build(); err != nil {
+		return err
+	}
+	return b.register()
 }
 
 // StartLogging attaches a fresh change log to the database. The caller must
 // hold the session reader lock (excluding writers) and keep holding it
 // through Snapshot, so no write can slip between attach and scan.
-func (b *OnlineIndexBuild) StartLogging() error {
+func (b *IndexBuild) StartLogging() error {
 	if b.db.changeLog != nil {
 		return fmt.Errorf("engine: another online index build is already logging")
 	}
@@ -107,24 +135,18 @@ func (b *OnlineIndexBuild) StartLogging() error {
 	return nil
 }
 
-// Snapshot scans the heap into per-tree entry sets, exactly like the
-// stop-the-world CREATE INDEX path. Must run under the same reader lock as
-// StartLogging. Injected faults surfacing as panics from the scan are
+// Snapshot scans the heap into per-tree entry sets, charging the scan's
+// page reads to the build. An online build must run it under the same reader
+// lock as StartLogging. Injected faults surfacing as panics from the scan are
 // recovered into the returned error.
-func (b *OnlineIndexBuild) Snapshot() (err error) {
-	defer b.db.recoverToError("OnlineIndexBuild.Snapshot", nil, &err)
+func (b *IndexBuild) Snapshot() (err error) {
+	defer b.db.recoverToError("IndexBuild.Snapshot", nil, &err)
 	heap := b.db.heaps[b.table.Name]
 	b.entries = make([][]btree.Entry, b.nTrees)
-	heap.Scan(nil, func(rid btree.RID, tup sqltypes.Tuple) bool {
-		key := make(sqltypes.Key, len(b.positions))
-		for i, p := range b.positions {
-			key[i] = tup[p]
-			b.keyBytes += int64(tup[p].EncodedSize())
-		}
-		ti := 0
-		if b.spec.Local {
-			ti = partitionOf(tup[b.partPos], b.table.Partitions)
-		}
+	heap.Scan(&b.io, func(rid btree.RID, tup sqltypes.Tuple) bool {
+		key := b.keyOf(tup)
+		b.keyBytes += keySize(key)
+		ti := b.treeOf(tup)
 		b.entries[ti] = append(b.entries[ti], btree.Entry{Key: key, RID: rid})
 		return true
 	})
@@ -133,8 +155,8 @@ func (b *OnlineIndexBuild) Snapshot() (err error) {
 
 // Build bulk-builds the offline trees from the snapshot. Needs no lock: it
 // only touches build-private state.
-func (b *OnlineIndexBuild) Build() (err error) {
-	defer b.db.recoverToError("OnlineIndexBuild.Build", nil, &err)
+func (b *IndexBuild) Build() (err error) {
+	defer b.db.recoverToError("IndexBuild.Build", nil, &err)
 	b.trees = make([]*btree.Tree, b.nTrees)
 	for i := range b.trees {
 		b.trees[i] = btree.BulkBuild(b.entries[i], b.db.order)
@@ -144,15 +166,15 @@ func (b *OnlineIndexBuild) Build() (err error) {
 	return nil
 }
 
-// treeForTuple picks the offline tree a tuple's entry belongs to.
-func (b *OnlineIndexBuild) treeForTuple(tup sqltypes.Tuple) *btree.Tree {
+// treeOf picks which of the index's trees a tuple's entry belongs to.
+func (b *IndexBuild) treeOf(tup sqltypes.Tuple) int {
 	if b.spec.Local {
-		return b.trees[partitionOf(tup[b.partPos], b.table.Partitions)]
+		return partitionOf(tup[b.partPos], b.table.Partitions)
 	}
-	return b.trees[0]
+	return 0
 }
 
-func (b *OnlineIndexBuild) keyOf(tup sqltypes.Tuple) sqltypes.Key {
+func (b *IndexBuild) keyOf(tup sqltypes.Tuple) sqltypes.Key {
 	key := make(sqltypes.Key, len(b.positions))
 	for i, p := range b.positions {
 		key[i] = tup[p]
@@ -160,9 +182,17 @@ func (b *OnlineIndexBuild) keyOf(tup sqltypes.Tuple) sqltypes.Key {
 	return key
 }
 
+func keySize(key sqltypes.Key) int64 {
+	var n int64
+	for _, v := range key {
+		n += int64(v.EncodedSize())
+	}
+	return n
+}
+
 // replay applies one change-log entry to the offline trees and advances the
 // last_sync watermark.
-func (b *OnlineIndexBuild) replay(e ChangeEntry) {
+func (b *IndexBuild) replay(e ChangeEntry) {
 	b.lastSync = e.LSN
 	if e.Table != b.table.Name {
 		return // other table's write: watermark advances, trees untouched
@@ -171,32 +201,24 @@ func (b *OnlineIndexBuild) replay(e ChangeEntry) {
 	switch e.Op {
 	case ChangeInsert:
 		key := b.keyOf(e.New)
-		b.treeForTuple(e.New).Insert(key, e.RID)
-		for _, v := range key {
-			b.keyBytes += int64(v.EncodedSize())
-		}
+		b.trees[b.treeOf(e.New)].Insert(key, e.RID)
+		b.keyBytes += keySize(key)
 	case ChangeDelete:
 		key := b.keyOf(e.Old)
-		if b.treeForTuple(e.Old).Delete(key, e.RID) {
-			for _, v := range key {
-				b.keyBytes -= int64(v.EncodedSize())
-			}
+		if b.trees[b.treeOf(e.Old)].Delete(key, e.RID) {
+			b.keyBytes -= keySize(key)
 		}
 	case ChangeUpdate:
 		oldKey, newKey := b.keyOf(e.Old), b.keyOf(e.New)
-		oldTree, newTree := b.treeForTuple(e.Old), b.treeForTuple(e.New)
+		oldTree, newTree := b.trees[b.treeOf(e.Old)], b.trees[b.treeOf(e.New)]
 		if oldTree == newTree && sqltypes.CompareKeys(oldKey, newKey) == 0 {
 			return // key columns unchanged: entry already correct
 		}
 		if oldTree.Delete(oldKey, e.RID) {
-			for _, v := range oldKey {
-				b.keyBytes -= int64(v.EncodedSize())
-			}
+			b.keyBytes -= keySize(oldKey)
 		}
 		newTree.Insert(newKey, e.RID)
-		for _, v := range newKey {
-			b.keyBytes += int64(v.EncodedSize())
-		}
+		b.keyBytes += keySize(newKey)
 	}
 }
 
@@ -205,8 +227,8 @@ func (b *OnlineIndexBuild) replay(e ChangeEntry) {
 // and the offline trees are build-private. Returns how many entries were
 // applied and how many remain. The fault site SiteBuildCatchup fires once
 // per call, modeling a crash mid-catchup.
-func (b *OnlineIndexBuild) Catchup(max int) (applied, remaining int, err error) {
-	defer b.db.recoverToError("OnlineIndexBuild.Catchup", nil, &err)
+func (b *IndexBuild) Catchup(max int) (applied, remaining int, err error) {
+	defer b.db.recoverToError("IndexBuild.Catchup", nil, &err)
 	if b.db.faults != nil {
 		if ferr := b.db.faults.Check(fault.SiteBuildCatchup); ferr != nil {
 			return 0, b.Lag(), ferr
@@ -219,32 +241,51 @@ func (b *OnlineIndexBuild) Catchup(max int) (applied, remaining int, err error) 
 	return len(batch), b.Lag(), nil
 }
 
-// Lag returns how many logged writes have not been replayed yet.
-func (b *OnlineIndexBuild) Lag() int {
-	return len(b.log.Since(b.lastSync, 0))
-}
+// Lag returns how many logged writes have not been replayed yet. LSNs are
+// dense from 1, so it is the distance from the watermark to the log's head.
+func (b *IndexBuild) Lag() int { return int(b.log.LSN() - b.lastSync) }
 
 // LastSync returns the replay watermark (highest replayed LSN).
-func (b *OnlineIndexBuild) LastSync() uint64 { return b.lastSync }
+func (b *IndexBuild) LastSync() uint64 { return b.lastSync }
 
 // CatchupRows returns how many logged writes of the target table were
 // replayed into the trees.
-func (b *OnlineIndexBuild) CatchupRows() int64 { return b.catchupRows }
+func (b *IndexBuild) CatchupRows() int64 { return b.catchupRows }
 
 // Publish drains the change-log tail and atomically registers the index.
 // The caller must hold the session exclusive lock: with writers excluded
 // the final drain empties the log for good, and no reader can observe the
-// catalog between registration steps.
-func (b *OnlineIndexBuild) Publish() (err error) {
-	defer b.db.recoverToError("OnlineIndexBuild.Publish", nil, &err)
+// catalog between registration steps. A published build enters the statement
+// ledgers as the one CREATE INDEX it stands for — one statement whose cost is
+// the snapshot scan's IO — so the numbers the tuner and bench snapshots read
+// do not depend on which lock the build ran under. A failed attempt counts
+// nothing, like a statement that was never issued.
+func (b *IndexBuild) Publish() (err error) {
+	defer b.db.recoverToError("IndexBuild.Publish", nil, &err)
 	defer b.detach()
 	for _, e := range b.log.Since(b.lastSync, 0) {
 		b.replay(e)
 	}
+	if err := b.register(); err != nil {
+		return err
+	}
+	b.db.statsMu.Lock()
+	b.db.statements++
+	b.db.statsMu.Unlock()
+	if b.db.metrics != nil {
+		b.db.metrics.recordStmt(ExecStats{IO: b.io}, b.start)
+	}
+	return nil
+}
+
+// register makes the built trees a live index: catalog entry, tree set,
+// size/height metadata, metric monitors. The caller's lock excludes every
+// reader and writer, so the steps are atomic to them.
+func (b *IndexBuild) register() error {
 	meta := &catalog.IndexMeta{
 		Name:    b.spec.Name,
 		Table:   b.table.Name,
-		Columns: append([]string{}, b.spec.Columns...),
+		Columns: b.spec.Columns,
 		Unique:  b.spec.Unique,
 		Local:   b.spec.Local,
 	}
@@ -254,32 +295,19 @@ func (b *OnlineIndexBuild) Publish() (err error) {
 	b.db.indexes[meta.Name] = b.trees
 	b.db.refreshIndexMeta(meta, b.trees, b.keyBytes)
 	b.db.monitorIndex(meta.Name, b.trees)
-	b.published = true
-	// A published build replaces exactly one CREATE INDEX statement; count
-	// it so online and stop-the-world runs keep identical statement totals
-	// (the determinism suite compares them byte-for-byte).
-	b.db.statsMu.Lock()
-	b.db.statements++
-	b.db.statsMu.Unlock()
-	if b.db.metrics != nil {
-		b.db.metrics.stmtTotal.Inc()
-	}
 	return nil
 }
 
 // Abort detaches the change log and discards the build. Must run under the
 // session exclusive lock (same reason as Publish: the log detach must not
 // race writers appending to it).
-func (b *OnlineIndexBuild) Abort() {
+func (b *IndexBuild) Abort() {
 	b.detach()
 	b.trees = nil
 	b.entries = nil
 }
 
-// Published reports whether Publish completed.
-func (b *OnlineIndexBuild) Published() bool { return b.published }
-
-func (b *OnlineIndexBuild) detach() {
+func (b *IndexBuild) detach() {
 	if b.db.changeLog == b.log {
 		b.db.SetChangeLog(nil)
 	}

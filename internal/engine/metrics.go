@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"time"
+
 	"repro/internal/btree"
 	"repro/internal/obs"
 )
@@ -86,7 +88,7 @@ func (db *DB) SetMetrics(reg *obs.Registry) {
 	db.metrics = m
 	db.pool.Instrument(reg)
 	// Attach monitors to live trees and publish current structural gauges;
-	// trees created later attach in createIndex/BulkBuild.
+	// trees built later attach when their build registers.
 	for name, trees := range db.indexes {
 		db.monitorIndex(name, trees)
 	}
@@ -146,9 +148,14 @@ func (db *DB) monitorIndex(name string, trees []*btree.Tree) {
 	tm.height.Set(float64(maxH))
 }
 
-// recordStmt feeds one finished statement's stats into the registry.
-func (m *dbMetrics) recordStmt(s ExecStats) {
+// recordStmt feeds one finished statement into the registry: its stats, its
+// cost sample and its service time since wallStart. Every successful
+// statement — executed or stood for by a published index build — passes
+// through here exactly once, so engine_statement_cost's count always equals
+// the successes in engine_statements_total.
+func (m *dbMetrics) recordStmt(s ExecStats, wallStart time.Time) {
 	m.stmtTotal.Inc()
+	m.stmtSeconds.Observe(time.Since(wallStart).Seconds())
 	m.stmtCost.Observe(s.ActualCost())
 	m.heapPagesRead.Add(s.IO.HeapPagesRead)
 	m.heapPagesWritten.Add(s.IO.HeapPagesWritten)

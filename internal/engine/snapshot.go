@@ -108,7 +108,7 @@ func Load(r io.Reader) (*DB, error) {
 		}
 	}
 	for _, si := range snap.Indexes {
-		if err := db.createIndex(&stmtState{}, si.Name, si.Table, si.Columns, si.Unique, si.Local); err != nil {
+		if err := db.createIndex(&stmtState{}, IndexBuildSpec(si)); err != nil {
 			return nil, fmt.Errorf("engine: restore index %s: %w", si.Name, err)
 		}
 	}

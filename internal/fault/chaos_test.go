@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/autoindex"
@@ -228,5 +229,187 @@ func TestChaosFullTuningRoundsInvariant(t *testing.T) {
 	}
 	if failures == 0 {
 		t.Error("chaos schedules should fail at least one round's apply (Nth read faults land in the create scan)")
+	}
+}
+
+// stepCtx runs step before every cancellation check made with it. An index
+// build consults its context at exactly its interleaving points — before
+// each catch-up batch and, once caught up, before taking the exclusive lock
+// to publish — always with no session lock held, so step is where a test
+// places a concurrent writer deterministically.
+type stepCtx struct {
+	context.Context
+	step func()
+}
+
+func (c stepCtx) Err() error {
+	c.step()
+	return c.Context.Err()
+}
+
+// TestChaosBuildStateMachineEnumeration walks the one index-build state
+// machine (snapshot → bulk → catch-up → publish) cell by cell instead of
+// sampling seeds: fault kind × fault site × position of a concurrent writer.
+// The page-read site is armed at every page of the snapshot scan in turn;
+// btree.insert fires on the first replayed insert, which is in a catch-up
+// batch when the writer ran before catch-up and in publish's final drain
+// when it ran after; session.build_catchup fires on the first batch. Every
+// cell must end exactly pre- or post-apply with the change log detached,
+// one ledger entry, structurally valid trees that cover the heap, and index
+// probes that answer like a scan.
+func TestChaosBuildStateMachineEnumeration(t *testing.T) {
+	const rows = 1280
+	const (
+		writerNone          = 0
+		writerBeforeCatchup = 1 // the build's 1st check on a log: snapshot taken, nothing replayed
+		writerBeforePublish = 2 // its 2nd check on an untouched log: caught up, about to publish
+	)
+	writes := []string{
+		"UPDATE ev SET user_id = 7 WHERE id = 3",
+		"UPDATE ev SET user_id = 7 WHERE id = 200",
+		"UPDATE ev SET user_id = 9 WHERE id = 7",
+		"DELETE FROM ev WHERE id = 167",
+	}
+	const probe = "SELECT id FROM ev WHERE user_id = 7 ORDER BY id"
+	const oracle = "SELECT id FROM ev WHERE user_id + 0 = 7 ORDER BY id" // not sargable: always a scan
+
+	newDB := func(t *testing.T) *engine.DB {
+		db := engine.New()
+		if _, err := db.Exec("CREATE TABLE ev (id BIGINT, user_id BIGINT, kind TEXT, score DOUBLE, PRIMARY KEY (id))"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rows; i++ {
+			if _, err := db.Exec(fmt.Sprintf(
+				"INSERT INTO ev (id, user_id, kind, score) VALUES (%d, %d, 'k%d', %d.0)",
+				i, i%160, i%6, i%100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.AnalyzeAll(); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	ids := func(t *testing.T, db *engine.DB, sql string) (string, string) {
+		res, err := db.Exec(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return fmt.Sprint(res.Rows), res.Plan
+	}
+
+	type site struct {
+		name string
+		rule fault.Rule
+	}
+	var sites []site
+	for k := int64(1); k <= newDB(t).Heap("ev").NumPages(); k++ {
+		sites = append(sites, site{fmt.Sprintf("page_read_%02d", k), fault.Rule{Site: fault.SitePageRead, Nth: k}})
+	}
+	sites = append(sites,
+		site{"btree_insert", fault.Rule{Site: fault.SiteBtreeInsert, Nth: 1}},
+		site{"build_catchup", fault.Rule{Site: fault.SiteBuildCatchup, Nth: 1}},
+	)
+	if len(sites) < 12 {
+		t.Fatalf("table too small for a multi-page snapshot scan: %d sites", len(sites))
+	}
+
+	for _, kind := range []fault.Kind{fault.KindIO, fault.KindTransient} {
+		for _, s := range sites {
+			for pos, posName := range []string{"no_writer", "writer_before_catchup", "writer_before_publish"} {
+				kind, s, pos := kind, s, pos
+				t.Run(fmt.Sprintf("%s/%s/%s", kind, s.name, posName), func(t *testing.T) {
+					db := newDB(t)
+					m := autoindex.New(db, autoindex.Options{})
+					pre := indexSet(db)
+					post := append(append([]string{}, pre...), "ai_ev_user_id")
+					sort.Strings(post)
+					before, _ := ids(t, db, probe)
+
+					var lastLog *engine.ChangeLog
+					checks, wrote := 0, false
+					ctx := stepCtx{context.Background(), func() {
+						log := db.AttachedChangeLog()
+						if log == nil || wrote || pos == writerNone {
+							return
+						}
+						if log != lastLog {
+							lastLog, checks = log, 0
+						}
+						if checks++; checks != pos {
+							return
+						}
+						wrote = true
+						for _, sql := range writes {
+							if _, err := m.Sessions().Exec(sql); err != nil {
+								t.Errorf("foreground write failed during the build: %s: %v", sql, err)
+							}
+						}
+					}}
+
+					rule := s.rule
+					rule.Kind = kind
+					in := fault.New(1, rule)
+					db.SetFaultInjector(in)
+					_, err := m.Apply(ctx, &autoindex.Recommendation{Create: []*catalog.IndexMeta{
+						{Table: "ev", Columns: []string{"user_id"}},
+					}})
+					db.SetFaultInjector(nil)
+
+					// Only a replayed insert can hit btree.insert: without a
+					// writer that cell is a clean build.
+					wantFired := s.rule.Site != fault.SiteBtreeInsert || pos != writerNone
+					if fired := in.Injected() > 0; fired != wantFired {
+						t.Fatalf("fault fired = %v, want %v (the cell does not test what it names)", fired, wantFired)
+					}
+					wantFail := wantFired && kind == fault.KindIO
+					if (err != nil) != wantFail {
+						t.Fatalf("apply error = %v, want failure = %v", err, wantFail)
+					}
+					want := post
+					if wantFail {
+						want = pre
+						if fault.AsFault(err) == nil {
+							t.Errorf("failure should unwrap to the injected fault: %v", err)
+						}
+					} else if pos != writerNone && !wrote {
+						t.Error("the writer never ran: the build skipped an interleaving point")
+					}
+					if got := indexSet(db); !equalSets(got, want) {
+						t.Errorf("index set = %v, want exactly %v", got, want)
+					}
+					if db.AttachedChangeLog() != nil {
+						t.Error("change log still attached")
+					}
+					outs := m.Outcomes()
+					if len(outs) != 1 || outs[0].Failed != wantFail {
+						t.Errorf("ledger should hold one entry with Failed=%v: %+v", wantFail, outs)
+					}
+
+					for _, meta := range db.Catalog().Indexes(false) {
+						var entries int64
+						for _, tree := range db.IndexTrees(meta.Name) {
+							if verr := tree.Validate(); verr != nil {
+								t.Errorf("%s: %v", meta.Name, verr)
+							}
+							entries += tree.Len()
+						}
+						if tuples := db.Heap(meta.Table).NumTuples(); entries != tuples {
+							t.Errorf("%s holds %d entries for %d heap tuples", meta.Name, entries, tuples)
+						}
+					}
+					after, plan := ids(t, db, probe)
+					if scanned, _ := ids(t, db, oracle); after != scanned {
+						t.Errorf("probe and scan disagree:\nprobe: %s\nscan:  %s", after, scanned)
+					}
+					if !wrote && after != before {
+						t.Errorf("answer changed across the apply with no writer:\nbefore: %s\nafter:  %s", before, after)
+					}
+					if !wantFail && !strings.Contains(plan, "ai_ev_user_id") {
+						t.Errorf("post-apply probe does not use the new index:\n%s", plan)
+					}
+				})
+			}
+		}
 	}
 }

@@ -89,10 +89,10 @@ var scopes = map[string][]string{
 	// are exempt from the time.Now ban, but not the rand one.)
 	"seededrand/timenow": {"mcts", "costmodel", "candgen", "diagnosis", "hypo"},
 
-	// Where sessionlock's rule 3 (no engine.DB access outside the
+	// Where sessionlock's rule 3 (no session.Manager.DB() around the
 	// session-lock seams) applies. guardrail reverts catalog state through
-	// the Manager, never the engine directly, so any future direct
-	// engine.DB access there is a seam violation too.
+	// the Manager, never the engine directly, so reaching for the database
+	// there is a seam violation too.
 	"sessionlock/db": {"autoindex", "guardrail"},
 }
 

@@ -1,7 +1,8 @@
-// Package autoindex is a sessionlock fixture for rule 3: in the package
-// that tunes a live, session-managed database, engine.DB may only be
-// touched through the lock seams — a bare m.db call races concurrent DDL
-// and online index publishes.
+// Package autoindex is a sessionlock fixture for rule 3: the package that
+// tunes a live, session-managed database holds no *engine.DB of its own —
+// the database arrives only as the closure parameter of Read/Exclusive — so
+// the one unlocked way to it is session.Manager.DB(), which races concurrent
+// DDL and online index publishes.
 package autoindex
 
 import (
@@ -10,42 +11,42 @@ import (
 )
 
 type manager struct {
-	db       *engine.DB
 	sessions *session.Manager
 }
 
-// exclusiveIfSessions mirrors the real package's wrapper: with a session
-// layer attached, the closure runs under the exclusive lock. The wrapper
-// fixpoint discovers it, so closures passed here count as locked.
-func (m *manager) exclusiveIfSessions(fn func() error) error {
-	if m.sessions == nil {
-		return fn()
-	}
-	return m.sessions.Exclusive(func(db *engine.DB) error {
-		return fn()
-	})
-}
-
-// Flagged: a stale read straight off the engine, outside any seam.
+// Flagged: a stale read off the database handed out around the lock.
 func (m *manager) staleLookup(name string) bool {
-	return m.db.Catalog().Index(name) != nil // want "outside the session-lock seams"
+	return m.sessions.DB().Catalog().Index(name) != nil // want "outside the session-lock seams"
 }
 
-// Allowed: the same lookup routed through the wrapper.
+// Allowed: the same lookup on the closure's database, under the reader lock.
 func (m *manager) lockedLookup(name string) bool {
 	found := false
-	_ = m.exclusiveIfSessions(func() error {
-		found = m.db.Catalog().Index(name) != nil
+	_ = m.sessions.Read(func(db *engine.DB) error {
+		found = db.Catalog().Index(name) != nil
 		return nil
 	})
 	return found
 }
 
-// Allowed: a suppression directive with a stated reason silences the
-// finding — construction-time access precedes any concurrent session.
+// Allowed: a helper that takes the database as an argument — its only call
+// site is a lock closure, so it runs under that lock.
+func (m *manager) drop(name string) error {
+	return m.sessions.Exclusive(func(db *engine.DB) error { return dropOn(db, name) })
+}
+
+func dropOn(db *engine.DB, name string) error { return db.DropIndex(name) }
+
+// Allowed: construction reads the catalog off the database it is given,
+// before the manager (and any session over it) exists.
 func newManager(db *engine.DB) *manager {
-	m := &manager{db: db}
-	//autoindexlint:ignore sessionlock construction precedes concurrent sessions
-	_ = m.db.Catalog().Tables()
-	return m
+	_ = db.Catalog().Tables()
+	return &manager{sessions: session.New(db, session.Options{})}
+}
+
+// Allowed: a suppression directive with a stated reason silences the
+// finding.
+func (m *manager) shutdownStats() int64 {
+	//autoindexlint:ignore sessionlock every session has been stopped by now
+	return m.sessions.DB().StatementCount()
 }

@@ -63,48 +63,3 @@ func (s *service) readUnderRead() (int64, error) {
 	})
 	return n, err
 }
-
-// withLock forwards its func parameter into an Exclusive closure, so the
-// fixpoint discovers it as a wrapper conferring the exclusive level.
-func (s *service) withLock(fn func() error) error {
-	return s.m.Exclusive(func(db *engine.DB) error {
-		return fn()
-	})
-}
-
-// Flagged: the lock is re-entered through the discovered wrapper — Exec
-// takes the reader lock internally.
-func (s *service) wrapped() error {
-	return s.withLock(func() error {
-		_, err := s.m.Exec("SELECT n FROM t") // want "re-enters the session lock inside a Exclusive context"
-		return err
-	})
-}
-
-// runBoth calls two distinct func-typed parameters inside the same
-// Exclusive closure. Regression: the single-entry wrapper table once
-// oscillated between the two parameter indexes, so wrapper discovery never
-// converged and the analyzer hung on this perfectly legal shape. Both
-// parameters must be recorded as exclusive-locked.
-func (s *service) runBoth(setup, teardown func() error) error {
-	return s.m.Exclusive(func(db *engine.DB) error {
-		if err := setup(); err != nil {
-			return err
-		}
-		return teardown()
-	})
-}
-
-// Flagged twice: each argument of runBoth executes under the exclusive
-// lock, so re-entry from either one is a self-deadlock.
-func (s *service) bothWrapped() error {
-	return s.runBoth(
-		func() error {
-			_, err := s.m.Exec("SELECT n FROM t") // want "re-enters the session lock inside a Exclusive context"
-			return err
-		},
-		func() error {
-			return s.m.Read(func(db *engine.DB) error { return nil }) // want "re-enters the session lock inside a Exclusive context"
-		},
-	)
-}

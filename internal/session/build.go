@@ -120,14 +120,10 @@ type BuildReport struct {
 	Err error
 }
 
-// notifyBuild forwards a state change to the per-build monitor (if any)
-// and the manager-wide one. Both fields are only touched under buildMu.
-func (m *Manager) notifyBuild(index string, state BuildState) {
-	if m.buildMon != nil {
-		m.buildMon.BuildStateChanged(index, state)
-	}
-	if m.opts.Monitor != nil {
-		m.opts.Monitor.BuildStateChanged(index, state)
+// notify forwards a state change to the build's monitor, if it has one.
+func notify(mon BuildMonitor, index string, state BuildState) {
+	if mon != nil {
+		mon.BuildStateChanged(index, state)
 	}
 }
 
@@ -148,25 +144,23 @@ func (m *Manager) BuildIndexOnline(ctx context.Context, spec engine.IndexBuildSp
 	return m.BuildIndexOnlineMonitored(ctx, spec, nil)
 }
 
-// BuildIndexOnlineMonitored is BuildIndexOnline with an additional per-build
-// monitor (e.g. a tuning round's span recorder) notified alongside the
-// manager-wide Options.Monitor. mon may be nil.
+// BuildIndexOnlineMonitored is BuildIndexOnline with a monitor (e.g. a
+// tuning round's span recorder) notified of every state transition. mon may
+// be nil.
 func (m *Manager) BuildIndexOnlineMonitored(ctx context.Context, spec engine.IndexBuildSpec, mon BuildMonitor) (*BuildReport, error) {
 	m.buildMu.Lock()
 	defer m.buildMu.Unlock()
-	m.buildMon = mon
-	defer func() { m.buildMon = nil }()
 	if m.metrics != nil {
 		m.metrics.builds.Inc()
 	}
 	rep := &BuildReport{Name: spec.Name, State: BuildPending}
 	for attempt := 0; ; attempt++ {
-		err := m.buildOnce(ctx, spec, rep)
+		err := m.buildOnce(ctx, spec, rep, mon)
 		rep.Code = Classify(err)
 		rep.Err = err
 		if err == nil {
 			rep.State = BuildPublished
-			m.notifyBuild(rep.Name, BuildPublished)
+			notify(mon, rep.Name, BuildPublished)
 			if m.metrics != nil {
 				m.metrics.catchupRows.Add(rep.CatchupRows)
 				m.metrics.catchupLag.Set(0)
@@ -175,7 +169,7 @@ func (m *Manager) BuildIndexOnlineMonitored(ctx context.Context, spec engine.Ind
 		}
 		if !rep.Code.Temporary() || attempt >= m.opts.MaxRetries || ctx.Err() != nil {
 			rep.State = BuildFailed
-			m.notifyBuild(rep.Name, BuildFailed)
+			notify(mon, rep.Name, BuildFailed)
 			if m.metrics != nil {
 				m.metrics.buildFailures.Inc()
 				m.metrics.catchupLag.Set(0)
@@ -193,21 +187,21 @@ func (m *Manager) BuildIndexOnlineMonitored(ctx context.Context, spec engine.Ind
 // buildOnce runs one attempt of the online-build protocol. On any error the
 // change log is detached under the exclusive lock, leaving the database
 // exactly as before the attempt.
-func (m *Manager) buildOnce(ctx context.Context, spec engine.IndexBuildSpec, rep *BuildReport) error {
+func (m *Manager) buildOnce(ctx context.Context, spec engine.IndexBuildSpec, rep *BuildReport, mon BuildMonitor) error {
 	rep.CatchupRows, rep.LastSync = 0, 0
 
 	// Phase 1 — reader lock: validate, attach the change log, snapshot.
 	// The reader lock excludes writers, so the log attaches empty and no
 	// write interleaves the heap scan.
-	var b *engine.OnlineIndexBuild
+	var b *engine.IndexBuild
 	err := m.Read(func(db *engine.DB) error {
 		var err error
-		b, err = db.NewOnlineIndexBuild(spec)
+		b, err = db.NewIndexBuild(spec)
 		if err != nil {
 			return err
 		}
 		rep.Name = spec.Name
-		m.notifyBuild(rep.Name, BuildSnapshot)
+		notify(mon, rep.Name, BuildSnapshot)
 		if err := b.StartLogging(); err != nil {
 			return err
 		}
@@ -219,18 +213,24 @@ func (m *Manager) buildOnce(ctx context.Context, spec engine.IndexBuildSpec, rep
 	}
 
 	// Phase 2 — no lock: bulk-build off to the side.
-	m.notifyBuild(rep.Name, BuildBulk)
+	notify(mon, rep.Name, BuildBulk)
 	if err := b.Build(); err != nil {
 		m.abortBuild(b)
 		return err
 	}
 
-	// Phase 3 — no lock: batched change-log replay toward last_sync.
-	m.notifyBuild(rep.Name, BuildCatchup)
-	for {
+	// Phase 3 — no lock: batched change-log replay toward last_sync. The
+	// context is consulted before every batch and once more before the
+	// publish: a build cancelled during its last batch must not go on to
+	// stall traffic behind the exclusive lock.
+	notify(mon, rep.Name, BuildCatchup)
+	for caughtUp := false; ; {
 		if err := ctx.Err(); err != nil {
 			m.abortBuild(b)
 			return err
+		}
+		if caughtUp {
+			break
 		}
 		applied, remaining, err := b.Catchup(m.opts.CatchupBatch)
 		if m.metrics != nil {
@@ -241,9 +241,7 @@ func (m *Manager) buildOnce(ctx context.Context, spec engine.IndexBuildSpec, rep
 			return err
 		}
 		rep.CatchupRows, rep.LastSync = b.CatchupRows(), b.LastSync()
-		if remaining == 0 && applied == 0 {
-			break
-		}
+		caughtUp = remaining == 0 && applied == 0
 	}
 
 	// Phase 4 — exclusive lock: drain the tail and publish atomically.
@@ -259,7 +257,7 @@ func (m *Manager) buildOnce(ctx context.Context, spec engine.IndexBuildSpec, rep
 // abortBuild rolls a failed attempt back under the exclusive lock (the log
 // detach must not race writers appending to it). Nil-safe for attempts that
 // failed before the build object existed.
-func (m *Manager) abortBuild(b *engine.OnlineIndexBuild) {
+func (m *Manager) abortBuild(b *engine.IndexBuild) {
 	if b == nil {
 		return
 	}

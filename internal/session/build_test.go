@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -100,7 +101,7 @@ func TestCatchupReplayMatchesStopTheWorldBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b, err := dbB.NewOnlineIndexBuild(engine.IndexBuildSpec{Name: "idx_k", Table: "items", Columns: []string{"k"}})
+	b, err := dbB.NewIndexBuild(engine.IndexBuildSpec{Name: "idx_k", Table: "items", Columns: []string{"k"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +151,58 @@ func TestCatchupReplayMatchesStopTheWorldBuild(t *testing.T) {
 	if !bytes.Equal(fpA, fpB) {
 		t.Fatalf("catchup-replayed index differs from stop-the-world build:\n--- stop-the-world ---\n%s\n--- online ---\n%s",
 			truncate(fpA), truncate(fpB))
+	}
+}
+
+// TestCatchupCopiesEachLogEntryOnce pins catch-up's cost to the log's
+// length: replaying N logged writes in batches of 8 copies each entry out of
+// the log once, so four times the writes allocate about four times the bytes
+// (copying the unreplayed tail on every batch would allocate sixteen times).
+// The writes go to another table, so the replay itself touches no tree and
+// the log handling is all that is measured.
+func TestCatchupCopiesEachLogEntryOnce(t *testing.T) {
+	catchupBytes := func(n int) uint64 {
+		db := newPopulatedDB(t, 10, 2)
+		if _, err := db.Exec("CREATE TABLE other (id BIGINT, PRIMARY KEY (id))"); err != nil {
+			t.Fatal(err)
+		}
+		b, err := db.NewIndexBuild(engine.IndexBuildSpec{Name: "idx_k", Table: "items", Columns: []string{"k"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, step := range []func() error{b.StartLogging, b.Snapshot, b.Build} {
+			if err := step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < n; i++ {
+			if _, err := db.Exec(fmt.Sprintf("INSERT INTO other (id) VALUES (%d)", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for {
+			applied, remaining, err := b.Catchup(8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if applied == 0 && remaining == 0 {
+				break
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if got := b.LastSync(); got != uint64(n) {
+			t.Fatalf("watermark = %d after replaying %d writes", got, n)
+		}
+		if err := b.Publish(); err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := catchupBytes(1000), catchupBytes(4000)
+	if large > 6*small {
+		t.Fatalf("catch-up allocation is not linear in the log: %d bytes for 1000 writes, %d for 4000", small, large)
 	}
 }
 
@@ -223,11 +276,11 @@ func TestChaosBuildKilledMidCatchupRollsBack(t *testing.T) {
 	db := newPopulatedDB(t, 200, 40)
 	db.SetFaultInjector(fault.New(1, fault.Rule{Site: fault.SiteBuildCatchup, Kind: fault.KindIO, Nth: 1}))
 	mon := &buildStates{}
-	sm := New(db, Options{Seed: 5, Registry: reg, Monitor: mon})
+	sm := New(db, Options{Seed: 5, Registry: reg})
 
-	rep, err := sm.BuildIndexOnline(context.Background(), engine.IndexBuildSpec{
+	rep, err := sm.BuildIndexOnlineMonitored(context.Background(), engine.IndexBuildSpec{
 		Name: "idx_chaos", Table: "items", Columns: []string{"k"},
-	})
+	}, mon)
 	if err == nil {
 		t.Fatal("build must fail under an armed hard fault")
 	}

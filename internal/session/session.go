@@ -37,8 +37,6 @@ type Options struct {
 	CatchupBatch int
 	// MaxRetries bounds build retries on temporary errors (default 2).
 	MaxRetries int
-	// Monitor, when set, observes online-build state transitions.
-	Monitor BuildMonitor
 }
 
 // Manager routes statements from concurrent sessions onto one engine.DB.
@@ -49,12 +47,10 @@ type Manager struct {
 	// everything that mutates heap, catalog, or index state.
 	mu      sync.RWMutex
 	metrics *sessionMetrics
-	// buildMu serializes online index builds (one change log at a time);
-	// buildMon is the current build's extra monitor, set only under buildMu.
-	buildMu  sync.Mutex
-	buildMon BuildMonitor
-	rngMu    sync.Mutex
-	rng      *rand.Rand
+	// buildMu serializes online index builds (one change log at a time).
+	buildMu sync.Mutex
+	rngMu   sync.Mutex
+	rng     *rand.Rand
 
 	activeReaders atomic.Int64
 	maxReaders    atomic.Int64
