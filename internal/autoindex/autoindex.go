@@ -120,7 +120,8 @@ type Manager struct {
 	sessions *session.Manager
 	// observeMu serializes Observe: under sessions, the statement observer
 	// fires from concurrent reader goroutines, and the template store is not
-	// internally synchronized.
+	// internally synchronized. What it guards is short: a statement of a
+	// known shape is a token scan and a map lookup (template.Store.ObserveSQL).
 	observeMu sync.Mutex
 }
 
@@ -184,17 +185,24 @@ func (m *Manager) Attach() {
 	// in-flight readers never observe a half-installed hook.
 	_ = m.sessions.Exclusive(func(db *engine.DB) error {
 		db.SetObserver(func(sql string) {
-			trimmed := strings.TrimLeft(sql, " \t\n")
-			if len(trimmed) < 6 {
-				return
-			}
-			switch strings.ToUpper(trimmed[:6]) {
-			case "SELECT", "INSERT", "UPDATE", "DELETE":
+			if isDML(sql) {
 				_ = m.Observe(sql)
 			}
 		})
 		return nil
 	})
+}
+
+// isDML reports whether sql opens with SELECT, INSERT, UPDATE or DELETE in
+// any case. It runs on every statement the engine executes.
+func isDML(sql string) bool {
+	trimmed := strings.TrimLeft(sql, " \t\n")
+	if len(trimmed) < 6 {
+		return false
+	}
+	verb := trimmed[:6]
+	return strings.EqualFold(verb, "SELECT") || strings.EqualFold(verb, "INSERT") ||
+		strings.EqualFold(verb, "UPDATE") || strings.EqualFold(verb, "DELETE")
 }
 
 // Detach removes the statement observer.

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/btree"
 	"repro/internal/bufferpool"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/costparams"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/planner"
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
@@ -29,16 +31,16 @@ type DB struct {
 	// indexes maps index name to its trees: one tree for normal/global
 	// indexes, one per partition for LOCAL indexes on partitioned tables.
 	indexes map[string][]*btree.Tree
-	// statsMu guards the cross-statement bookkeeping below (indexUsage,
-	// statements), which concurrent reader sessions update in parallel. All
-	// other DB state is protected by the session layer's reader/writer
-	// discipline: structural mutations only happen under its exclusive lock.
+	// statsMu guards indexUsage, which concurrent reader sessions update in
+	// parallel. All other DB state is protected by the session layer's
+	// reader/writer discipline: structural mutations only happen under its
+	// exclusive lock.
 	statsMu sync.Mutex
 	// indexUsage counts, per index name, how many statements probed it;
 	// the diagnosis module reads this to spot rarely-used indexes.
 	indexUsage map[string]int64
-	// statements counts executed statements since creation.
-	statements int64
+	// statements counts executed statements since the last ResetUsage.
+	statements atomic.Int64
 	// changeLog, when attached by an online index build, records every write
 	// so the build can replay changes that landed after its snapshot scan.
 	changeLog *ChangeLog
@@ -77,6 +79,10 @@ type stmtState struct {
 	indexTuplesRW   int64
 	operatorEvals   int64
 	indexDescents   int64
+	// indexSplits counts the page splits this statement's index inserts
+	// caused. (An index the statement itself creates is bulk-built and adds
+	// none.)
+	indexSplits int64
 }
 
 // ExecStats summarizes the measured work of one statement. ActualCost() is
@@ -122,8 +128,24 @@ type Result struct {
 	Columns []string
 	Rows    []sqltypes.Tuple
 	Stats   ExecStats
-	// Plan is the explain text of the executed plan (reads only).
-	Plan string
+	// plan is the root of the executed (or, for EXPLAIN, explained) access
+	// plan and planHeader EXPLAIN's summary line for a write; PlanText
+	// renders them.
+	plan       planner.Node
+	planHeader string
+}
+
+// PlanText renders the explain text of the statement's plan: the executed
+// plan of a SELECT, the explained one of an EXPLAIN, empty for a write.
+func (r *Result) PlanText() string {
+	text := r.planHeader
+	if r.plan != nil {
+		if text != "" {
+			text += "\n"
+		}
+		text += planner.Explain(r.plan)
+	}
+	return text
 }
 
 // New creates an empty database. When a process-wide metrics registry is
@@ -223,18 +245,14 @@ func (db *DB) bumpIndexUsage(name string) {
 }
 
 // StatementCount returns how many statements have executed.
-func (db *DB) StatementCount() int64 {
-	db.statsMu.Lock()
-	defer db.statsMu.Unlock()
-	return db.statements
-}
+func (db *DB) StatementCount() int64 { return db.statements.Load() }
 
 // ResetUsage zeroes the usage counters (start of a tuning window).
 func (db *DB) ResetUsage() {
 	db.statsMu.Lock()
 	db.indexUsage = make(map[string]int64)
-	db.statements = 0
 	db.statsMu.Unlock()
+	db.statements.Store(0)
 }
 
 // Catalog exposes the schema registry (AutoIndex reads stats and registers
@@ -482,25 +500,15 @@ func (db *DB) AnalyzeAll() error {
 }
 
 // snapshotStats captures the per-statement counters into ExecStats.
-func (db *DB) snapshotStats(st *stmtState, splitsBefore int64) ExecStats {
+func (st *stmtState) snapshotStats() ExecStats {
 	return ExecStats{
 		IO:              st.io,
 		TuplesProcessed: st.tuplesProcessed,
 		IndexTuplesRW:   st.indexTuplesRW,
 		OperatorEvals:   st.operatorEvals,
 		IndexDescents:   st.indexDescents,
-		IndexSplits:     db.totalSplits() - splitsBefore,
+		IndexSplits:     st.indexSplits,
 	}
-}
-
-func (db *DB) totalSplits() int64 {
-	var n int64
-	for _, trees := range db.indexes {
-		for _, t := range trees {
-			n += t.Splits()
-		}
-	}
-	return n
 }
 
 // BulkLoad appends tuples directly to a table's heap and maintains its

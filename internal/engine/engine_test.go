@@ -514,8 +514,8 @@ func TestInListUsesIndexMultiProbe(t *testing.T) {
 			idx.Stats.ActualCost(), base.Stats.ActualCost())
 	}
 	exp := mustExec(t, db, "EXPLAIN SELECT id FROM big WHERE k IN (3, 9, 44)")
-	if !strings.Contains(exp.Plan, "idx_k") {
-		t.Errorf("plan should use idx_k:\n%s", exp.Plan)
+	if !strings.Contains(exp.PlanText(), "idx_k") {
+		t.Errorf("plan should use idx_k:\n%s", exp.PlanText())
 	}
 }
 
@@ -569,7 +569,43 @@ func TestPrefixLikeUsesIndexRange(t *testing.T) {
 	}
 	// Leading-wildcard LIKE cannot use the range.
 	exp := mustExec(t, db, "EXPLAIN SELECT id FROM u WHERE name LIKE '%0012'")
-	if strings.Contains(exp.Plan, "idx_name") {
-		t.Errorf("leading wildcard must not use the index:\n%s", exp.Plan)
+	if strings.Contains(exp.PlanText(), "idx_name") {
+		t.Errorf("leading wildcard must not use the index:\n%s", exp.PlanText())
+	}
+}
+
+// TestIndexSplitsCountedPerStatement pins ExecStats.IndexSplits to the splits
+// the statement's own inserts caused, summed over every tree it touched, and
+// to zero for statements that add or remove whole trees.
+func TestIndexSplitsCountedPerStatement(t *testing.T) {
+	db, err := NewWithConfig(Config{BTreeOrder: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, "CREATE TABLE s (id BIGINT, k BIGINT, PRIMARY KEY (id))")
+	mustExec(t, db, "CREATE INDEX idx_s_k ON s (k)")
+	total := func() int64 {
+		return db.IndexTree("pk_s").Splits() + db.IndexTree("idx_s_k").Splits()
+	}
+	var reported int64
+	for i := 0; i < 200; i++ {
+		before := total()
+		res := mustExec(t, db, fmt.Sprintf("INSERT INTO s (id, k) VALUES (%d, %d), (%d, %d)", 2*i, i%7, 2*i+1, i%11))
+		if got, want := res.Stats.IndexSplits, total()-before; got != want {
+			t.Fatalf("insert %d: IndexSplits=%d, trees split %d times", i, got, want)
+		}
+		reported += res.Stats.IndexSplits
+	}
+	if reported == 0 || reported != total() {
+		t.Fatalf("statements reported %d splits, trees count %d", reported, total())
+	}
+	for _, sql := range []string{
+		"SELECT id FROM s WHERE k = 3",
+		"CREATE INDEX idx_s_k2 ON s (k, id)",
+		"DROP INDEX idx_s_k",
+	} {
+		if res := mustExec(t, db, sql); res.Stats.IndexSplits != 0 {
+			t.Errorf("%s: IndexSplits=%d", sql, res.Stats.IndexSplits)
+		}
 	}
 }

@@ -39,10 +39,7 @@ func (db *DB) ExecParsed(sql string, stmt sqlparser.Statement) (*Result, error) 
 // returned as errors, so one poisoned statement cannot kill the process.
 func (db *DB) ExecStmt(stmt sqlparser.Statement) (res *Result, err error) {
 	st := &stmtState{}
-	db.statsMu.Lock()
-	db.statements++
-	db.statsMu.Unlock()
-	splitsBefore := db.totalSplits()
+	db.statements.Add(1)
 	// Wall-clock service time is only measured while instrumented: the
 	// latency hook the load generator and bench snapshots read, and two
 	// clock reads the detached hot path never pays.
@@ -89,7 +86,7 @@ func (db *DB) ExecStmt(stmt sqlparser.Statement) (res *Result, err error) {
 		return nil, err
 	}
 	affected := res.Stats.RowsAffected
-	res.Stats = db.snapshotStats(st, splitsBefore)
+	res.Stats = st.snapshotStats()
 	res.Stats.RowsReturned = int64(len(res.Rows))
 	res.Stats.RowsAffected = affected
 	if db.metrics != nil {
@@ -101,30 +98,27 @@ func (db *DB) ExecStmt(stmt sqlparser.Statement) (res *Result, err error) {
 // execExplain plans the wrapped statement and returns its plan text as rows
 // without executing it.
 func (db *DB) execExplain(s *sqlparser.ExplainStmt) (*Result, error) {
-	var text string
+	res := &Result{Columns: []string{"plan"}}
 	switch inner := s.Stmt.(type) {
 	case *sqlparser.SelectStmt:
 		plan, err := planner.PlanSelect(db.cat, inner)
 		if err != nil {
 			return nil, err
 		}
-		text = planner.Explain(plan.Root)
+		res.plan = plan.Root
 	case *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
 		wp, err := planner.PlanWrite(db.cat, inner)
 		if err != nil {
 			return nil, err
 		}
-		text = fmt.Sprintf("Write(%s) rows=%.0f scan=%.1f write=%.1f maintain=%d total=%.1f",
+		res.planHeader = fmt.Sprintf("Write(%s) rows=%.0f scan=%.1f write=%.1f maintain=%d total=%.1f",
 			wp.Table, wp.AffectedRows, wp.ScanCost, wp.WriteCost,
 			len(wp.MaintainIndexes), wp.TotalCost)
-		if wp.Scan != nil {
-			text += "\n" + planner.Explain(wp.Scan)
-		}
+		res.plan = wp.Scan
 	default:
 		return nil, fmt.Errorf("engine: cannot EXPLAIN %T", s.Stmt)
 	}
-	res := &Result{Columns: []string{"plan"}, Plan: text}
-	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
+	for _, line := range strings.Split(strings.TrimRight(res.PlanText(), "\n"), "\n") {
 		res.Rows = append(res.Rows, sqltypes.Tuple{sqltypes.NewString(line)})
 	}
 	return res, nil
@@ -148,7 +142,7 @@ func (db *DB) execSelect(st *stmtState, stmt *sqlparser.SelectStmt) (*Result, er
 
 	// The root is Project/Agg/Limit/Sort; its output rows carry the final
 	// projected tuple in resultSlot.
-	out := &Result{Plan: planner.Explain(plan.Root)}
+	out := &Result{plan: plan.Root}
 	out.Columns = outputColumns(stmt)
 	for _, r := range rows {
 		out.Rows = append(out.Rows, r[resultSlot])

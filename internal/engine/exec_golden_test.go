@@ -191,8 +191,8 @@ func TestExecGolden(t *testing.T) {
 	// The cross-binding residual must run under an index nested loop,
 	// or the shape this section names is not the one being pinned.
 	inl := "SELECT c.id, o.oid FROM customer c JOIN orders o ON c.id = o.cid AND o.amount > c.balance WHERE c.id < 3"
-	if res := mustExec(t, db, inl); !strings.Contains(res.Plan, "IndexNLJoin") {
-		t.Fatalf("expected an IndexNL plan, got:\n%s", res.Plan)
+	if res := mustExec(t, db, inl); !strings.Contains(res.PlanText(), "IndexNLJoin") {
+		t.Fatalf("expected an IndexNL plan, got:\n%s", res.PlanText())
 	}
 	replayGolden(t, "shapes", db, []string{
 		// subqueries: IN, scalar, both in one predicate, empty, failing

@@ -269,9 +269,7 @@ func (b *IndexBuild) Publish() (err error) {
 	if err := b.register(); err != nil {
 		return err
 	}
-	b.db.statsMu.Lock()
-	b.db.statements++
-	b.db.statsMu.Unlock()
+	b.db.statements.Add(1)
 	if b.db.metrics != nil {
 		b.db.metrics.recordStmt(ExecStats{IO: b.io}, b.start)
 	}

@@ -94,7 +94,9 @@ func (db *DB) indexInsert(st *stmtState, meta *catalog.IndexMeta, t *catalog.Tab
 	tree.Insert(key, rid)
 	st.indexDescents += int64(tree.Height())
 	st.indexTuplesRW++
-	st.io.IndexPagesWritten += 1 + (tree.Splits() - splitsBefore)
+	splits := tree.Splits() - splitsBefore
+	st.indexSplits += splits
+	st.io.IndexPagesWritten += 1 + splits
 	meta.NumTuples = indexLen(db.indexes[meta.Name])
 	meta.NumPages = tree.NumPages()
 	meta.Height = tree.Height()

@@ -295,7 +295,7 @@ func TestChaosBuildStateMachineEnumeration(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		return fmt.Sprint(res.Rows), res.Plan
+		return fmt.Sprint(res.Rows), res.PlanText()
 	}
 
 	type site struct {

@@ -12,6 +12,11 @@ import (
 // slowEvaluator sleeps per evaluation so a context deadline lands mid-search.
 func slowEvaluator(delay time.Duration) Evaluator {
 	return EvaluatorFunc(func(ctx context.Context, active []*catalog.IndexMeta) (float64, error) {
+		// A select picks at random among ready cases, and with a zero delay
+		// the timer may already have fired: a cancelled context must win.
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
 		select {
 		case <-time.After(delay):
 		case <-ctx.Done():

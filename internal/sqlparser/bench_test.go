@@ -39,3 +39,15 @@ func BenchmarkRenderSQL(b *testing.B) {
 		_ = stmts[i%len(stmts)].String()
 	}
 }
+
+// BenchmarkShape measures the literal-free statement shape SQL2Template keys
+// its store by: one token scan, no parse.
+func BenchmarkShape(b *testing.B) {
+	buf := make([]byte, 0, 1024)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Shape(buf[:0], benchQueries[i%len(benchQueries)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -40,12 +40,15 @@ var fuzzSeeds = []string{
 // FuzzParse asserts Parse never panics, and that anything it accepts
 // survives a render → reparse → render round trip (the normalized String
 // form is a fixed point). SQL2Template relies on that stability: the
-// rendered normalized statement is the template identity.
+// rendered normalized statement is the template identity. Shape, the
+// template store's parse-free key, must fail on exactly the inputs the lexer
+// fails on.
 func FuzzParse(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
+		checkShapeFailsWithLex(t, sql)
 		stmt, err := Parse(sql)
 		if err != nil {
 			return

@@ -24,147 +24,201 @@ type token struct {
 	pos  int
 }
 
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "AND": true, "OR": true,
-	"NOT": true, "IN": true, "BETWEEN": true, "LIKE": true, "IS": true,
-	"NULL": true, "GROUP": true, "BY": true, "ORDER": true, "HAVING": true,
-	"ASC": true, "DESC": true, "LIMIT": true, "DISTINCT": true, "AS": true,
-	"JOIN": true, "INNER": true, "ON": true, "INSERT": true, "INTO": true,
-	"VALUES": true, "UPDATE": true, "SET": true, "DELETE": true,
-	"CREATE": true, "TABLE": true, "INDEX": true, "UNIQUE": true,
-	"PRIMARY": true, "KEY": true, "DROP": true, "EXPLAIN": true, "PARTITION": true,
-	"PARTITIONS": true, "HASH": true, "LOCAL": true, "GLOBAL": true,
-	"BIGINT": true, "INT": true,
-	"INTEGER": true, "DOUBLE": true, "FLOAT": true, "TEXT": true,
-	"VARCHAR": true, "CHAR": true, "NUMERIC": true, "DECIMAL": true,
+// keywords maps each reserved word to itself, so a lookup by a folded
+// scratch buffer hands back the canonical string without allocating.
+var keywords = func() map[string]string {
+	m := make(map[string]string)
+	for _, kw := range []string{
+		"SELECT", "FROM", "WHERE", "AND", "OR", "NOT", "IN", "BETWEEN", "LIKE",
+		"IS", "NULL", "GROUP", "BY", "ORDER", "HAVING", "ASC", "DESC", "LIMIT",
+		"DISTINCT", "AS", "JOIN", "INNER", "ON", "INSERT", "INTO", "VALUES",
+		"UPDATE", "SET", "DELETE", "CREATE", "TABLE", "INDEX", "UNIQUE",
+		"PRIMARY", "KEY", "DROP", "EXPLAIN", "PARTITION", "PARTITIONS", "HASH",
+		"LOCAL", "GLOBAL", "BIGINT", "INT", "INTEGER", "DOUBLE", "FLOAT", "TEXT",
+		"VARCHAR", "CHAR", "NUMERIC", "DECIMAL",
+	} {
+		m[kw] = kw
+	}
+	return m
+}()
+
+// maxKeywordLen is the longest reserved word ("PARTITIONS").
+const maxKeywordLen = 10
+
+// keyword returns the canonical upper-case keyword word spells in any case,
+// or "" when word is an identifier.
+func keyword(word string) string {
+	if len(word) > maxKeywordLen {
+		return ""
+	}
+	var buf [maxKeywordLen]byte
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if c >= 'a' && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return keywords[string(buf[:len(word)])]
 }
 
-type lexer struct {
-	src  string
-	pos  int
-	toks []token
+// scanner is the one definition of the token grammar: what whitespace, a
+// literal, a word and a symbol are. lex builds the parser's token slice on
+// it and Shape the literal-free statement shape; it allocates nothing.
+type scanner struct {
+	src string
+	pos int
 }
 
-// lex tokenizes src, returning the token stream or a syntax error.
+// next skips whitespace and returns the kind and extent src[start:end] of the
+// next token. Words come back as tokIdent (the callers tell keywords apart);
+// a string's extent includes its quotes.
+func (s *scanner) next() (kind tokenKind, start, end int, err error) {
+	src := s.src
+	for s.pos < len(src) && isSpace(src[s.pos]) {
+		s.pos++
+	}
+	start = s.pos
+	if start >= len(src) {
+		return tokEOF, start, start, nil
+	}
+	c := src[start]
+	switch {
+	case c == '$' || c == '?':
+		s.pos++
+		kind = tokPlaceholder
+	case c == '\'':
+		kind = tokString
+		s.pos++
+		for {
+			i := strings.IndexByte(src[s.pos:], '\'')
+			if i < 0 {
+				return 0, 0, 0, fmt.Errorf("sqlparser: unterminated string at offset %d", start)
+			}
+			s.pos += i + 1
+			if s.pos >= len(src) || src[s.pos] != '\'' {
+				break
+			}
+			s.pos++ // '' is an escaped quote
+		}
+	case isDigit(c) || (c == '.' && start+1 < len(src) && isDigit(src[start+1])):
+		kind = s.scanNumber()
+	case isIdentStart(c):
+		kind = tokIdent
+		for s.pos < len(src) && isIdentPart(src[s.pos]) {
+			s.pos++
+		}
+	default:
+		kind = tokSymbol
+		switch c {
+		case '<':
+			s.pos++
+			if s.pos < len(src) && (src[s.pos] == '=' || src[s.pos] == '>') {
+				s.pos++
+			}
+		case '>':
+			s.pos++
+			if s.pos < len(src) && src[s.pos] == '=' {
+				s.pos++
+			}
+		case '!':
+			if start+1 >= len(src) || src[start+1] != '=' {
+				return 0, 0, 0, fmt.Errorf("sqlparser: unexpected character %q at offset %d", c, start)
+			}
+			s.pos += 2
+		case '=', '(', ')', ',', '*', '+', '-', '/', '.', ';':
+			s.pos++
+		default:
+			return 0, 0, 0, fmt.Errorf("sqlparser: unexpected character %q at offset %d", c, start)
+		}
+	}
+	return kind, start, s.pos, nil
+}
+
+func (s *scanner) scanNumber() tokenKind {
+	src := s.src
+	kind := tokInt
+	for s.pos < len(src) && isDigit(src[s.pos]) {
+		s.pos++
+	}
+	if s.pos < len(src) && src[s.pos] == '.' {
+		kind = tokFloat
+		s.pos++
+		for s.pos < len(src) && isDigit(src[s.pos]) {
+			s.pos++
+		}
+	}
+	if s.pos < len(src) && (src[s.pos] == 'e' || src[s.pos] == 'E') {
+		kind = tokFloat
+		s.pos++
+		if s.pos < len(src) && (src[s.pos] == '+' || src[s.pos] == '-') {
+			s.pos++
+		}
+		for s.pos < len(src) && isDigit(src[s.pos]) {
+			s.pos++
+		}
+	}
+	return kind
+}
+
+// symbolText is a symbol's canonical spelling: != is <>.
+func symbolText(raw string) string {
+	if raw == "!=" {
+		return "<>"
+	}
+	return raw
+}
+
+// lex tokenizes src, returning the token stream or a syntax error. Token
+// texts are substrings of src wherever src already spells them canonically.
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	s := scanner{src: src}
+	// Workload SQL runs at about four bytes a token; a denser statement
+	// falls back on append's growth.
+	toks := make([]token, 0, len(src)/3+2)
 	for {
-		tok, err := l.next()
+		kind, start, end, err := s.next()
 		if err != nil {
 			return nil, err
 		}
-		l.toks = append(l.toks, tok)
-		if tok.kind == tokEOF {
-			return l.toks, nil
-		}
-	}
-}
-
-func (l *lexer) next() (token, error) {
-	for l.pos < len(l.src) && isSpace(l.src[l.pos]) {
-		l.pos++
-	}
-	if l.pos >= len(l.src) {
-		return token{kind: tokEOF, pos: l.pos}, nil
-	}
-	start := l.pos
-	c := l.src[l.pos]
-	switch {
-	case c == '$' || c == '?':
-		l.pos++
-		return token{kind: tokPlaceholder, text: "$", pos: start}, nil
-	case c == '\'':
-		return l.lexString()
-	case isDigit(c) || (c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1])):
-		return l.lexNumber()
-	case isIdentStart(c):
-		return l.lexIdent()
-	default:
-		return l.lexSymbol()
-	}
-}
-
-func (l *lexer) lexString() (token, error) {
-	start := l.pos
-	l.pos++ // opening quote
-	var b strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-				b.WriteByte('\'')
-				l.pos += 2
-				continue
+		text := src[start:end]
+		switch kind {
+		case tokIdent:
+			if kw := keyword(text); kw != "" {
+				kind, text = tokKeyword, kw
+			} else {
+				text = lowerASCII(text)
 			}
-			l.pos++
-			return token{kind: tokString, text: b.String(), pos: start}, nil
+		case tokString:
+			// A string literal outlives the statement once it is inserted
+			// into a heap: copy it so a stored value never pins the SQL text.
+			text = text[1 : len(text)-1]
+			if strings.Contains(text, "''") {
+				text = strings.ReplaceAll(text, "''", "'")
+			} else {
+				text = strings.Clone(text)
+			}
+		case tokSymbol:
+			text = symbolText(text)
+		case tokPlaceholder:
+			text = "$"
 		}
-		b.WriteByte(c)
-		l.pos++
+		toks = append(toks, token{kind: kind, text: text, pos: start})
+		if kind == tokEOF {
+			return toks, nil
+		}
 	}
-	return token{}, fmt.Errorf("sqlparser: unterminated string at offset %d", start)
 }
 
-func (l *lexer) lexNumber() (token, error) {
-	start := l.pos
-	kind := tokInt
-	for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-		l.pos++
-	}
-	if l.pos < len(l.src) && l.src[l.pos] == '.' {
-		kind = tokFloat
-		l.pos++
-		for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-			l.pos++
+// lowerASCII lower-cases an ASCII word, returning it unchanged (and
+// unallocated) when it has no upper-case byte.
+func lowerASCII(word string) string {
+	for i := 0; i < len(word); i++ {
+		if c := word[i]; c >= 'A' && c <= 'Z' {
+			return strings.ToLower(word)
 		}
 	}
-	if l.pos < len(l.src) && (l.src[l.pos] == 'e' || l.src[l.pos] == 'E') {
-		kind = tokFloat
-		l.pos++
-		if l.pos < len(l.src) && (l.src[l.pos] == '+' || l.src[l.pos] == '-') {
-			l.pos++
-		}
-		for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-			l.pos++
-		}
-	}
-	return token{kind: kind, text: l.src[start:l.pos], pos: start}, nil
-}
-
-func (l *lexer) lexIdent() (token, error) {
-	start := l.pos
-	for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
-		l.pos++
-	}
-	word := l.src[start:l.pos]
-	upper := strings.ToUpper(word)
-	if keywords[upper] {
-		return token{kind: tokKeyword, text: upper, pos: start}, nil
-	}
-	return token{kind: tokIdent, text: strings.ToLower(word), pos: start}, nil
-}
-
-func (l *lexer) lexSymbol() (token, error) {
-	start := l.pos
-	two := ""
-	if l.pos+1 < len(l.src) {
-		two = l.src[l.pos : l.pos+2]
-	}
-	switch two {
-	case "<=", ">=", "<>", "!=":
-		l.pos += 2
-		if two == "!=" {
-			two = "<>"
-		}
-		return token{kind: tokSymbol, text: two, pos: start}, nil
-	}
-	c := l.src[l.pos]
-	switch c {
-	case '=', '<', '>', '(', ')', ',', '*', '+', '-', '/', '.', ';':
-		l.pos++
-		return token{kind: tokSymbol, text: string(c), pos: start}, nil
-	}
-	return token{}, fmt.Errorf("sqlparser: unexpected character %q at offset %d", c, start)
+	return word
 }
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }

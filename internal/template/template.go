@@ -17,11 +17,7 @@ import (
 type Template struct {
 	Fingerprint string
 	Stmt        sqlparser.Statement
-	// Sample is the most recent concrete statement mapped to this template
-	// (literals intact). The estimator plans against the sample so range
-	// selectivities come from real predicate values, not placeholders.
-	Sample    sqlparser.Statement
-	Frequency float64
+	Frequency   float64
 	// LastSeen is the logical tick of the most recent match.
 	LastSeen int64
 	// Trend is the exponentially weighted per-window match rate maintained
@@ -30,6 +26,30 @@ type Template struct {
 	Trend float64
 	// windowStart is Frequency at the last CloseWindow.
 	windowStart float64
+	// sample is the most recent concrete statement mapped to this template
+	// (literals intact). The estimator plans against the sample so range
+	// selectivities come from real predicate values, not placeholders. A
+	// shape hit only remembers the text (sampleSQL) and clears sample;
+	// sampleStmt parses it when a round asks for the workload.
+	sample    sqlparser.Statement
+	sampleSQL string
+	// shapes are the keys of Store.shapes that map to this template, oldest
+	// first; they leave the map with it.
+	shapes []string
+}
+
+// sampleStmt returns the latest concrete statement, parsing the remembered
+// text on first use since the last match.
+func (t *Template) sampleStmt() sqlparser.Statement {
+	if t.sample == nil && t.sampleSQL != "" {
+		// A text whose shape matched a parsed statement's parses too; if it
+		// ever did not, the normalized statement below stands in.
+		t.sample, _ = sqlparser.Parse(t.sampleSQL)
+	}
+	if t.sample == nil {
+		return t.Stmt
+	}
+	return t.sample
 }
 
 // Store is the bounded template set. Not safe for concurrent use; callers
@@ -37,7 +57,13 @@ type Template struct {
 type Store struct {
 	capacity  int
 	templates map[string]*Template
-	tick      int64
+	// shapes maps a statement shape (sqlparser.Shape) to the template that
+	// owns it, so a statement whose shape was seen before is matched without
+	// parsing it. Many shapes may name one template; a template keeps at most
+	// maxShapesPerTemplate, which bounds the map at that many per capacity.
+	shapes   map[string]*Template
+	shapeBuf []byte
+	tick     int64
 	// matches and misses count mapping outcomes for diagnostics.
 	matches int64
 	misses  int64
@@ -46,24 +72,30 @@ type Store struct {
 // DefaultCapacity bounds the template store (paper: "e.g., 5000 for TPC-C").
 const DefaultCapacity = 5000
 
+// maxShapesPerTemplate is how many spellings of one template (literal kinds,
+// $ for a literal, a trailing semicolon) are matched without a parse; a
+// further one replaces the oldest.
+const maxShapesPerTemplate = 8
+
 // NewStore creates a store holding at most capacity templates (0 selects
 // DefaultCapacity).
 func NewStore(capacity int) *Store {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Store{capacity: capacity, templates: make(map[string]*Template)}
+	return &Store{
+		capacity:  capacity,
+		templates: make(map[string]*Template),
+		shapes:    make(map[string]*Template),
+	}
 }
 
 // Fingerprint normalizes a statement: every literal is replaced with a
 // placeholder and the result rendered to canonical SQL. Queries differing
-// only in predicate values share a fingerprint.
+// only in predicate values share a fingerprint. The error is always nil: the
+// deep copy is a Clone, no longer a render and reparse that could fail.
 func Fingerprint(stmt sqlparser.Statement) (string, sqlparser.Statement, error) {
-	// Re-parse to deep-copy, then strip literals in place.
-	cp, err := sqlparser.Parse(stmt.String())
-	if err != nil {
-		return "", nil, err
-	}
+	cp := stmt.Clone()
 	stripStatement(cp)
 	return cp.String(), cp, nil
 }
@@ -86,30 +118,68 @@ func (s *Store) Observe(stmt sqlparser.Statement) (*Template, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	s.tick++
 	if t, ok := s.templates[fp]; ok {
-		t.Frequency++
-		t.LastSeen = s.tick
-		t.Sample = stmt
-		s.matches++
+		s.match(t)
+		t.sample, t.sampleSQL = stmt, ""
 		return t, true, nil
 	}
+	s.tick++
 	s.misses++
 	if len(s.templates) >= s.capacity {
 		s.evictOne()
 	}
-	t := &Template{Fingerprint: fp, Stmt: normalized, Sample: stmt, Frequency: 1, LastSeen: s.tick}
+	t := &Template{Fingerprint: fp, Stmt: normalized, sample: stmt, Frequency: 1, LastSeen: s.tick}
 	s.templates[fp] = t
 	return t, false, nil
 }
 
-// ObserveSQL parses and observes raw SQL.
+// match books one more statement on a live template.
+func (s *Store) match(t *Template) {
+	s.tick++
+	s.matches++
+	t.Frequency++
+	t.LastSeen = s.tick
+}
+
+// ObserveSQL observes raw SQL. A statement whose shape the store has seen is
+// matched on the shape alone — no parse, no allocation; any other is parsed
+// and observed by its canonical fingerprint, and its shape registered under
+// the template that took it.
 func (s *Store) ObserveSQL(sql string) (*Template, bool, error) {
+	shape, err := sqlparser.Shape(s.shapeBuf[:0], sql)
+	s.shapeBuf = shape
+	if err != nil {
+		return nil, false, err
+	}
+	if t, ok := s.shapes[string(shape)]; ok {
+		s.match(t)
+		t.sample, t.sampleSQL = nil, sql
+		return t, true, nil
+	}
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
 		return nil, false, err
 	}
-	return s.Observe(stmt)
+	t, existed, err := s.Observe(stmt)
+	if err != nil {
+		return nil, false, err
+	}
+	if len(t.shapes) == maxShapesPerTemplate {
+		delete(s.shapes, t.shapes[0])
+		t.shapes = append(t.shapes[:0], t.shapes[1:]...)
+	}
+	key := string(shape)
+	t.shapes = append(t.shapes, key)
+	s.shapes[key] = t
+	return t, existed, nil
+}
+
+// drop removes a template and the shapes that lead to it.
+func (s *Store) drop(t *Template) {
+	delete(s.templates, t.Fingerprint)
+	for _, key := range t.shapes {
+		delete(s.shapes, key)
+	}
 }
 
 // evictOne removes the template with the lowest (frequency, LastSeen) pair.
@@ -123,7 +193,7 @@ func (s *Store) evictOne() {
 		}
 	}
 	if victim != nil {
-		delete(s.templates, victim.Fingerprint)
+		s.drop(victim)
 	}
 }
 
@@ -131,10 +201,10 @@ func (s *Store) evictOne() {
 // workload shifts) and drops templates whose frequency falls below minFreq.
 func (s *Store) Decay(factor, minFreq float64) int {
 	var dropped int
-	for fp, t := range s.templates {
+	for _, t := range s.templates {
 		t.Frequency *= factor
 		if t.Frequency < minFreq {
-			delete(s.templates, fp)
+			s.drop(t)
 			dropped++
 		}
 	}
@@ -163,10 +233,7 @@ func (s *Store) CloseWindow(alpha float64) {
 func (s *Store) ForecastWorkload() *workload.Workload {
 	w := &workload.Workload{}
 	for _, t := range s.Templates() {
-		stmt := t.Sample
-		if stmt == nil {
-			stmt = t.Stmt
-		}
+		stmt := t.sampleStmt()
 		weight := t.Trend
 		if weight <= 0 {
 			weight = 0.5
@@ -224,10 +291,7 @@ func (s *Store) Templates() []*Template {
 func (s *Store) Workload() *workload.Workload {
 	w := &workload.Workload{}
 	for _, t := range s.Templates() {
-		stmt := t.Sample
-		if stmt == nil {
-			stmt = t.Stmt
-		}
+		stmt := t.sampleStmt()
 		w.Queries = append(w.Queries, workload.Query{
 			SQL:    stmt.String(),
 			Stmt:   stmt,
@@ -302,13 +366,18 @@ func stripExpr(e sqlparser.Expr) sqlparser.Expr {
 		// lengths share a template.
 		hasSub := false
 		for _, item := range v.List {
-			if sq, ok := item.(*sqlparser.SubqueryExpr); ok {
-				stripSelect(sq.Query)
+			if _, ok := item.(*sqlparser.SubqueryExpr); ok {
 				hasSub = true
 			}
 		}
 		if !hasSub {
 			v.List = []sqlparser.Expr{&sqlparser.Placeholder{}}
+			return v
+		}
+		// A list that keeps its subquery keeps its other items too, stripped
+		// like any expression (they used to keep their literals).
+		for i, item := range v.List {
+			v.List[i] = stripExpr(item)
 		}
 		return v
 	case *sqlparser.BetweenExpr:
