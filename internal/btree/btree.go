@@ -7,7 +7,6 @@ package btree
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/fault"
 	"repro/internal/sqltypes"
@@ -368,89 +367,6 @@ func insertNodeAt(s []node, i int, v node) []node {
 	copy(s[i+1:], s[i:])
 	s[i] = v
 	return s
-}
-
-// BulkBuild constructs a tree bottom-up from entries, the classic CREATE
-// INDEX path: entries are sorted once, leaves are packed to ~70% fill
-// (leaving insert headroom), and internal levels are layered on top — no
-// per-key descents, no splits. In this in-memory tree the comparator-heavy
-// sort makes build *time* comparable to incremental insertion (see the
-// package benchmarks); the win is the resulting tree — deterministic
-// layout, packed pages, zero split debt.
-func BulkBuild(entries []Entry, order int) *Tree {
-	if err := ValidateOrder(order); err != nil {
-		panic(err.Error())
-	}
-	t := &Tree{order: order}
-	if len(entries) == 0 {
-		t.root = &leafNode{}
-		t.height = 1
-		t.numPages = 1
-		return t
-	}
-	sorted := make([]Entry, len(entries))
-	copy(sorted, entries)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return sqltypes.CompareKeys(sorted[i].Key, sorted[j].Key) < 0
-	})
-
-	fill := order * 7 / 10
-	if fill < 2 {
-		fill = 2
-	}
-	// Leaf level.
-	var leaves []*leafNode
-	for start := 0; start < len(sorted); start += fill {
-		end := start + fill
-		if end > len(sorted) {
-			end = len(sorted)
-		}
-		leaf := &leafNode{
-			keys: make([]sqltypes.Key, 0, end-start),
-			rids: make([]RID, 0, end-start),
-		}
-		for _, e := range sorted[start:end] {
-			leaf.keys = append(leaf.keys, e.Key)
-			leaf.rids = append(leaf.rids, e.RID)
-		}
-		if len(leaves) > 0 {
-			leaves[len(leaves)-1].next = leaf
-		}
-		leaves = append(leaves, leaf)
-	}
-	t.numKeys = int64(len(sorted))
-	t.numPages = int64(len(leaves))
-	t.height = 1
-
-	// Internal levels.
-	level := make([]node, len(leaves))
-	firstKeys := make([]sqltypes.Key, len(leaves))
-	for i, l := range leaves {
-		level[i] = l
-		firstKeys[i] = l.keys[0]
-	}
-	for len(level) > 1 {
-		var nextLevel []node
-		var nextFirst []sqltypes.Key
-		for start := 0; start < len(level); start += fill {
-			end := start + fill
-			if end > len(level) {
-				end = len(level)
-			}
-			inner := &innerNode{
-				children: append([]node(nil), level[start:end]...),
-				keys:     append([]sqltypes.Key(nil), firstKeys[start+1:end]...),
-			}
-			nextLevel = append(nextLevel, inner)
-			nextFirst = append(nextFirst, firstKeys[start])
-			t.numPages++
-		}
-		level = nextLevel
-		firstKeys = nextFirst
-		t.height++
-	}
-	t.root = level[0]
-	return t
 }
 
 // Validate checks structural invariants (key order within and across leaves,

@@ -362,18 +362,6 @@ func TestBulkBuildRangeScanOrdered(t *testing.T) {
 	}
 }
 
-func BenchmarkBulkBuild100k(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	entries := make([]Entry, 100000)
-	for i := range entries {
-		entries[i] = Entry{Key: intKey(rng.Int63n(1 << 40)), RID: RID{}}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BulkBuild(entries, DefaultOrder)
-	}
-}
-
 func BenchmarkIncrementalBuild100k(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	entries := make([]Entry, 100000)

@@ -418,27 +418,30 @@ func (db *DB) Analyze(table string) error {
 	}
 	var rows int64
 	var tupleBytes float64
-	heap.Scan(nil, func(rid btree.RID, tup sqltypes.Tuple) bool {
-		rows++
-		for i := range t.Columns {
-			if i >= len(tup) {
-				continue
-			}
-			v := tup[i]
-			tupleBytes += float64(v.EncodedSize())
-			a := &aggs[i]
-			if v.IsNull() {
-				a.nulls++
-				continue
-			}
-			a.distinct[v.String()] = struct{}{}
-			a.values = append(a.values, v)
-			a.width += float64(v.EncodedSize())
-			if a.min.IsNull() || sqltypes.Compare(v, a.min) < 0 {
-				a.min = v
-			}
-			if a.max.IsNull() || sqltypes.Compare(v, a.max) > 0 {
-				a.max = v
+	heap.ScanBatch(nil, func(page *storage.Batch) bool {
+		rows += int64(page.Len())
+		for _, s := range page.Sel {
+			tup := page.Tuples[s]
+			for i := range t.Columns {
+				if i >= len(tup) {
+					continue
+				}
+				v := tup[i]
+				tupleBytes += float64(v.EncodedSize())
+				a := &aggs[i]
+				if v.IsNull() {
+					a.nulls++
+					continue
+				}
+				a.distinct[v.String()] = struct{}{}
+				a.values = append(a.values, v)
+				a.width += float64(v.EncodedSize())
+				if a.min.IsNull() || sqltypes.Compare(v, a.min) < 0 {
+					a.min = v
+				}
+				if a.max.IsNull() || sqltypes.Compare(v, a.max) > 0 {
+					a.max = v
+				}
 			}
 		}
 		return true

@@ -2,7 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -797,18 +797,20 @@ func (db *DB) runSort(ctx *evalCtx, n *planner.SortNode) ([]row, error) {
 		items[i] = keyed{r: r, keys: ks}
 		ctx.st.operatorEvals++
 	}
-	sort.SliceStable(items, func(a, b int) bool {
-		for j, o := range n.OrderBy {
-			c := sqltypes.Compare(items[a].keys[j], items[b].keys[j])
-			if c == 0 {
-				continue
+	desc := make([]bool, len(n.OrderBy))
+	for j, o := range n.OrderBy {
+		desc[j] = o.Desc
+	}
+	slices.SortStableFunc(items, func(a, b keyed) int {
+		for j, d := range desc {
+			if c := sqltypes.Compare(a.keys[j], b.keys[j]); c != 0 {
+				if d {
+					return -c
+				}
+				return c
 			}
-			if o.Desc {
-				return c > 0
-			}
-			return c < 0
 		}
-		return false
+		return 0
 	})
 	out := make([]row, len(items))
 	for i, it := range items {

@@ -43,6 +43,19 @@ type IndexBuildSpec struct {
 // holds the caller's lock from start to end, so no write can interleave: it
 // runs the same Snapshot → Build → register steps with no change log
 // (db.createIndex).
+//
+// What a build costs and what it leaves behind. Snapshot is the only step
+// that holds traffic up (writers wait out its reader lock), so it is a bare
+// copy of key columns, one allocation per heap page: the keys of a page are
+// cut from one []Value arena. Build sorts positions, not entries
+// (btree.BulkBuild), and the trees it makes share the snapshot's Key slices.
+// Entries reach BulkBuild in heap order, so among equal keys RIDs ascend —
+// BulkBuild's stability makes the tree a pure function of the heap. The
+// arena's price: a key's backing array stays reachable while any key cut
+// from the same page is still in the index, so deleting 63 of a page's 64
+// entries frees nothing until the last goes. That is bounded by the page —
+// TuplesPerPage keys, a few KB — and by the index's own lifetime; keys that
+// arrive later (catch-up replay, foreground inserts) are allocated singly.
 type IndexBuild struct {
 	db        *DB
 	spec      IndexBuildSpec
@@ -137,30 +150,49 @@ func (b *IndexBuild) StartLogging() error {
 
 // Snapshot scans the heap into per-tree entry sets, charging the scan's
 // page reads to the build. An online build must run it under the same reader
-// lock as StartLogging. Injected faults surfacing as panics from the scan are
-// recovered into the returned error.
+// lock as StartLogging. Per tuple it only copies key columns: the entry sets
+// are sized from the heap's tuple count, and a page's keys share one arena
+// (see the type comment). Injected faults surfacing as panics from the scan
+// are recovered into the returned error.
 func (b *IndexBuild) Snapshot() (err error) {
 	defer b.db.recoverToError("IndexBuild.Snapshot", nil, &err)
 	heap := b.db.heaps[b.table.Name]
 	b.entries = make([][]btree.Entry, b.nTrees)
-	heap.Scan(&b.io, func(rid btree.RID, tup sqltypes.Tuple) bool {
-		key := b.keyOf(tup)
-		b.keyBytes += keySize(key)
-		ti := b.treeOf(tup)
-		b.entries[ti] = append(b.entries[ti], btree.Entry{Key: key, RID: rid})
+	// Exact for a GLOBAL index; for a LOCAL one an even split that append
+	// corrects where the partitioning is skewed.
+	perTree := int(heap.NumTuples()) / b.nTrees
+	for i := range b.entries {
+		b.entries[i] = make([]btree.Entry, 0, perTree)
+	}
+	width := len(b.positions)
+	heap.ScanBatch(&b.io, func(page *storage.Batch) bool {
+		arena := make([]sqltypes.Value, page.Len()*width)
+		for _, s := range page.Sel {
+			tup := page.Tuples[s]
+			// The three-index slice caps the key at its own columns, so an
+			// append to it reallocates instead of running into the next key.
+			key := sqltypes.Key(arena[:width:width])
+			arena = arena[width:]
+			b.fillKey(key, tup)
+			b.keyBytes += keySize(key)
+			ti := b.treeOf(tup)
+			b.entries[ti] = append(b.entries[ti], btree.Entry{Key: key, RID: page.RID(s)})
+		}
 		return true
 	})
 	return nil
 }
 
-// Build bulk-builds the offline trees from the snapshot. Needs no lock: it
-// only touches build-private state.
+// Build bulk-builds the offline trees from the snapshot, dropping each entry
+// set as soon as its tree stands. Needs no lock: it only touches
+// build-private state.
 func (b *IndexBuild) Build() (err error) {
 	defer b.db.recoverToError("IndexBuild.Build", nil, &err)
 	b.trees = make([]*btree.Tree, b.nTrees)
 	for i := range b.trees {
 		b.trees[i] = btree.BulkBuild(b.entries[i], b.db.order)
 		b.trees[i].SetFaultInjector(b.db.faults)
+		b.entries[i] = nil
 	}
 	b.entries = nil
 	return nil
@@ -174,12 +206,17 @@ func (b *IndexBuild) treeOf(tup sqltypes.Tuple) int {
 	return 0
 }
 
+// keyOf copies the index's key columns out of a tuple into a key of its own.
 func (b *IndexBuild) keyOf(tup sqltypes.Tuple) sqltypes.Key {
 	key := make(sqltypes.Key, len(b.positions))
+	b.fillKey(key, tup)
+	return key
+}
+
+func (b *IndexBuild) fillKey(key sqltypes.Key, tup sqltypes.Tuple) {
 	for i, p := range b.positions {
 		key[i] = tup[p]
 	}
-	return key
 }
 
 func keySize(key sqltypes.Key) int64 {
