@@ -92,7 +92,7 @@ func main() {
 func indexFootprint(db *engine.DB) (int, int64) {
 	n, bytes := 0, int64(0)
 	for _, m := range db.Catalog().Indexes(false) {
-		if len(m.Name) > 3 && m.Name[:3] == "pk_" {
+		if m.IsPrimary() {
 			continue
 		}
 		n++

@@ -50,12 +50,6 @@ type Options struct {
 	// detection.
 	StalenessWindow  int64
 	StalenessTrigger float64
-	// EstimatorParallelism > 1 plans workload templates concurrently during
-	// what-if estimation. Results are written into an index-ordered slice
-	// and summed in query order, so totals are bit-identical to the serial
-	// path at any worker count — safe to enable under the determinism
-	// contract.
-	EstimatorParallelism int
 	// UseForecast makes tuning rounds weight templates by their EWMA trend
 	// (predicted next-window mix, paper §IV-C) instead of cumulative
 	// frequency. Call CloseWindow at round boundaries to feed the trend.
@@ -112,9 +106,10 @@ type Manager struct {
 	// the guardrail controller's feed (see SetApplyWatcher).
 	watcher ApplyWatcher
 	// sessions is the serving layer the manager tunes through, and its only
-	// way to the database: search phases take the exclusive lock (what-if
-	// estimation mounts hypothetical indexes on the shared catalog), every
-	// index is built online, and drops serialize behind the same lock. New
+	// way to the database: search phases take the exclusive lock (they read
+	// the statistics, index metadata and template store that foreground
+	// statements update, and must see them stand still), every index is
+	// built online, and drops serialize behind the same lock. New
 	// wraps the database in a private one; UseSessions swaps in the one the
 	// foreground traffic shares.
 	sessions *session.Manager
@@ -133,7 +128,6 @@ type Manager struct {
 func New(db *engine.DB, opts Options) *Manager {
 	opts = opts.withDefaults()
 	est := costmodel.NewEstimator(db.Catalog())
-	est.Parallelism = opts.EstimatorParallelism
 	est.Instrument(obs.DefaultRegistry())
 	return &Manager{
 		opts:             opts,
@@ -156,10 +150,11 @@ func (m *Manager) TemplateStore() *template.Store { return m.store }
 // UseSessions makes the manager tune through the session layer the
 // foreground traffic runs on, in place of the private one New made: search
 // phases (Diagnose, Recommend, Tune's search half, PruneRecommendation) run
-// under its exclusive lock so concurrent readers never plan against
-// hypothetical what-if indexes, index builds snapshot under its reader lock
-// and publish under its exclusive lock, and drops serialize behind the same
-// lock. sm must wrap the database the manager was created over.
+// under its exclusive lock so no statement moves the row counts, index
+// metadata or template frequencies a round prices with while it prices
+// (what-if costing itself writes nothing), index builds snapshot under its
+// reader lock and publish under its exclusive lock, and drops serialize
+// behind the same lock. sm must wrap the database the manager was created over.
 func (m *Manager) UseSessions(sm *session.Manager) { m.sessions = sm }
 
 // Sessions returns the session layer the manager tunes through.
@@ -578,9 +573,10 @@ func (m *Manager) Tune(ctx context.Context, force bool) (*Recommendation, error)
 	}
 	searchCtx, cancel := m.roundContext(ctx)
 	defer cancel()
-	// The search half holds the exclusive lock (hypothetical what-if
-	// mounts); the apply half runs outside it so online builds can take the
-	// reader lock for their snapshot phase without self-deadlocking.
+	// The search half holds the exclusive lock (one still view of
+	// statistics and templates for the whole round); the apply half runs
+	// outside it so online builds can take the reader lock for their
+	// snapshot phase without self-deadlocking.
 	var rec *Recommendation
 	skipped := false
 	err := m.sessions.Exclusive(func(db *engine.DB) error {
@@ -632,10 +628,9 @@ func (m *Manager) MaybeDecayTemplates() bool {
 func realSecondaryIndexes(db *engine.DB) []*catalog.IndexMeta {
 	var out []*catalog.IndexMeta
 	for _, idx := range db.Catalog().Indexes(false) {
-		if strings.HasPrefix(idx.Name, "pk_") {
-			continue
+		if !idx.IsPrimary() {
+			out = append(out, idx)
 		}
-		out = append(out, idx)
 	}
 	return out
 }

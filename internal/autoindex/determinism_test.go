@@ -14,18 +14,17 @@ import (
 
 // TestSameSeedRunsAreByteIdentical runs the full recommendation pipeline
 // (observe → diagnose → candgen → MCTS → estimate → apply) from an
-// identically built database with the same seed under four estimator
-// configurations — {cache on, cache off} × {serial, Parallelism 4} — and
-// asserts every run is indistinguishable: same recommendation, same costs,
-// same evaluation counts, and byte-identical StateReport.JSON(). This is
-// the regression test behind the mapiterorder/seededrand analyzers and the
-// what-if fast path: any map-iteration-order dependence, hidden clock, float
-// reassociation in the parallel reduction, or stale cache entry shows up
+// identically built database with the same seed with the estimator's
+// per-query cache on and off, and asserts every run is indistinguishable:
+// same recommendation, same costs, same evaluation counts, and
+// byte-identical StateReport.JSON(). This is the regression test behind the
+// mapiterorder/seededrand analyzers and the what-if fast path: any
+// map-iteration-order dependence, hidden clock or stale cache entry shows up
 // here as a diff.
 func TestSameSeedRunsAreByteIdentical(t *testing.T) {
-	run := func(parallelism int, cacheDisabled bool) (*Recommendation, []byte) {
+	run := func(cacheDisabled bool) (*Recommendation, []byte) {
 		db, reads := readHeavyDB(t)
-		m := New(db, Options{MCTS: mctsFast(), EstimatorParallelism: parallelism})
+		m := New(db, Options{MCTS: mctsFast()})
 		m.Estimator().CacheDisabled = cacheDisabled
 		for _, sql := range reads {
 			if err := m.Observe(sql); err != nil {
@@ -48,19 +47,16 @@ func TestSameSeedRunsAreByteIdentical(t *testing.T) {
 
 	variants := []struct {
 		name          string
-		parallelism   int
 		cacheDisabled bool
 	}{
-		{"serial_cached", 1, false},
-		{"serial_uncached", 1, true},
-		{"parallel4_cached", 4, false},
-		{"parallel4_uncached", 4, true},
+		{"cached", false},
+		{"uncached", true},
 	}
 
-	rec1, js1 := run(variants[0].parallelism, variants[0].cacheDisabled)
+	rec1, js1 := run(variants[0].cacheDisabled)
 	for _, v := range variants {
 		// Variant 0 reruns against itself: same-seed stability.
-		rec2, js2 := run(v.parallelism, v.cacheDisabled)
+		rec2, js2 := run(v.cacheDisabled)
 		if keys1, keys2 := recKeys(rec1), recKeys(rec2); keys1 != keys2 {
 			t.Fatalf("%s: recommendations differ: %q vs %q", v.name, keys1, keys2)
 		}
@@ -86,7 +82,7 @@ func TestSameSeedRunsAreByteIdentical(t *testing.T) {
 		obs.SetDefaultRegistry(nil)
 		obs.SetDefaultTracer(nil)
 	}()
-	recI, jsI := run(variants[0].parallelism, variants[0].cacheDisabled)
+	recI, jsI := run(variants[0].cacheDisabled)
 	if keys1, keysI := recKeys(rec1), recKeys(recI); keys1 != keysI {
 		t.Fatalf("instrumented: recommendations differ: %q vs %q", keys1, keysI)
 	}
@@ -111,11 +107,11 @@ func TestSameSeedRunsAreByteIdenticalWithSessions(t *testing.T) {
 		costCount int64
 		costSum   float64
 	}
-	run := func(shared bool, parallelism int, cacheDisabled bool) (*Recommendation, []byte, ledger) {
+	run := func(shared bool, cacheDisabled bool) (*Recommendation, []byte, ledger) {
 		reg := obs.NewRegistry()
 		db, reads := readHeavyDB(t)
 		db.SetMetrics(reg)
-		m := New(db, Options{MCTS: mctsFast(), EstimatorParallelism: parallelism})
+		m := New(db, Options{MCTS: mctsFast()})
 		m.Estimator().CacheDisabled = cacheDisabled
 		if shared {
 			m.UseSessions(session.New(db, session.Options{Seed: 1}))
@@ -150,32 +146,30 @@ func TestSameSeedRunsAreByteIdenticalWithSessions(t *testing.T) {
 		return rec, js, led
 	}
 
-	recPriv, jsPriv, ledPriv := run(false, 1, false)
+	recPriv, jsPriv, ledPriv := run(false, false)
 	if len(recPriv.Create) == 0 {
 		t.Fatal("nothing was built — the ledger comparison lost its point")
 	}
 	if ledPriv.counters["engine_heap_pages_read_total"] == 0 {
 		t.Fatal("the build's snapshot scan charged no heap pages")
 	}
-	// The shared arm under every estimator variant of
+	// The shared arm under both estimator variants of
 	// TestSameSeedRunsAreByteIdentical, each against the private baseline.
-	for _, parallelism := range []int{1, 4} {
-		for _, cacheDisabled := range []bool{false, true} {
-			recShared, jsShared, ledShared := run(true, parallelism, cacheDisabled)
-			name := fmt.Sprintf("shared/parallelism=%d/cacheDisabled=%v", parallelism, cacheDisabled)
-			if k1, k2 := recKeys(recPriv), recKeys(recShared); k1 != k2 {
-				t.Fatalf("%s: recommendations differ: %q vs %q", name, k1, k2)
-			}
-			if recPriv.BaseCost != recShared.BaseCost || recPriv.BestCost != recShared.BestCost {
-				t.Fatalf("%s: costs differ: base %v vs %v, best %v vs %v", name,
-					recPriv.BaseCost, recShared.BaseCost, recPriv.BestCost, recShared.BestCost)
-			}
-			if !bytes.Equal(jsPriv, jsShared) {
-				t.Fatalf("%s: not byte-identical to the private-session run:\n--- private ---\n%s\n--- shared ---\n%s", name, jsPriv, jsShared)
-			}
-			if !reflect.DeepEqual(ledPriv, ledShared) {
-				t.Fatalf("%s: engine ledgers differ:\nprivate: %+v\nshared:  %+v", name, ledPriv, ledShared)
-			}
+	for _, cacheDisabled := range []bool{false, true} {
+		recShared, jsShared, ledShared := run(true, cacheDisabled)
+		name := fmt.Sprintf("shared/cacheDisabled=%v", cacheDisabled)
+		if k1, k2 := recKeys(recPriv), recKeys(recShared); k1 != k2 {
+			t.Fatalf("%s: recommendations differ: %q vs %q", name, k1, k2)
+		}
+		if recPriv.BaseCost != recShared.BaseCost || recPriv.BestCost != recShared.BestCost {
+			t.Fatalf("%s: costs differ: base %v vs %v, best %v vs %v", name,
+				recPriv.BaseCost, recShared.BaseCost, recPriv.BestCost, recShared.BestCost)
+		}
+		if !bytes.Equal(jsPriv, jsShared) {
+			t.Fatalf("%s: not byte-identical to the private-session run:\n--- private ---\n%s\n--- shared ---\n%s", name, jsPriv, jsShared)
+		}
+		if !reflect.DeepEqual(ledPriv, ledShared) {
+			t.Fatalf("%s: engine ledgers differ:\nprivate: %+v\nshared:  %+v", name, ledPriv, ledShared)
 		}
 	}
 }

@@ -91,7 +91,7 @@ func (m *Manager) Report() *StateReport {
 		usage := db.IndexUsage()
 
 		for _, idx := range db.Catalog().Indexes(false) {
-			if strings.HasPrefix(idx.Name, "pk_") {
+			if idx.IsPrimary() {
 				continue
 			}
 			rep.SecondaryIndexes++

@@ -6,6 +6,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -47,9 +48,6 @@ type IndexMeta struct {
 	Local bool
 	// Hypothetical marks what-if indexes that exist only for planning.
 	Hypothetical bool
-	// Disabled hides the index from the planner without dropping it; the
-	// what-if estimator uses this to price index *removal* before doing it.
-	Disabled bool
 	// SizeBytes is the (estimated, for hypothetical) on-disk footprint.
 	SizeBytes int64
 	// Height is the B+Tree height (estimated for hypothetical).
@@ -70,6 +68,26 @@ func (m *IndexMeta) Key() string {
 		k += "/local"
 	}
 	return k
+}
+
+// IsPrimary reports whether this is a table's primary-key index (pk_<table>,
+// created with the table): never a candidate for removal and present in
+// every what-if configuration.
+func (m *IndexMeta) IsPrimary() bool { return strings.HasPrefix(m.Name, "pk_") }
+
+// before is the order of a table's index list: by name, and — only in a
+// view, whose specs may share a name or have none — then by key.
+func before(a, b *IndexMeta) bool {
+	if a.Name != b.Name {
+		return a.Name < b.Name
+	}
+	return a.Key() < b.Key()
+}
+
+// insert returns list with m at its ordered position, in a new backing array.
+func insert(list []*IndexMeta, m *IndexMeta) []*IndexMeta {
+	i := sort.Search(len(list), func(i int) bool { return !before(list[i], m) })
+	return slices.Insert(slices.Clip(list), i, m)
 }
 
 // Covers reports whether the index's column prefix covers the given columns
@@ -121,13 +139,16 @@ func (t *Table) ColumnNames() []string {
 
 // Catalog is the schema registry for one database.
 type Catalog struct {
-	tables  map[string]*Table
-	indexes map[string]*IndexMeta // by index name
+	tables map[string]*Table
+	// indexes is the index set: each table's indexes in name order. The
+	// lists are copy-on-write — AddIndex and DropIndex install a new slice —
+	// so a view (WithIndexes) shares the lists it does not change.
+	indexes map[string][]*IndexMeta
 	// generation counts mutations that can change what-if planning output:
 	// DDL on real objects and statistics refreshes. Cached plan costs are
-	// valid only within one generation. Hypothetical (what-if) index churn
-	// does not bump it — a pinned configuration is part of the cache key,
-	// not a catalog mutation.
+	// valid only within one generation. Hypothetical index churn does not
+	// bump it, and a what-if configuration is a view and a cache key, not a
+	// catalog mutation.
 	generation uint64
 }
 
@@ -135,7 +156,7 @@ type Catalog struct {
 func New() *Catalog {
 	return &Catalog{
 		tables:  make(map[string]*Table),
-		indexes: make(map[string]*IndexMeta),
+		indexes: make(map[string][]*IndexMeta),
 	}
 }
 
@@ -196,26 +217,35 @@ func (c *Catalog) Tables() []*Table {
 	return out
 }
 
+// checkIndex reports an index on a table or column the catalog lacks.
+func (c *Catalog) checkIndex(m *IndexMeta) error {
+	t := c.tables[m.Table]
+	if t == nil {
+		return fmt.Errorf("catalog: index %q references unknown table %q", m.Name, m.Table)
+	}
+	for _, col := range m.Columns {
+		if t.Column(col) == nil {
+			return fmt.Errorf("catalog: index %q references unknown column %s.%s", m.Name, m.Table, col)
+		}
+	}
+	return nil
+}
+
 // AddIndex registers index metadata. Fails on duplicate name or when the
 // table/columns don't exist.
 func (c *Catalog) AddIndex(m *IndexMeta) error {
 	m.Name = strings.ToLower(m.Name)
 	m.Table = strings.ToLower(m.Table)
-	if _, ok := c.indexes[m.Name]; ok {
+	for i, col := range m.Columns {
+		m.Columns[i] = strings.ToLower(col)
+	}
+	if c.Index(m.Name) != nil {
 		return fmt.Errorf("catalog: index %q already exists", m.Name)
 	}
-	t := c.Table(m.Table)
-	if t == nil {
-		return fmt.Errorf("catalog: index %q references unknown table %q", m.Name, m.Table)
+	if err := c.checkIndex(m); err != nil {
+		return err
 	}
-	for i, col := range m.Columns {
-		col = strings.ToLower(col)
-		m.Columns[i] = col
-		if t.Column(col) == nil {
-			return fmt.Errorf("catalog: index %q references unknown column %s.%s", m.Name, m.Table, col)
-		}
-	}
-	c.indexes[m.Name] = m
+	c.indexes[m.Table] = insert(c.indexes[m.Table], m)
 	if !m.Hypothetical {
 		c.generation++
 	}
@@ -224,94 +254,131 @@ func (c *Catalog) AddIndex(m *IndexMeta) error {
 
 // DropIndex removes index metadata by name.
 func (c *Catalog) DropIndex(name string) error {
-	name = strings.ToLower(name)
-	m, ok := c.indexes[name]
-	if !ok {
-		return fmt.Errorf("catalog: index %q does not exist", name)
+	m := c.Index(name)
+	if m == nil {
+		return fmt.Errorf("catalog: index %q does not exist", strings.ToLower(name))
 	}
-	delete(c.indexes, name)
+	list := c.indexes[m.Table]
+	i := slices.Index(list, m)
+	c.indexes[m.Table] = append(slices.Clip(list[:i]), list[i+1:]...)
 	if !m.Hypothetical {
 		c.generation++
 	}
 	return nil
 }
 
-// Index returns the index by name, or nil.
+// Index returns the index by name, or nil. It searches every table's list:
+// lookups by name happen at DDL, not per statement.
 func (c *Catalog) Index(name string) *IndexMeta {
-	return c.indexes[strings.ToLower(name)]
-}
-
-// Indexes returns all indexes sorted by name. When includeHypothetical is
-// false, what-if indexes are filtered out.
-func (c *Catalog) Indexes(includeHypothetical bool) []*IndexMeta {
-	out := make([]*IndexMeta, 0, len(c.indexes))
-	for _, m := range c.indexes {
-		if m.Hypothetical && !includeHypothetical {
-			continue
-		}
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// TableIndexes returns the indexes on one table (optionally including
-// hypothetical ones), sorted by name.
-func (c *Catalog) TableIndexes(table string, includeHypothetical bool) []*IndexMeta {
-	table = strings.ToLower(table)
-	var out []*IndexMeta
-	for _, m := range c.indexes {
-		if m.Table != table || m.Disabled {
-			continue
-		}
-		if m.Hypothetical && !includeHypothetical {
-			continue
-		}
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// FindIndexByColumns returns a real index whose key is exactly the given
-// column list on the table, or nil. Locality is part of identity: pass a
-// trailing "/local"-suffixed lookup via FindIndexLike for local variants.
-func (c *Catalog) FindIndexByColumns(table string, cols []string) *IndexMeta {
-	return c.findIndex(table, cols, false)
-}
-
-// FindIndexLike returns a real index matching the spec's table, columns and
-// locality exactly, or nil.
-func (c *Catalog) FindIndexLike(spec *IndexMeta) *IndexMeta {
-	return c.findIndex(spec.Table, spec.Columns, spec.Local)
-}
-
-func (c *Catalog) findIndex(table string, cols []string, local bool) *IndexMeta {
-	table = strings.ToLower(table)
-	for _, m := range c.indexes {
-		if m.Table != table || m.Hypothetical || m.Local != local || len(m.Columns) != len(cols) {
-			continue
-		}
-		match := true
-		for i := range cols {
-			if m.Columns[i] != strings.ToLower(cols[i]) {
-				match = false
-				break
-			}
-		}
-		if match {
-			return m
+	name = strings.ToLower(name)
+	for _, list := range c.indexes {
+		i := sort.Search(len(list), func(i int) bool { return list[i].Name >= name })
+		if i < len(list) && list[i].Name == name {
+			return list[i]
 		}
 	}
 	return nil
 }
 
+// Indexes returns all indexes sorted by name. When includeHypothetical is
+// false, what-if indexes are filtered out.
+func (c *Catalog) Indexes(includeHypothetical bool) []*IndexMeta {
+	n := 0
+	for _, list := range c.indexes {
+		n += len(list)
+	}
+	out := make([]*IndexMeta, 0, n)
+	for _, list := range c.indexes {
+		for _, m := range list {
+			if includeHypothetical || !m.Hypothetical {
+				out = append(out, m)
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return before(out[i], out[j]) })
+	return out
+}
+
+// TableIndexes returns the indexes on one table (optionally including
+// hypothetical ones), sorted by name. The slice is the caller's own.
+func (c *Catalog) TableIndexes(table string, includeHypothetical bool) []*IndexMeta {
+	list := c.indexes[strings.ToLower(table)]
+	out := make([]*IndexMeta, 0, len(list))
+	for _, m := range list {
+		if includeHypothetical || !m.Hypothetical {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// WithIndexes returns a read-only view of the catalog for what-if planning:
+// the same tables, statistics and generation, with exactly the configuration
+// config as its secondary indexes. Every primary-key index stays. A real
+// index whose Key() config names stays too, as itself — name, measured size
+// and height — whatever the entry naming it says; every other real index and
+// every registered hypothetical one is left out. An entry no real index
+// answers is taken as given, once per key. The receiver is only read, the
+// view shares no index list the receiver will ever change, and index DDL on
+// either is invisible to the other; tables must not be created through a view.
+func (c *Catalog) WithIndexes(config []*IndexMeta) (*Catalog, error) {
+	// pending maps each configured key to the first entry naming it, then to
+	// nil once a real index has answered for that key.
+	pending := make(map[string]*IndexMeta, len(config))
+	keys := make([]string, len(config))
+	for i, m := range config {
+		keys[i] = m.Key()
+		if _, dup := pending[keys[i]]; !dup {
+			pending[keys[i]] = m
+		}
+	}
+	v := &Catalog{
+		tables:     c.tables,
+		indexes:    make(map[string][]*IndexMeta, len(c.indexes)),
+		generation: c.generation,
+	}
+	for table, list := range c.indexes {
+		kept, shared := list, true
+		for i, m := range list {
+			keep := false
+			if !m.Hypothetical {
+				key := m.Key()
+				_, named := pending[key]
+				if named {
+					pending[key] = nil
+				}
+				keep = named || m.IsPrimary()
+			}
+			switch {
+			case keep && !shared:
+				kept = append(kept, m)
+			case !keep && shared:
+				kept, shared = append(make([]*IndexMeta, 0, len(list)-1), list[:i]...), false
+			}
+		}
+		v.indexes[table] = kept
+	}
+	for i, m := range config {
+		if pending[keys[i]] != m {
+			continue
+		}
+		pending[keys[i]] = nil
+		if err := c.checkIndex(m); err != nil {
+			return nil, err
+		}
+		v.indexes[m.Table] = insert(v.indexes[m.Table], m)
+	}
+	return v, nil
+}
+
 // TotalIndexBytes sums the footprint of all real indexes.
 func (c *Catalog) TotalIndexBytes() int64 {
 	var total int64
-	for _, m := range c.indexes {
-		if !m.Hypothetical {
-			total += m.SizeBytes
+	for _, list := range c.indexes {
+		for _, m := range list {
+			if !m.Hypothetical {
+				total += m.SizeBytes
+			}
 		}
 	}
 	return total

@@ -1,6 +1,8 @@
 package catalog
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/sqltypes"
@@ -100,21 +102,197 @@ func TestHypotheticalFiltering(t *testing.T) {
 	}
 }
 
-func TestFindIndexByColumns(t *testing.T) {
+// TestIndexListsStayNameOrdered: whatever order DDL arrives in, every read
+// sees a table's indexes by name, and a name is unique across tables.
+func TestIndexListsStayNameOrdered(t *testing.T) {
 	c, _ := testTable(t)
-	m := &IndexMeta{Name: "ab", Table: "orders", Columns: []string{"cid", "amount"}}
-	if err := c.AddIndex(m); err != nil {
+	if _, err := c.CreateTable("lines", []Column{{Name: "oid"}, {Name: "qty"}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if c.FindIndexByColumns("orders", []string{"cid", "amount"}) == nil {
-		t.Error("exact match expected")
+	for _, m := range []*IndexMeta{
+		{Name: "m", Table: "orders", Columns: []string{"cid"}},
+		{Name: "PK_orders", Table: "ORDERS", Columns: []string{"ID"}, Unique: true},
+		{Name: "a", Table: "orders", Columns: []string{"amount"}},
+		{Name: "k", Table: "lines", Columns: []string{"oid"}},
+		{Name: "z", Table: "orders", Columns: []string{"status"}, Hypothetical: true},
+	} {
+		if err := c.AddIndex(m); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if c.FindIndexByColumns("orders", []string{"cid"}) != nil {
-		t.Error("prefix is not an exact match")
+	if got := names(c.TableIndexes("Orders", true)); got != "a m pk_orders z" {
+		t.Errorf("TableIndexes(orders, true) = %q", got)
 	}
-	if c.FindIndexByColumns("orders", []string{"amount", "cid"}) != nil {
-		t.Error("order matters")
+	if got := names(c.TableIndexes("orders", false)); got != "a m pk_orders" {
+		t.Errorf("TableIndexes(orders, false) = %q", got)
 	}
+	if got := names(c.Indexes(true)); got != "a k m pk_orders z" {
+		t.Errorf("Indexes(true) = %q", got)
+	}
+	if err := c.AddIndex(&IndexMeta{Name: "k", Table: "orders", Columns: []string{"cid"}}); err == nil {
+		t.Error("a name taken on another table must be refused")
+	}
+	if m := c.Index("PK_ORDERS"); m == nil || !m.IsPrimary() || m.Columns[0] != "id" {
+		t.Errorf("Index is case-insensitive and AddIndex lower-cases: got %+v", m)
+	}
+	if c.Index("m").IsPrimary() {
+		t.Error("only pk_ indexes are primary")
+	}
+	if err := c.DropIndex("M"); err != nil {
+		t.Fatal(err)
+	}
+	if got := names(c.TableIndexes("orders", true)); got != "a pk_orders z" {
+		t.Errorf("after drop: %q", got)
+	}
+}
+
+// TestTableIndexesReturnsCallersOwnSlice: nothing a caller does to the slice
+// it was handed — reorder, overwrite, append — reaches the catalog's list.
+func TestTableIndexesReturnsCallersOwnSlice(t *testing.T) {
+	c, _ := testTable(t)
+	for _, name := range []string{"a", "b", "c"} {
+		if err := c.AddIndex(&IndexMeta{Name: name, Table: "orders", Columns: []string{"cid"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := c.TableIndexes("orders", true)
+	got[0], got[2] = got[2], got[0]
+	got[1] = &IndexMeta{Name: "scribble", Table: "orders"}
+	_ = append(got, &IndexMeta{Name: "grown", Table: "orders"})
+	_ = append(got[:1], &IndexMeta{Name: "overwritten", Table: "orders"})
+	if after := names(c.TableIndexes("orders", true)); after != "a b c" {
+		t.Errorf("catalog list changed through a returned slice: %q", after)
+	}
+	if all := names(c.Indexes(true)); all != "a b c" {
+		t.Errorf("Indexes changed through a returned slice: %q", all)
+	}
+}
+
+// TestViewHoldsExactlyTheConfiguration pins the what-if rules: primary keys
+// always, a real index when the configuration names its key (as itself, not
+// as the entry), everything else real or registered-hypothetical left out,
+// an unmatched entry as given, duplicate keys once, all in name order.
+func TestViewHoldsExactlyTheConfiguration(t *testing.T) {
+	c, _ := testTable(t)
+	pk := &IndexMeta{Name: "pk_orders", Table: "orders", Columns: []string{"id"}, Unique: true}
+	cid := &IndexMeta{Name: "idx_cid", Table: "orders", Columns: []string{"cid"}, Height: 3}
+	amount := &IndexMeta{Name: "idx_amount", Table: "orders", Columns: []string{"amount"}}
+	mounted := &IndexMeta{Name: "hypo_status", Table: "orders", Columns: []string{"status"}, Hypothetical: true}
+	for _, m := range []*IndexMeta{pk, cid, amount, mounted} {
+		if err := c.AddIndex(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gen := c.Generation()
+
+	likeCid := &IndexMeta{Name: "cand_cid", Table: "orders", Columns: []string{"cid"}, Height: 1}
+	spec := &IndexMeta{Name: "cand_status_cid", Table: "orders", Columns: []string{"status", "cid"}, Hypothetical: true}
+	specAgain := &IndexMeta{Name: "zz_dup", Table: "orders", Columns: []string{"status", "cid"}}
+	v, err := c.WithIndexes([]*IndexMeta{spec, likeCid, specAgain, spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := v.TableIndexes("orders", true)
+	if names(got) != "cand_status_cid idx_cid pk_orders" {
+		t.Fatalf("view holds %q", names(got))
+	}
+	if got[0] != spec || got[1] != cid || got[2] != pk {
+		t.Error("the view must hold the first entry of a key, and the real index in place of an entry that names it")
+	}
+	if v.Table("orders") != c.Table("orders") || v.Generation() != gen {
+		t.Error("a view shares tables, statistics and generation")
+	}
+	if c.Generation() != gen || names(c.Indexes(true)) != "hypo_status idx_amount idx_cid pk_orders" {
+		t.Errorf("building a view touched the receiver: gen %d -> %d, indexes %q", gen, c.Generation(), names(c.Indexes(true)))
+	}
+
+	empty, err := c.WithIndexes(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := names(empty.Indexes(true)); got != "pk_orders" {
+		t.Errorf("the empty configuration keeps primary keys only, got %q", got)
+	}
+	// Entries without names order by key, so a configuration prices the
+	// same whatever order it is listed in.
+	a := &IndexMeta{Table: "orders", Columns: []string{"amount", "cid"}}
+	b := &IndexMeta{Table: "orders", Columns: []string{"status"}}
+	for _, cfg := range [][]*IndexMeta{{a, b}, {b, a}} {
+		v, err := c.WithIndexes(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := v.TableIndexes("orders", true); got[0] != a || got[1] != b || got[2] != pk {
+			t.Errorf("unnamed entries out of key order: %v", got)
+		}
+	}
+	for _, bad := range []*IndexMeta{
+		{Name: "x", Table: "nosuch", Columns: []string{"a"}},
+		{Name: "y", Table: "orders", Columns: []string{"ghost"}},
+	} {
+		if _, err := c.WithIndexes([]*IndexMeta{bad}); err == nil {
+			t.Errorf("configuration entry %s must be refused", bad.Key())
+		}
+	}
+}
+
+// TestViewAndParentAreIsolated: index DDL after the view was taken, on
+// either side, stays on that side — including on tables whose list the view
+// shares with its parent.
+func TestViewAndParentAreIsolated(t *testing.T) {
+	c, _ := testTable(t)
+	if _, err := c.CreateTable("lines", []Column{{Name: "oid"}, {Name: "qty"}}, []string{"oid"}); err != nil {
+		t.Fatal(err)
+	}
+	pkOrders := &IndexMeta{Name: "pk_orders", Table: "orders", Columns: []string{"id"}}
+	pkLines := &IndexMeta{Name: "pk_lines", Table: "lines", Columns: []string{"oid"}}
+	cid := &IndexMeta{Name: "idx_cid", Table: "orders", Columns: []string{"cid"}}
+	for _, m := range []*IndexMeta{pkOrders, pkLines, cid} {
+		if err := c.AddIndex(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v, err := c.WithIndexes([]*IndexMeta{cid}) // shares both lists unchanged
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := c.AddIndex(&IndexMeta{Name: "a_qty", Table: "lines", Columns: []string{"qty"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DropIndex("idx_cid"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddIndex(&IndexMeta{Name: "zz_amount", Table: "orders", Columns: []string{"amount"}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := names(v.Indexes(true)); got != "idx_cid pk_lines pk_orders" {
+		t.Errorf("parent DDL reached the view: %q", got)
+	}
+
+	if err := v.DropIndex("idx_cid"); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.AddIndex(&IndexMeta{Name: "v_status", Table: "orders", Columns: []string{"status"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.AddIndex(&IndexMeta{Name: "b_qty", Table: "lines", Columns: []string{"qty"}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := names(v.Indexes(true)); got != "b_qty pk_lines pk_orders v_status" {
+		t.Errorf("view after its own DDL: %q", got)
+	}
+	if got := names(c.Indexes(true)); got != "a_qty pk_lines pk_orders zz_amount" {
+		t.Errorf("view DDL reached the parent: %q", got)
+	}
+}
+
+func names(list []*IndexMeta) string {
+	out := make([]string, len(list))
+	for i, m := range list {
+		out[i] = m.Name
+	}
+	return strings.Join(out, " ")
 }
 
 func TestIndexCovers(t *testing.T) {
@@ -187,8 +365,7 @@ func TestIndexKeyIdentity(t *testing.T) {
 
 // TestGenerationCountsRealMutationsOnly pins the invalidation signal the
 // what-if cost cache keys on: real DDL bumps the generation, while
-// hypothetical index churn (what-if evaluation) never does — otherwise the
-// cache would flush itself mid-evaluation.
+// registering and dropping a hypothetical index (hypo.Session) never does.
 func TestGenerationCountsRealMutationsOnly(t *testing.T) {
 	c, _ := testTable(t)
 	gen := c.Generation()
@@ -196,11 +373,11 @@ func TestGenerationCountsRealMutationsOnly(t *testing.T) {
 		t.Fatal("CreateTable must bump the generation")
 	}
 
-	hypo := &IndexMeta{Name: "whatif_x", Table: "orders", Columns: []string{"cid"}, Hypothetical: true}
+	hypo := &IndexMeta{Name: "hypo_x", Table: "orders", Columns: []string{"cid"}, Hypothetical: true}
 	if err := c.AddIndex(hypo); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.DropIndex("whatif_x"); err != nil {
+	if err := c.DropIndex("hypo_x"); err != nil {
 		t.Fatal(err)
 	}
 	if c.Generation() != gen {
@@ -225,5 +402,42 @@ func TestGenerationCountsRealMutationsOnly(t *testing.T) {
 	c.BumpGeneration()
 	if c.Generation() != gen+1 {
 		t.Error("BumpGeneration must increment by one")
+	}
+}
+
+// BenchmarkTableIndexes reads one table's index list — what every planned
+// SELECT and every INSERT does — from a catalog of n secondary indexes laid
+// out like the banking schema's: eight on the table read, the rest three to
+// a table, a primary key on each.
+func BenchmarkTableIndexes(b *testing.B) {
+	for _, n := range []int{16, 259} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			c := New()
+			for k := 0; k < n; k++ {
+				table := "hot"
+				if k >= 8 {
+					table = fmt.Sprintf("aux_%03d", (k-8)/3)
+				}
+				if c.Table(table) == nil {
+					if _, err := c.CreateTable(table, []Column{{Name: "id"}, {Name: "a"}, {Name: "b"}}, []string{"id"}); err != nil {
+						b.Fatal(err)
+					}
+					if err := c.AddIndex(&IndexMeta{Name: "pk_" + table, Table: table, Columns: []string{"id"}, Unique: true}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				m := &IndexMeta{Name: fmt.Sprintf("d_%s_%d", table, k), Table: table, Columns: []string{"a", "b"}[:1+k%2]}
+				if err := c.AddIndex(m); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got := c.TableIndexes("hot", true); len(got) != 9 {
+					b.Fatalf("hot has %d indexes", len(got))
+				}
+			}
+		})
 	}
 }

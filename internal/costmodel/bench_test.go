@@ -55,6 +55,29 @@ func benchmarkWorkloadCost(b *testing.B, disabled bool) {
 func BenchmarkWorkloadCostCached(b *testing.B)   { benchmarkWorkloadCost(b, false) }
 func BenchmarkWorkloadCostUncached(b *testing.B) { benchmarkWorkloadCost(b, true) }
 
+// BenchmarkWorkloadCostLeaveOneOut259 is the prune loop on the banking
+// catalog: each call prices the 259 default indexes less one, a different
+// one each time, with the per-query cache warm from the calls before. One op
+// is one WorkloadCost call.
+func BenchmarkWorkloadCostLeaveOneOut259(b *testing.B) {
+	db, w := bankingDB(b)
+	est := NewEstimator(db.Catalog())
+	all := secondaryIndexes(db.Catalog())
+	if _, err := est.WorkloadCost(w, all); err != nil {
+		b.Fatal(err)
+	}
+	without := make([]*catalog.IndexMeta, 0, len(all)-1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out := i % len(all)
+		without = append(append(without[:0], all[:out]...), all[out+1:]...)
+		if _, err := est.WorkloadCost(w, without); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCloneVsReparse compares the AST deep copy against the SQL
 // round-trip it replaced on the estimator's hot path.
 func BenchmarkCloneVsReparse(b *testing.B) {

@@ -211,31 +211,68 @@ func TestCacheInvalidationOnRetrain(t *testing.T) {
 	}
 }
 
-// TestCacheKnobChangesFlush: flipping UseStatic or IgnoreWriteCosts between
-// calls must not serve costs computed under the other setting.
+// TestCacheKnobChangesFlush: flipping IgnoreWriteCosts between calls must
+// not serve costs computed under the other setting.
 func TestCacheKnobChangesFlush(t *testing.T) {
 	db := liveDB(t)
 	est := NewEstimator(db.Catalog())
 	w := cacheWorkload()
 	cfg := []*catalog.IndexMeta{catSpec()}
 
-	if _, err := est.WorkloadCost(w, cfg); err != nil {
+	before, err := est.WorkloadCost(w, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	est.UseStatic = true
+	est.IgnoreWriteCosts = true
 	got, err := est.WorkloadCost(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	uncached := NewEstimator(db.Catalog())
 	uncached.CacheDisabled = true
-	uncached.UseStatic = true
+	uncached.IgnoreWriteCosts = true
 	want, err := uncached.WorkloadCost(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Errorf("UseStatic flip served stale entries: got %v want %v", got, want)
+		t.Errorf("IgnoreWriteCosts flip served stale entries: got %v want %v", got, want)
+	}
+	if got >= before {
+		t.Errorf("ignoring index maintenance must lower the cost of a workload with writes: %v -> %v", before, got)
+	}
+}
+
+// TestTableMemoDroppedWithTheCache: an incremental loop re-prices the same
+// templates round after round under fresh sample literals, with writes in
+// between. The referenced-tables memo is keyed by that literal-bearing SQL,
+// so it must leave with the cost cache at each new epoch and never hold more
+// than one round's templates.
+func TestTableMemoDroppedWithTheCache(t *testing.T) {
+	db := liveDB(t)
+	est := NewEstimator(db.Catalog())
+	cfg := []*catalog.IndexMeta{catSpec()}
+	const templates = 12
+	for round := 0; round < 20; round++ {
+		w := &workload.Workload{}
+		for i := 0; i < templates; i++ {
+			w.MustAdd(fmt.Sprintf("SELECT * FROM item WHERE cat = %d AND price > %d.5", round*templates+i, i), 10)
+		}
+		for _, c := range [][]*catalog.IndexMeta{nil, cfg, nil} {
+			if _, err := est.WorkloadCost(w, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		est.mu.RLock()
+		memo := len(est.tables)
+		est.mu.RUnlock()
+		if memo > templates {
+			t.Fatalf("round %d: memo holds %d entries for %d live templates", round, memo, templates)
+		}
+		// The foreground traffic between rounds: a write moves the epoch.
+		if _, err := db.Exec(fmt.Sprintf("INSERT INTO item (id, cat, price) VALUES (%d, 1, 1.0)", 500000+round)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

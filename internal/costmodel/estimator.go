@@ -17,9 +17,9 @@ import (
 
 // Estimator prices statements and whole workloads under arbitrary index
 // configurations using what-if planning plus the (optionally trained)
-// regression model. It never builds an index: candidate indexes are
-// registered hypothetically and existing indexes are hidden via the
-// catalog's Disabled flag for the duration of one estimate.
+// regression model. It never builds an index and never writes the catalog:
+// a configuration is priced by planning against a catalog.WithIndexes view
+// that holds exactly that configuration.
 //
 // WorkloadCost runs through a per-query atomic-configuration cost cache
 // (CoPhy-style): a query's plan can only depend on the indexes sitting on
@@ -31,20 +31,10 @@ import (
 type Estimator struct {
 	cat   *catalog.Catalog
 	model *Regression
-	// UseStatic forces the traditional static-weight formula; ablation knob.
-	UseStatic bool
 	// IgnoreWriteCosts zeroes the index-maintenance features (C^io, C^cpu),
 	// mimicking estimators that only price reads — the limitation the paper
 	// attributes to prior plan-based ML methods (§V). Ablation knob.
 	IgnoreWriteCosts bool
-	// Parallelism > 1 plans the workload's queries concurrently during
-	// WorkloadCost (the paper leans on parallelized search [23]; here the
-	// estimator's per-template planning is the parallelizable unit — the
-	// catalog is read-only while a configuration is pinned). 0/1 = serial.
-	// Workers write per-query results into an index-ordered slice and the
-	// reduction sums in query order, so the total is bit-identical to the
-	// serial sum at any worker count.
-	Parallelism int
 	// CacheDisabled turns the per-query cost cache off (ablation and
 	// equivalence-testing knob); every query re-plans on every call.
 	CacheDisabled bool
@@ -52,7 +42,9 @@ type Estimator struct {
 	mu sync.RWMutex
 	// cache maps "templateSQL \x00 relevantSubsetKey" → query cost.
 	cache map[string]float64
-	// tables memoizes sqlparser.ReferencedTables per template SQL.
+	// tables memoizes sqlparser.ReferencedTables per query SQL. The SQL
+	// carries the template's sample literals, which change from round to
+	// round, so the memo is dropped with the cache.
 	tables                map[string][]string
 	epoch                 cacheEpoch
 	hits, misses, flushes int64
@@ -66,7 +58,6 @@ type Estimator struct {
 type cacheEpoch struct {
 	catalogGen   uint64 // schema + statistics version (bumped by engine writes/ANALYZE/DDL)
 	modelGen     uint64 // regression retraining version
-	static       bool   // UseStatic knob
 	ignoreWrites bool   // IgnoreWriteCosts knob
 	initialized  bool
 }
@@ -124,16 +115,16 @@ func (e *Estimator) flushCacheLocked() {
 		e.mFlushes.Inc()
 	}
 	e.cache = make(map[string]float64)
+	e.tables = make(map[string][]string)
 	e.mSize.Set(0)
 }
 
 // revalidate flushes the cache when the catalog generation, the model
-// generation, or an ablation knob changed since it was filled.
+// generation, or the IgnoreWriteCosts knob changed since it was filled.
 func (e *Estimator) revalidate() {
 	cur := cacheEpoch{
 		catalogGen:   e.cat.Generation(),
 		modelGen:     e.model.Generation(),
-		static:       e.UseStatic,
 		ignoreWrites: e.IgnoreWriteCosts,
 		initialized:  true,
 	}
@@ -145,20 +136,26 @@ func (e *Estimator) revalidate() {
 	}
 }
 
-// ComputeFeatures plans one statement under the catalog's current (possibly
-// hypothetical) index configuration and extracts the paper's cost features.
+// ComputeFeatures plans one statement against the catalog as it stands and
+// extracts the paper's cost features.
 func (e *Estimator) ComputeFeatures(stmt sqlparser.Statement) (Features, error) {
+	return e.features(e.cat, stmt)
+}
+
+// features is ComputeFeatures against cat: the live catalog, or the view of
+// one what-if configuration.
+func (e *Estimator) features(cat *catalog.Catalog, stmt sqlparser.Statement) (Features, error) {
 	switch s := stmt.(type) {
 	case *sqlparser.SelectStmt:
 		// Plan a deep copy: planning mutates expressions (name resolution),
 		// and the same template is re-planned under many configurations.
-		plan, err := planner.PlanSelect(e.cat, s.CloneSelect())
+		plan, err := planner.PlanSelect(cat, s.CloneSelect())
 		if err != nil {
 			return Features{}, err
 		}
 		return Features{CData: plan.EstCost()}, nil
 	case *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
-		wp, err := planner.PlanWrite(e.cat, stmt.Clone())
+		wp, err := planner.PlanWrite(cat, stmt.Clone())
 		if err != nil {
 			return Features{}, err
 		}
@@ -175,18 +172,6 @@ func (e *Estimator) ComputeFeatures(stmt sqlparser.Statement) (Features, error) 
 	}
 }
 
-// QueryCost estimates one statement's cost under the current configuration.
-func (e *Estimator) QueryCost(stmt sqlparser.Statement) (float64, error) {
-	f, err := e.ComputeFeatures(stmt)
-	if err != nil {
-		return 0, err
-	}
-	if e.UseStatic {
-		return StaticCost(f), nil
-	}
-	return e.model.Predict(f), nil
-}
-
 // WorkloadCost estimates the weighted total cost of the workload as if
 // exactly the given index set existed (plus primary-key indexes, which are
 // never removable). Entries may be real indexes (kept), real indexes absent
@@ -197,24 +182,18 @@ func (e *Estimator) WorkloadCost(w *workload.Workload, active []*catalog.IndexMe
 }
 
 // WorkloadCostContext is WorkloadCost under a context: the per-query loop
-// (serial or parallel) stops at cancellation and returns ctx.Err(). With a
-// never-cancelled context the ctx checks always see nil, so the result is
-// bit-identical to WorkloadCost — cancellation plumbing adds no
-// nondeterminism.
+// stops at cancellation and returns ctx.Err(). With a never-cancelled
+// context the ctx checks always see nil, so the result is bit-identical to
+// WorkloadCost — cancellation plumbing adds no nondeterminism.
 func (e *Estimator) WorkloadCostContext(ctx context.Context, w *workload.Workload, active []*catalog.IndexMeta) (float64, error) {
-	restore, err := e.applyConfig(active)
+	view, err := e.cat.WithIndexes(active)
 	if err != nil {
 		return 0, err
 	}
-	defer restore()
-
 	var lookup *configLookup
 	if !e.CacheDisabled {
 		e.revalidate()
 		lookup = newConfigLookup(active)
-	}
-	if e.Parallelism > 1 && len(w.Queries) > 1 {
-		return e.parallelWorkloadCost(ctx, w, lookup)
 	}
 	var total float64
 	for i := range w.Queries {
@@ -222,7 +201,7 @@ func (e *Estimator) WorkloadCostContext(ctx context.Context, w *workload.Workloa
 			return 0, err
 		}
 		q := &w.Queries[i]
-		cost, err := e.queryCost(q, lookup)
+		cost, err := e.queryCost(view, q, lookup)
 		if err != nil {
 			return 0, fmt.Errorf("costmodel: query %q: %w", q.SQL, err)
 		}
@@ -231,13 +210,13 @@ func (e *Estimator) WorkloadCostContext(ctx context.Context, w *workload.Workloa
 	return total, nil
 }
 
-// queryCost prices one workload query, consulting the per-query cache when
-// a configuration lookup is supplied. The cached value is the unweighted
-// model cost — weights are applied by the caller, so evolving template
-// frequencies never invalidate entries.
-func (e *Estimator) queryCost(q *workload.Query, lookup *configLookup) (float64, error) {
+// queryCost prices one workload query under the view's configuration,
+// consulting the per-query cache when a configuration lookup is supplied.
+// The cached value is the unweighted model cost — weights are applied by the
+// caller, so evolving template frequencies never invalidate entries.
+func (e *Estimator) queryCost(view *catalog.Catalog, q *workload.Query, lookup *configLookup) (float64, error) {
 	if lookup == nil {
-		return e.QueryCost(q.Stmt)
+		return e.planCost(view, q.Stmt)
 	}
 	key := q.SQL + "\x00" + lookup.subsetKey(e.tablesOf(q))
 	e.mu.RLock()
@@ -250,7 +229,7 @@ func (e *Estimator) queryCost(q *workload.Query, lookup *configLookup) (float64,
 		e.mHits.Inc()
 		return c, nil
 	}
-	c, err := e.QueryCost(q.Stmt)
+	c, err := e.planCost(view, q.Stmt)
 	if err != nil {
 		return 0, err
 	}
@@ -266,6 +245,16 @@ func (e *Estimator) queryCost(q *workload.Query, lookup *configLookup) (float64,
 	return c, nil
 }
 
+// planCost plans one statement against cat and prices its features with the
+// model (the static formula until the model is trained).
+func (e *Estimator) planCost(cat *catalog.Catalog, stmt sqlparser.Statement) (float64, error) {
+	f, err := e.features(cat, stmt)
+	if err != nil {
+		return 0, err
+	}
+	return e.model.Predict(f), nil
+}
+
 // tablesOf returns (memoized) the base tables a query references.
 func (e *Estimator) tablesOf(q *workload.Query) []string {
 	e.mu.RLock()
@@ -276,68 +265,9 @@ func (e *Estimator) tablesOf(q *workload.Query) []string {
 	}
 	t = sqlparser.ReferencedTables(q.Stmt)
 	e.mu.Lock()
-	if e.tables == nil {
-		e.tables = make(map[string][]string)
-	}
 	e.tables[q.SQL] = t
 	e.mu.Unlock()
 	return t
-}
-
-// parallelWorkloadCost fans per-query planning across workers. The catalog
-// is read-only for the duration (the configuration is pinned by the caller)
-// and each cache miss plans a fresh clone, so workers share no mutable
-// state beyond the mutex-guarded cache. Each worker writes its result into
-// the query's slot and the reduction sums in query order — the total is
-// bit-identical to the serial path regardless of scheduling. Errors keep
-// first-error semantics in query order.
-// Cancellation stops the feeder and the workers; a cancelled call reports
-// ctx.Err() ahead of any per-query error.
-func (e *Estimator) parallelWorkloadCost(ctx context.Context, w *workload.Workload, lookup *configLookup) (float64, error) {
-	workers := e.Parallelism
-	if workers > len(w.Queries) {
-		workers = len(w.Queries)
-	}
-	costs := make([]float64, len(w.Queries))
-	errs := make([]error, len(w.Queries))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue // drain remaining jobs without planning
-				}
-				costs[i], errs[i] = e.queryCost(&w.Queries[i], lookup)
-			}
-		}()
-	}
-feed:
-	for i := range w.Queries {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed // stop feeding; workers exit once the channel closes
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	for i := range w.Queries {
-		if errs[i] != nil {
-			return 0, fmt.Errorf("costmodel: query %q: %w", w.Queries[i].SQL, errs[i])
-		}
-	}
-	var total float64
-	for i := range w.Queries {
-		total += costs[i] * w.Queries[i].Weight
-	}
-	return total, nil
 }
 
 // configLookup resolves, for one pinned configuration, the canonical cache
@@ -414,78 +344,6 @@ func atomKey(m *catalog.IndexMeta) string {
 		b.WriteString(":u")
 	}
 	return b.String()
-}
-
-// applyConfig reshapes the catalog to the desired index set and returns a
-// restore function. Primary-key indexes (pk_ prefix) always stay active.
-func (e *Estimator) applyConfig(active []*catalog.IndexMeta) (func(), error) {
-	want := make(map[string]bool, len(active))
-	for _, m := range active {
-		want[m.Key()] = true
-	}
-
-	var disabled []*catalog.IndexMeta
-	for _, m := range e.cat.Indexes(true) {
-		if m.Hypothetical || isPrimaryKey(m) {
-			continue
-		}
-		if !want[m.Key()] {
-			m.Disabled = true
-			disabled = append(disabled, m)
-		}
-	}
-
-	var created []string
-	for _, m := range active {
-		// Already real and enabled?
-		if existing := e.cat.FindIndexLike(m); existing != nil && !existing.Disabled {
-			continue
-		}
-		name := fmt.Sprintf("whatif_%s", sanitize(m.Key()))
-		if e.cat.Index(name) != nil {
-			continue
-		}
-		clone := *m
-		clone.Name = name
-		clone.Hypothetical = true
-		clone.Disabled = false
-		if err := e.cat.AddIndex(&clone); err != nil {
-			for _, d := range disabled {
-				d.Disabled = false
-			}
-			for _, c := range created {
-				_ = e.cat.DropIndex(c)
-			}
-			return nil, err
-		}
-		created = append(created, name)
-	}
-
-	return func() {
-		for _, d := range disabled {
-			d.Disabled = false
-		}
-		for _, c := range created {
-			_ = e.cat.DropIndex(c)
-		}
-	}, nil
-}
-
-func isPrimaryKey(m *catalog.IndexMeta) bool {
-	return len(m.Name) > 3 && m.Name[:3] == "pk_"
-}
-
-func sanitize(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		switch r {
-		case '(', ')', ',', '.', ' ':
-			out = append(out, '_')
-		default:
-			out = append(out, r)
-		}
-	}
-	return string(out)
 }
 
 // Benefit returns cost(W, base) - cost(W, base ∪ {extra}) — the paper's

@@ -8,7 +8,6 @@ package diagnosis
 import (
 	"context"
 	"sort"
-	"strings"
 
 	"repro/internal/candgen"
 	"repro/internal/catalog"
@@ -132,7 +131,7 @@ func Diagnose(ctx context.Context, cat *catalog.Catalog, usage map[string]int64,
 func nonPKIndexes(cat *catalog.Catalog) []*catalog.IndexMeta {
 	var out []*catalog.IndexMeta
 	for _, m := range cat.Indexes(false) {
-		if strings.HasPrefix(m.Name, "pk_") {
+		if m.IsPrimary() {
 			continue
 		}
 		out = append(out, m)

@@ -351,7 +351,7 @@ func (db *DB) DropIndex(name string) error {
 	if meta == nil {
 		return fmt.Errorf("engine: unknown index %q", name)
 	}
-	if strings.HasPrefix(name, "pk_") {
+	if meta.IsPrimary() {
 		return fmt.Errorf("engine: refusing to drop primary-key index %q", name)
 	}
 	if err := db.cat.DropIndex(name); err != nil {

@@ -65,7 +65,7 @@ func (db *DB) Save(w io.Writer) error {
 		snap.Tables = append(snap.Tables, st)
 	}
 	for _, m := range db.cat.Indexes(false) {
-		if strings.HasPrefix(m.Name, "pk_") {
+		if m.IsPrimary() {
 			continue // rebuilt from the primary key declaration
 		}
 		snap.Indexes = append(snap.Indexes, snapIndex{

@@ -59,7 +59,7 @@ func secondaryIndexStats(cat *catalog.Catalog) (int, int64) {
 	var n int
 	var bytes int64
 	for _, m := range cat.Indexes(false) {
-		if strings.HasPrefix(m.Name, "pk_") {
+		if m.IsPrimary() {
 			continue
 		}
 		n++

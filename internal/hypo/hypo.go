@@ -1,8 +1,13 @@
-// Package hypo implements hypothetical (what-if) indexes, the equivalent of
-// openGauss/PostgreSQL hypopg the paper relies on (§V, C2.1): it estimates
-// the size, height and page count an index *would* have from catalog
-// statistics alone, registers it in the catalog so the planner considers it,
-// and removes it afterwards — no index is ever built for estimation.
+// Package hypo estimates hypothetical (what-if) indexes, the equivalent of
+// the openGauss/PostgreSQL hypopg the paper relies on (§V, C2.1): the size,
+// height and page count an index *would* have, from catalog statistics
+// alone — no index is ever built for estimation. Candidate generation prices
+// its specs with Estimate and EstimateLocal; the estimator then plans
+// against a catalog view holding those specs (catalog.WithIndexes) and
+// registers nothing. Session, which does register hypothetical indexes in a
+// catalog and removes them again, is kept for callers that want to plan by
+// hand against the live catalog and because bench/ times it as
+// hypo.create_us; the product path does not use it.
 package hypo
 
 import (

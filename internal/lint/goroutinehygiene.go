@@ -22,7 +22,7 @@ import (
 //     races the corresponding Wait; Add must precede the launch.
 var GoroutineHygiene = &analysis.Analyzer{
 	Name: "goroutinehygiene",
-	Doc:  "goroutines in engine/session/loadgen/costmodel/obs/benchrunner need a ctx or stop channel; WaitGroup.Done must be deferred and Add must precede the launch",
+	Doc:  "goroutines in engine/session/loadgen/obs/benchrunner/bufferpool need a ctx or stop channel; WaitGroup.Done must be deferred and Add must precede the launch",
 	Run:  runGoroutineHygiene,
 }
 

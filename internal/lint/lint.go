@@ -65,7 +65,7 @@ var scopes = map[string][]string{
 	"floatcosteq": {"costmodel", "mcts"},
 
 	// The packages that launch background work.
-	"goroutinehygiene": {"engine", "session", "loadgen", "costmodel", "obs", "benchrunner", "bufferpool"},
+	"goroutinehygiene": {"engine", "session", "loadgen", "obs", "benchrunner", "bufferpool"},
 
 	// The recommendation path, where map iteration order must never
 	// influence output: candidate generation, search, cost estimation,

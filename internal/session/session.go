@@ -159,8 +159,9 @@ func (m *Manager) Read(fn func(db *engine.DB) error) error {
 }
 
 // Exclusive runs fn holding the exclusive lock: no session statement runs
-// concurrently. This is the seam tuning uses for catalog-mutating phases
-// (what-if index mounts, drops, publication).
+// concurrently. This is the seam tuning uses for phases that mutate the
+// catalog (drops, publication) and for search rounds, which write nothing
+// but price against statistics that statements update.
 func (m *Manager) Exclusive(fn func(db *engine.DB) error) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
