@@ -14,7 +14,7 @@ import (
 
 // dropRetries is how many extra attempts a single drop gets when it fails
 // with a transient (retryable) injected fault. Builds retry inside the
-// session layer (session.Options.MaxRetries), never here.
+// session layer, never here.
 const dropRetries = 2
 
 // ApplyReport is the outcome of one transactional apply. Created and Dropped
@@ -40,9 +40,8 @@ type ApplyReport struct {
 	// CatchupRows counts change-log writes the index builds (creates and
 	// rollback rebuilds) replayed after their snapshots.
 	CatchupRows int64
-	// Code classifies Err on the async-index convention: 0 success,
-	// [1,10000) temporary (already retried with seeded backoff before
-	// surfacing), >=10000 permanent.
+	// Code classifies Err on the async-index convention: OK, temporary
+	// (already retried with seeded backoff before surfacing) or permanent.
 	Code session.ErrCode
 }
 
@@ -166,7 +165,7 @@ func (m *Manager) buildIndex(ctx context.Context, span *obs.Span, name string, s
 		bspan.SetAttr("state", buildRep.State.String())
 		bspan.SetAttr("catchup_rows", buildRep.CatchupRows)
 		bspan.SetAttr("retries", buildRep.Retries)
-		bspan.SetAttr("code", int(buildRep.Code))
+		bspan.SetAttr("code", buildRep.Code.String())
 	}
 	bspan.End()
 	return err
@@ -189,8 +188,8 @@ func (m *Manager) dropIndex(name string) error {
 // publish cannot invalidate it.
 func (m *Manager) lookupIndex(name string) *catalog.IndexMeta {
 	var meta *catalog.IndexMeta
-	_ = m.sessions.Read(func(db *engine.DB) error {
-		if live := db.Catalog().Index(name); live != nil {
+	_ = m.sessions.Read(func(r engine.Reader) error {
+		if live := r.Catalog().Index(name); live != nil {
 			meta = cloneIndexMeta(live)
 		}
 		return nil

@@ -94,8 +94,8 @@ func (m *Manager) OutcomeLifecycle(idx int) LifecycleState {
 // counter never moves across a verify window carried no query.
 func (m *Manager) IndexProbes() map[string]int64 {
 	var usage map[string]int64
-	_ = m.sessions.Read(func(db *engine.DB) error {
-		usage = db.IndexUsage()
+	_ = m.sessions.Read(func(r engine.Reader) error {
+		usage = r.IndexUsage()
 		return nil
 	})
 	return usage

@@ -85,12 +85,12 @@ func (r *StateReport) JSON() ([]byte, error) {
 func (m *Manager) Report() *StateReport {
 	rep := &StateReport{Templates: m.store.Len()}
 	rep.TemplateMatches, rep.TemplateMisses = m.store.MatchStats()
-	_ = m.sessions.Read(func(db *engine.DB) error {
-		rep.Tables = len(db.Catalog().Tables())
-		rep.Statements = db.StatementCount()
-		usage := db.IndexUsage()
+	_ = m.sessions.Read(func(r engine.Reader) error {
+		rep.Tables = len(r.Catalog().Tables())
+		rep.Statements = r.StatementCount()
+		usage := r.IndexUsage()
 
-		for _, idx := range db.Catalog().Indexes(false) {
+		for _, idx := range r.Catalog().Indexes(false) {
 			if idx.IsPrimary() {
 				continue
 			}

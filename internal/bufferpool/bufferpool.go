@@ -160,11 +160,20 @@ func (m *Manager) Stats() Stats {
 	}
 }
 
+// WithPage runs fn with id pinned: resident and held against eviction. The
+// pin is released on every exit, including a fault panicking out of fn.
+// Returns fn's result; on a nil pool it just runs fn.
+func (m *Manager) WithPage(id PageID, fn func() bool) bool {
+	m.Pin(id)
+	defer m.Unpin(id)
+	return fn()
+}
+
 // Pin makes id resident (loading a frame, evicting if the pool is full) and
 // holds it against eviction until the matching Unpin. Returns whether the
-// page was already resident. Every Pin must be paired with exactly one
-// Unpin on all paths — callers defer the Unpin (the pinunpin lint check
-// enforces this), because injected faults panic through page callbacks.
+// page was already resident. Product code pins through WithPage, which
+// cannot leak a pin; Pin and Unpin stay exported for the benchmark harness,
+// which measures one pair on a resident page.
 func (m *Manager) Pin(id PageID) (hit bool) {
 	if m == nil {
 		return false

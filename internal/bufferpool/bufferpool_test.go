@@ -100,6 +100,32 @@ func TestEvictionSkipsPinnedFrames(t *testing.T) {
 	m.Unpin(pid(0, 0))
 }
 
+func TestWithPageUnpinsWhenFnPanics(t *testing.T) {
+	m := NewManager(1)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("WithPage swallowed fn's panic")
+			}
+		}()
+		m.WithPage(pid(0, 0), func() bool {
+			if s := m.Stats(); s.Pinned != 1 {
+				t.Errorf("pinned = %d inside fn, want 1", s.Pinned)
+			}
+			panic("fault through visit")
+		})
+	}()
+	if s := m.Stats(); s.Pinned != 0 {
+		t.Fatalf("pinned = %d after the panic unwound, want 0", s.Pinned)
+	}
+	// The frame is evictable again: one frame, so touching another page
+	// must evict page 0 instead of growing the ring.
+	m.Touch(pid(0, 1))
+	if s := m.Stats(); s.Evictions != 1 || s.Resident != 1 {
+		t.Fatalf("stats = %+v, want page 0 evicted (1 eviction, 1 resident)", s)
+	}
+}
+
 func TestAllPinnedGrowsInsteadOfDeadlocking(t *testing.T) {
 	m := NewManager(2)
 	m.Pin(pid(0, 0))

@@ -255,9 +255,34 @@ func (db *DB) ResetUsage() {
 	db.statements.Store(0)
 }
 
-// Catalog exposes the schema registry (AutoIndex reads stats and registers
-// hypothetical indexes through it).
+// Catalog exposes the schema registry. AutoIndex reads statistics and the
+// live index set through it; what-if pricing plans against a catalog view
+// (catalog.WithIndexes) and never writes here.
 func (db *DB) Catalog() *catalog.Catalog { return db.cat }
+
+// Reader is the read-only face of a DB that session.Manager.Read hands its
+// closure. The database is unexported, so code running under the shared
+// reader lock has no method that mutates engine state and no way to assert
+// its way back to the *DB.
+type Reader struct{ db *DB }
+
+// Reader returns the read-only face of db.
+func (db *DB) Reader() Reader { return Reader{db: db} }
+
+// Catalog is DB.Catalog.
+func (r Reader) Catalog() *catalog.Catalog { return r.db.Catalog() }
+
+// IndexUsage is DB.IndexUsage.
+func (r Reader) IndexUsage() map[string]int64 { return r.db.IndexUsage() }
+
+// StatementCount is DB.StatementCount.
+func (r Reader) StatementCount() int64 { return r.db.StatementCount() }
+
+// NewIndexBuild is DB.NewIndexBuild: an online build validates, attaches its
+// change log and snapshots under the reader lock.
+func (r Reader) NewIndexBuild(spec IndexBuildSpec) (*IndexBuild, error) {
+	return r.db.NewIndexBuild(spec)
+}
 
 // CreateTable registers a table and its heap. A primary-key index named
 // pk_<table> is created automatically when a primary key is declared.

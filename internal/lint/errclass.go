@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/constant"
-	"go/token"
 	"go/types"
 	"strings"
 
@@ -12,7 +11,7 @@ import (
 
 // ErrClass keeps every error on the online-build/apply path classifiable by
 // session.Classify (which unwraps with fault.IsTransient to pick the
-// retryable [1,10000) band):
+// retryable band):
 //
 //  1. On the build and revert paths — the functions reachable from
 //     BuildIndexOnline, BuildIndexOnlineMonitored, Apply, ApplyDrops, or the
@@ -23,13 +22,9 @@ import (
 //     retry) never retries.
 //  2. Same scope: errors.New over a string containing err.Error() is the
 //     same flattening with extra steps.
-//  3. Everywhere in the target packages, session.ErrCode is never written
-//     as an integer literal outside its declaring package: the band split
-//     at 10000 is a convention, so codes come from the named constants or
-//     Classify.
 var ErrClass = &analysis.Analyzer{
 	Name: "errclass",
-	Doc:  "build-path errors must stay Classify-able: wrap with %w, never flatten via err.Error(), and never hand-write session.ErrCode literals",
+	Doc:  "build-path errors must stay Classify-able: wrap with %w and never flatten via err.Error()",
 	Run:  runErrClass,
 }
 
@@ -82,20 +77,15 @@ func errClassBuildPath(prog *analysis.Program) map[*types.Func]bool {
 }
 
 func runErrClass(pass *analysis.Pass) (any, error) {
-	if !inTargets(pass.Pkg.Path(), "errclass") {
+	if !inTargets(pass.Pkg.Path(), "errclass") || pass.Program == nil {
 		return nil, nil
 	}
-	if pass.Program != nil {
-		buildPath := errClassBuildPath(pass.Program)
-		for _, info := range programFuncs(pass.Program) {
-			if info.Pkg.Types != pass.Pkg || !buildPath[info.Fn] {
-				continue
-			}
-			checkBuildPathErrors(pass, info.Decl.Body)
+	buildPath := errClassBuildPath(pass.Program)
+	for _, info := range programFuncs(pass.Program) {
+		if info.Pkg.Types != pass.Pkg || !buildPath[info.Fn] {
+			continue
 		}
-	}
-	for _, f := range pass.Files {
-		checkErrCodeLiterals(pass, f)
+		checkBuildPathErrors(pass, info.Decl.Body)
 	}
 	return nil, nil
 }
@@ -164,54 +154,4 @@ func constString(pass *analysis.Pass, expr ast.Expr) (string, bool) {
 		return "", false
 	}
 	return constant.StringVal(tv.Value), true
-}
-
-// checkErrCodeLiterals applies rule 3 to one file: integer literals typed
-// (or explicitly converted to) session.ErrCode outside its declaring
-// package.
-func checkErrCodeLiterals(pass *analysis.Pass, f *ast.File) {
-	reported := make(map[token.Pos]bool)
-	report := func(lit *ast.BasicLit) {
-		if reported[lit.Pos()] {
-			return
-		}
-		reported[lit.Pos()] = true
-		pass.Reportf(lit.Pos(), "literal session.ErrCode %s outside its declaring package; the band split at 10000 is a convention — use the named codes or session.Classify", lit.Value)
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch node := n.(type) {
-		case *ast.BasicLit:
-			if node.Kind == token.INT && isForeignErrCode(pass, pass.TypesInfo.Types[node].Type) {
-				report(node)
-			}
-		case *ast.CallExpr:
-			// Explicit conversion session.ErrCode(4096).
-			if len(node.Args) != 1 {
-				return true
-			}
-			tv, ok := pass.TypesInfo.Types[node.Fun]
-			if !ok || !tv.IsType() || !isForeignErrCode(pass, tv.Type) {
-				return true
-			}
-			if lit, ok := astUnparen(node.Args[0]).(*ast.BasicLit); ok && lit.Kind == token.INT {
-				report(lit)
-			}
-		}
-		return true
-	})
-}
-
-// isForeignErrCode reports whether t is the session ErrCode named type
-// declared outside the current package.
-func isForeignErrCode(pass *analysis.Pass, t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "ErrCode" && obj.Pkg() != nil &&
-		analysis.PathBase(obj.Pkg().Path()) == "session" && obj.Pkg() != pass.Pkg
 }

@@ -1,17 +1,19 @@
-// Package lint hosts the autoindexlint analyzer suite: project-specific
-// static checks that keep the AutoIndex pipeline deterministic
-// (mapiterorder, seededrand), its cost arithmetic hygienic (floatcosteq),
-// and its observability hooks safe to detach (nilsafeobs). On top of the
-// single-function checks, a call-graph layer (analysis.Program) powers four
-// cross-function analyzers: sessionlock (session.Manager lock discipline,
-// including transitive re-entrancy and engine mutation under the reader
-// lock), errclass (build-path errors stay session.Classify-able),
+// Package lint hosts the autoindexlint analyzer suite: eight
+// project-specific static checks that keep the AutoIndex pipeline
+// deterministic (mapiterorder, seededrand), its cost arithmetic hygienic
+// (floatcosteq), its observability hooks safe to detach (nilsafeobs) and its
+// tuning path cancellable (ctxfirst). On top of the single-function checks,
+// a call-graph layer (analysis.Program) powers three cross-function
+// analyzers: sessionlock (no session.Manager lock re-entry, including
+// transitive), errclass (build-path errors stay session.Classify-able) and
 // goroutinehygiene (background goroutines carry a stop signal; WaitGroup
-// bookkeeping is panic-safe), and atomicmix (no mixed atomic/plain access
-// to the same variable). pinunpin guards the buffer-pool seam: every
-// Manager.Pin needs a deferred Unpin so fault panics cannot leak pins. The suite runs over the real tree in CI via
-// cmd/autoindexlint and in `go test` via selfcheck_test.go; analyzer
-// semantics are pinned by analysistest fixtures under testdata/src.
+// bookkeeping is panic-safe). Invariants the type system can carry are left
+// to it: engine.Reader keeps mutation out of the reader lock, session.ErrCode
+// admits no integer, bufferpool.WithPage cannot leak a pin. The suite runs
+// over the real tree in CI via cmd/autoindexlint and in `go test` via
+// selfcheck_test.go; analyzer semantics are pinned by analysistest fixtures
+// under testdata/src, and testdata/typeerrors holds the violations the types
+// now reject.
 package lint
 
 import (
@@ -29,8 +31,6 @@ func All() []*analysis.Analyzer {
 		SessionLock,
 		ErrClass,
 		GoroutineHygiene,
-		AtomicMix,
-		PinUnpin,
 	}
 }
 
@@ -40,9 +40,8 @@ type stringSet map[string]bool
 // scopes is the one table that says which packages (by import-path base)
 // each analyzer covers. An analyzer that applies a rule to a narrower set
 // than the analyzer itself has a second row, "<analyzer>/<rule>". Analyzers
-// absent from the table (nilsafeobs, atomicmix, pinunpin, sessionlock's
-// lock rules) run everywhere. Bringing a new package under the suite is
-// an edit here and nowhere else.
+// absent from the table (nilsafeobs, sessionlock) run everywhere. Bringing a
+// new package under the suite is an edit here and nowhere else.
 var scopes = map[string][]string{
 	// The tune/apply path: every tuning round flows Tune → diagnose →
 	// candgen → MCTS → estimate → apply through these, and the
@@ -88,12 +87,6 @@ var scopes = map[string][]string{
 	// baseline legitimately measure wall-clock durations for reporting and
 	// are exempt from the time.Now ban, but not the rand one.)
 	"seededrand/timenow": {"mcts", "costmodel", "candgen", "diagnosis", "hypo"},
-
-	// Where sessionlock's rule 3 (no session.Manager.DB() around the
-	// session-lock seams) applies. guardrail reverts catalog state through
-	// the Manager, never the engine directly, so reaching for the database
-	// there is a seam violation too.
-	"sessionlock/db": {"autoindex", "guardrail"},
 }
 
 // inTargets reports whether the package is in the named scope. Matching on

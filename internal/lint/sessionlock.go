@@ -9,27 +9,20 @@ import (
 )
 
 // SessionLock enforces the session layer's lock discipline across function
-// boundaries, using the shared call graph:
-//
-//  1. Code running under a session.Manager lock (a Read/Exclusive closure,
-//     or a function only ever called from one) must not re-enter the lock —
-//     directly or through any chain of calls — because the RWMutex does not
-//     re-enter (nested Exclusive inside Read is a guaranteed self-deadlock).
-//  2. Code running under the *reader* lock must not call anything that
-//     transitively mutates engine.DB state (catalog, heap, index set,
-//     observer/fault/metrics hooks): the reader lock is shared, so a
-//     mutation races every concurrent reader.
-//  3. In the packages that tune a live, session-managed database, the
-//     engine.DB arrives only as the closure parameter of Read/Exclusive —
-//     autoindex.Manager holds no *engine.DB of its own — so the one way left
-//     to reach it unlocked is session.Manager.DB(), which is forbidden there.
+// boundaries, using the shared call graph: code running under a
+// session.Manager lock (a Read/Exclusive closure, or a function only ever
+// called from one) must not re-enter the lock — directly or through any
+// chain of calls — because the RWMutex does not re-enter (nested Exclusive
+// inside Read is a guaranteed self-deadlock). Mutation under the reader lock
+// needs no rule: Read hands its closure an engine.Reader, which has no
+// mutating method.
 //
 // Dynamic dispatch (interface methods, escaped function values) is not
 // resolved; contexts it obscures are treated as unlocked, which errs toward
 // missed nesting findings but never invents a lock that is not provably held.
 var SessionLock = &analysis.Analyzer{
 	Name: "sessionlock",
-	Doc:  "no lock re-entry from Read/Exclusive closures, no engine mutation under the reader lock, and (in autoindex) no session.Manager.DB() bypass of the lock seams",
+	Doc:  "no lock re-entry from Read/Exclusive closures, directly or through any chain of calls",
 	Run:  runSessionLock,
 }
 
@@ -53,69 +46,45 @@ func (l lockLevel) String() string {
 	}
 }
 
-// sessionLockEntryNames are the session.Manager methods that acquire the
-// instance lock; calling any of them while it is held re-enters the RWMutex.
-var sessionLockEntryNames = []string{
-	"Read", "Exclusive", "Exec", "ExecStmt",
-	"BuildIndexOnline", "BuildIndexOnlineMonitored",
-}
-
-// engineDBMutators are the *engine.DB methods that mutate database state
-// (heap, catalog, index set, or the attached hooks) and therefore require
-// the exclusive lock when sessions are running.
-var engineDBMutators = []string{
-	"Exec", "ExecParsed", "ExecStmt",
-	"CreateTable", "DropIndex", "BulkLoad",
-	"Analyze", "AnalyzeAll", "ResetUsage",
-	"SetChangeLog", "SetObserver", "SetFaultInjector", "SetMetrics",
-}
-
-// isMethodOn reports whether fn is a method on the named type declared in a
-// package whose import-path base matches pkgBase, with one of the given
-// names (any name when names is empty). Matching the path base lets fixture
-// trees exercise the same rules as the real packages.
-func isMethodOn(fn *types.Func, pkgBase, typeName string, names []string) bool {
-	if fn == nil || fn.Pkg() == nil || analysis.PathBase(fn.Pkg().Path()) != pkgBase {
-		return false
+// managerMethod returns fn's name when fn is a method on session.Manager,
+// and "" otherwise. Matching the import-path base lets fixture trees
+// exercise the same rule as the real package.
+func managerMethod(fn *types.Func) string {
+	if fn == nil || fn.Pkg() == nil || analysis.PathBase(fn.Pkg().Path()) != "session" {
+		return ""
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
-		return false
+		return ""
 	}
 	t := sig.Recv().Type()
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Name() != typeName {
-		return false
+	if named, ok := t.(*types.Named); !ok || named.Obj().Name() != "Manager" {
+		return ""
 	}
-	if len(names) == 0 {
+	return fn.Name()
+}
+
+// isSessionLockEntry reports whether fn is a session.Manager method that
+// acquires the instance lock; calling one while it is held re-enters the
+// RWMutex.
+func isSessionLockEntry(fn *types.Func) bool {
+	switch managerMethod(fn) {
+	case "Read", "Exclusive", "Exec", "ExecStmt", "BuildIndexOnline", "BuildIndexOnlineMonitored":
 		return true
 	}
-	for _, n := range names {
-		if fn.Name() == n {
-			return true
-		}
-	}
 	return false
-}
-
-func isSessionLockEntry(fn *types.Func) bool {
-	return isMethodOn(fn, "session", "Manager", sessionLockEntryNames)
-}
-
-func isEngineDBMutator(fn *types.Func) bool {
-	return isMethodOn(fn, "engine", "DB", engineDBMutators)
 }
 
 // lockEntryLevel is the lock level session.Manager.Read/Exclusive run their
 // closure argument under (lockNone for any other function).
 func lockEntryLevel(fn *types.Func) lockLevel {
-	switch {
-	case isMethodOn(fn, "session", "Manager", []string{"Read"}):
+	switch managerMethod(fn) {
+	case "Read":
 		return lockRead
-	case isMethodOn(fn, "session", "Manager", []string{"Exclusive"}):
+	case "Exclusive":
 		return lockExclusive
 	}
 	return lockNone
@@ -137,7 +106,6 @@ type sessionLockFacts struct {
 	litLevel  map[*ast.FuncLit]lockLevel
 	funcLevel map[*types.Func]lockLevel
 	mayLock   map[*types.Func]bool
-	mutates   map[*types.Func]bool
 }
 
 // contextOf resolves the lock level at a site nested under lits within the
@@ -261,7 +229,6 @@ func sessionLockFactsFor(prog *analysis.Program) *sessionLockFacts {
 	}
 
 	f.mayLock = prog.Propagate(isSessionLockEntry)
-	f.mutates = prog.Propagate(isEngineDBMutator)
 	prog.Cache["sessionlock"] = f
 	return f
 }
@@ -272,10 +239,6 @@ func runSessionLock(pass *analysis.Pass) (any, error) {
 		return nil, nil
 	}
 	f := sessionLockFactsFor(prog)
-	// Rule 3 covers the tuning libraries, not `package main` drivers: a
-	// binary's entry point sequences its own single-threaded setup and
-	// shutdown phases, where bare engine access cannot race a session.
-	checkDB := inTargets(pass.Pkg.Path(), "sessionlock/db") && pass.Pkg.Name() != "main"
 
 	for _, info := range programFuncs(prog) {
 		if info.Pkg.Types != pass.Pkg {
@@ -286,10 +249,6 @@ func runSessionLock(pass *analysis.Pass) (any, error) {
 			callee := analysis.CalleeOf(pkg.TypesInfo, call)
 			if callee == nil {
 				return
-			}
-			if checkDB && isMethodOn(callee, "session", "Manager", []string{"DB"}) {
-				pass.Reportf(call.Pos(), "%s hands out the database outside the session-lock seams; take it as the closure parameter of Read/Exclusive so it cannot race concurrent DDL",
-					analysis.FuncDisplay(callee))
 			}
 			ctx := f.contextOf(lits, info.Fn)
 			if ctx < lockRead {
@@ -302,26 +261,17 @@ func runSessionLock(pass *analysis.Pass) (any, error) {
 			}
 			if f.mayLock[callee] {
 				pass.Reportf(call.Pos(), "%s re-enters the session lock inside a %s context (path: %s): the RWMutex does not re-enter (self-deadlock)",
-					analysis.FuncDisplay(callee), ctx, lockPathString(prog, callee, isSessionLockEntry))
-				return
-			}
-			if ctx == lockRead {
-				if isEngineDBMutator(callee) {
-					pass.Reportf(call.Pos(), "%s mutates engine state under the reader lock; mutation requires Exclusive",
-						analysis.FuncDisplay(callee))
-				} else if f.mutates[callee] {
-					pass.Reportf(call.Pos(), "%s mutates engine state under the reader lock (path: %s); mutation requires Exclusive",
-						analysis.FuncDisplay(callee), lockPathString(prog, callee, isEngineDBMutator))
-				}
+					analysis.FuncDisplay(callee), ctx, lockPathString(prog, callee))
 			}
 		})
 	}
 	return nil, nil
 }
 
-// lockPathString renders the witness chain fn → … → seed for diagnostics.
-func lockPathString(prog *analysis.Program, fn *types.Func, seed func(*types.Func) bool) string {
-	path := prog.CallPath(fn, seed)
+// lockPathString renders the witness chain fn → … → lock entry for
+// diagnostics.
+func lockPathString(prog *analysis.Program, fn *types.Func) string {
+	path := prog.CallPath(fn, isSessionLockEntry)
 	if path == nil {
 		return analysis.FuncDisplay(fn)
 	}

@@ -9,7 +9,6 @@ import (
 
 func TestSessionLock(t *testing.T) {
 	analysistest.Run(t, lint.SessionLock,
-		"internal/lint/testdata/src/sessionlock/autoindex",
 		"internal/lint/testdata/src/sessionlock/clientpkg",
 	)
 }

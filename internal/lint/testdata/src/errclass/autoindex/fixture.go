@@ -1,13 +1,7 @@
-// Package autoindex is an errclass fixture: Apply roots the build path, and
-// the ErrCode-literal rule applies to every file in the package, on the
-// path or off it.
+// Package autoindex is an errclass fixture: Apply roots the build path.
 package autoindex
 
-import (
-	"fmt"
-
-	"repro/internal/session"
-)
+import "fmt"
 
 // Apply roots the checked path.
 func Apply(name string) error {
@@ -26,17 +20,3 @@ func applyOne(name string) error {
 }
 
 func createIndex(string) error { return nil }
-
-// toCode exercises the literal rule: session.ErrCode values written as bare
-// integers bypass the band convention.
-func toCode(err error) session.ErrCode {
-	if err == nil {
-		// Allowed: the named constant.
-		return session.CodeOK
-	}
-	code := session.Classify(err)
-	if code == 5 { // want "literal session.ErrCode"
-		return session.ErrCode(4096) // want "literal session.ErrCode"
-	}
-	return code
-}

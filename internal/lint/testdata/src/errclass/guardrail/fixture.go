@@ -7,8 +7,6 @@ package guardrail
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/session"
 )
 
 // RevertOutcome roots the checked path.
@@ -39,19 +37,6 @@ func applyDrops(idx int) error {
 }
 
 func dropIndex(int) error { return nil }
-
-// classify exercises the ErrCode-literal rule, which applies to every file
-// in the package, on the revert path or off it.
-func classify(err error) session.ErrCode {
-	if err == nil {
-		// Allowed: the named constant.
-		return session.CodeOK
-	}
-	if session.Classify(err) == session.ErrCode(7) { // want "literal session.ErrCode"
-		return session.CodePermanent
-	}
-	return session.Classify(err)
-}
 
 // offPath is unreachable from RevertOutcome: the flattening below is real
 // but outside the analyzer's scope, so it must stay unflagged.

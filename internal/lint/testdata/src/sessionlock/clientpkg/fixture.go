@@ -1,7 +1,5 @@
-// Package clientpkg is a sessionlock fixture for rules 1 and 2: lock
-// re-entry (direct and transitive) and mutation under the reader lock. It
-// is not an autoindex-named package, so rule 3 (bare engine.DB access) does
-// not apply here.
+// Package clientpkg is a sessionlock fixture: lock re-entry, direct and
+// transitive.
 package clientpkg
 
 import (
@@ -16,7 +14,7 @@ type service struct {
 // Flagged: nested Exclusive inside Read is a guaranteed self-deadlock — the
 // RWMutex does not re-enter.
 func (s *service) refresh() error {
-	return s.m.Read(func(db *engine.DB) error {
+	return s.m.Read(func(r engine.Reader) error {
 		return s.m.Exclusive(func(db *engine.DB) error { // want "re-enters the session lock inside a Read context"
 			return nil
 		})
@@ -26,7 +24,7 @@ func (s *service) refresh() error {
 // Flagged: the same deadlock, one call deep — the analyzer follows the
 // call graph from the Read closure into flush.
 func (s *service) refreshViaHelper() error {
-	return s.m.Read(func(db *engine.DB) error {
+	return s.m.Read(func(r engine.Reader) error {
 		return s.flush() // want "re-enters the session lock inside a Read context \\(path: "
 	})
 }
@@ -37,28 +35,11 @@ func (s *service) flush() error {
 	return s.m.Exclusive(func(db *engine.DB) error { return nil }) // want "re-enters the session lock inside a Read context"
 }
 
-// Flagged: a mutation under the shared reader lock races every concurrent
-// reader.
-func (s *service) mutateUnderRead() error {
-	return s.m.Read(func(db *engine.DB) error {
-		_, err := db.Exec("DROP INDEX ix_orders_user") // want "mutates engine state under the reader lock"
-		return err
-	})
-}
-
-// Allowed: mutation under the exclusive lock is the contract.
-func (s *service) mutateUnderExclusive() error {
-	return s.m.Exclusive(func(db *engine.DB) error {
-		_, err := db.Exec("CREATE INDEX ix_orders_user ON orders (user_id)")
-		return err
-	})
-}
-
 // Allowed: pure reads under the reader lock.
 func (s *service) readUnderRead() (int64, error) {
 	var n int64
-	err := s.m.Read(func(db *engine.DB) error {
-		n = db.StatementCount()
+	err := s.m.Read(func(r engine.Reader) error {
+		n = r.StatementCount()
 		return nil
 	})
 	return n, err

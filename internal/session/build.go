@@ -53,28 +53,27 @@ type BuildMonitor interface {
 	BuildStateChanged(index string, state BuildState)
 }
 
-// ErrCode classifies a build failure, following the async-index convention:
-// 0 is success, codes in [1, 10000) are temporary (the build is retried
-// with seeded backoff), codes >= 10000 are permanent.
-type ErrCode int
+// ErrCode classifies a build failure into one of three bands, following the
+// async-index convention: success, temporary (the build is retried with
+// seeded backoff) and permanent. The band is unexported, so a code comes
+// only from the named values or Classify; no integer converts to one.
+type ErrCode struct{ band uint8 }
 
-const (
-	// CodeOK marks a successful build.
-	CodeOK ErrCode = 0
+var (
+	// CodeOK marks a successful build. It is ErrCode's zero value.
+	CodeOK = ErrCode{}
 	// CodeTransient marks a retryable failure (injected transient faults,
 	// latency-class errors).
-	CodeTransient ErrCode = 1
+	CodeTransient = ErrCode{band: 1}
 	// CodePermanent marks a non-retryable failure (hard IO faults,
 	// validation errors, cancelled contexts).
-	CodePermanent ErrCode = 10000
+	CodePermanent = ErrCode{band: 2}
 )
 
 // Temporary reports whether the code is in the retryable band.
-func (c ErrCode) Temporary() bool { return c > CodeOK && c < CodePermanent }
+func (c ErrCode) Temporary() bool { return c == CodeTransient }
 
-// String names the code's band symbolically — reports render this instead
-// of the bare int so OK/temporary/permanent reads without knowing the band
-// boundaries.
+// String names the code's band: OK, temporary or permanent.
 func (c ErrCode) String() string {
 	switch {
 	case c == CodeOK:
@@ -135,11 +134,11 @@ func notify(mon BuildMonitor, index string, state BuildState) {
 //	no lock:        replay the log in batches to the last_sync watermark
 //	exclusive lock: drain the tail, publish catalog entry + trees atomically
 //
-// Temporary failures (ErrCode in [1,10000)) are retried up to
-// Options.MaxRetries with seeded jitter; permanent failures abort with a
-// clean rollback — the catalog and index set are untouched, the change log
-// is detached, and foreground traffic continues unharmed. One build runs
-// at a time; concurrent calls serialize.
+// Temporary failures are retried up to buildRetries times with seeded
+// jitter; permanent failures abort with a clean rollback — the catalog and
+// index set are untouched, the change log is detached, and foreground
+// traffic continues unharmed. One build runs at a time; concurrent calls
+// serialize.
 func (m *Manager) BuildIndexOnline(ctx context.Context, spec engine.IndexBuildSpec) (*BuildReport, error) {
 	return m.BuildIndexOnlineMonitored(ctx, spec, nil)
 }
@@ -167,7 +166,7 @@ func (m *Manager) BuildIndexOnlineMonitored(ctx context.Context, spec engine.Ind
 			}
 			return rep, nil
 		}
-		if !rep.Code.Temporary() || attempt >= m.opts.MaxRetries || ctx.Err() != nil {
+		if !rep.Code.Temporary() || attempt >= buildRetries || ctx.Err() != nil {
 			rep.State = BuildFailed
 			notify(mon, rep.Name, BuildFailed)
 			if m.metrics != nil {
@@ -194,9 +193,9 @@ func (m *Manager) buildOnce(ctx context.Context, spec engine.IndexBuildSpec, rep
 	// The reader lock excludes writers, so the log attaches empty and no
 	// write interleaves the heap scan.
 	var b *engine.IndexBuild
-	err := m.Read(func(db *engine.DB) error {
+	err := m.Read(func(r engine.Reader) error {
 		var err error
-		b, err = db.NewIndexBuild(spec)
+		b, err = r.NewIndexBuild(spec)
 		if err != nil {
 			return err
 		}
@@ -232,7 +231,7 @@ func (m *Manager) buildOnce(ctx context.Context, spec engine.IndexBuildSpec, rep
 		if caughtUp {
 			break
 		}
-		applied, remaining, err := b.Catchup(m.opts.CatchupBatch)
+		applied, remaining, err := b.Catchup(m.catchupBatch)
 		if m.metrics != nil {
 			m.metrics.catchupLag.Set(float64(remaining))
 		}

@@ -219,7 +219,8 @@ func truncate(b []byte) string {
 // stop-the-world build over the final table contents.
 func TestOnlineBuildEquivalenceThroughSessions(t *testing.T) {
 	db := newPopulatedDB(t, 300, 60)
-	sm := New(db, Options{Seed: 11, CatchupBatch: 8})
+	sm := New(db, Options{Seed: 11})
+	sm.catchupBatch = 8
 
 	done := make(chan error, 1)
 	go func() {
@@ -287,8 +288,8 @@ func TestChaosBuildKilledMidCatchupRollsBack(t *testing.T) {
 	if rep.State != BuildFailed {
 		t.Fatalf("state = %v, want failed", rep.State)
 	}
-	if rep.Code < CodePermanent {
-		t.Fatalf("hard fault must map to a permanent code, got %d", rep.Code)
+	if rep.Code != CodePermanent {
+		t.Fatalf("hard fault must map to a permanent code, got %v", rep.Code)
 	}
 	if rep.Retries != 0 {
 		t.Fatalf("permanent failures must not retry, got %d retries", rep.Retries)
@@ -342,7 +343,7 @@ func TestChaosTransientFaultRetriesAndSucceeds(t *testing.T) {
 		t.Fatalf("transient fault must be retried away: %v", err)
 	}
 	if rep.State != BuildPublished || rep.Code != CodeOK {
-		t.Fatalf("state %v code %d", rep.State, rep.Code)
+		t.Fatalf("state %v code %v", rep.State, rep.Code)
 	}
 	if rep.Retries != 1 {
 		t.Fatalf("retries = %d, want 1", rep.Retries)
@@ -361,7 +362,8 @@ func TestChaosTransientFaultRetriesAndSucceeds(t *testing.T) {
 func TestChaosBuildFaultDuringConcurrentTraffic(t *testing.T) {
 	db := newPopulatedDB(t, 200, 40)
 	db.SetFaultInjector(fault.New(1, fault.Rule{Site: fault.SiteBuildCatchup, Kind: fault.KindIO, Nth: 1}))
-	sm := New(db, Options{Seed: 9, CatchupBatch: 4})
+	sm := New(db, Options{Seed: 9})
+	sm.catchupBatch = 4
 
 	done := make(chan error, 4)
 	for g := 0; g < 3; g++ {
@@ -404,7 +406,8 @@ func TestChaosBuildFaultDuringConcurrentTraffic(t *testing.T) {
 // TestBuildValidationErrors covers the permanent-error paths that fail
 // before any phase runs.
 func TestBuildValidationErrors(t *testing.T) {
-	sm := New(newPopulatedDB(t, 10, 2), Options{Seed: 1})
+	db := newPopulatedDB(t, 10, 2)
+	sm := New(db, Options{Seed: 1})
 	cases := []engine.IndexBuildSpec{
 		{Name: "x", Table: "nope", Columns: []string{"k"}},
 		{Name: "x", Table: "items", Columns: []string{"ghost"}},
@@ -418,9 +421,9 @@ func TestBuildValidationErrors(t *testing.T) {
 			continue
 		}
 		if rep.Code.Temporary() {
-			t.Errorf("spec %+v: validation errors are permanent, got code %d", spec, rep.Code)
+			t.Errorf("spec %+v: validation errors are permanent, got code %v", spec, rep.Code)
 		}
-		if sm.DB().AttachedChangeLog() != nil {
+		if db.AttachedChangeLog() != nil {
 			t.Fatalf("spec %+v: change log leaked", spec)
 		}
 	}
@@ -433,7 +436,8 @@ func TestBuildValidationErrors(t *testing.T) {
 // build, and the race detector must see no writer touch a key the trees read.
 func TestIndexBuildSnapshotSharedKeysUnderConcurrentWriters(t *testing.T) {
 	db := newPopulatedDB(t, 600, 120)
-	sm := New(db, Options{Seed: 15, CatchupBatch: 16})
+	sm := New(db, Options{Seed: 15})
+	sm.catchupBatch = 16
 
 	done := make(chan error, 2)
 	for w := 0; w < 2; w++ {

@@ -29,7 +29,7 @@ func TestNestedExclusiveInsideReadDeadlocks(t *testing.T) {
 	entered := make(chan struct{})
 	finished := make(chan struct{})
 	go func() {
-		_ = m.Read(func(*engine.DB) error {
+		_ = m.Read(func(engine.Reader) error {
 			close(entered)
 			// Deadlock: the write lock waits on this goroutine's own
 			// read lock. Never returns.

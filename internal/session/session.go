@@ -32,17 +32,17 @@ type Options struct {
 	// process default registry (matching engine.New), and nil-with-no-
 	// default keeps the hot path uninstrumented.
 	Registry *obs.Registry
-	// CatchupBatch is how many change-log entries one catchup round
-	// replays (default 256).
-	CatchupBatch int
-	// MaxRetries bounds build retries on temporary errors (default 2).
-	MaxRetries int
 }
+
+// buildRetries bounds online-build retries on temporary errors.
+const buildRetries = 2
 
 // Manager routes statements from concurrent sessions onto one engine.DB.
 type Manager struct {
-	db   *engine.DB
-	opts Options
+	db *engine.DB
+	// catchupBatch is how many change-log entries one catchup round
+	// replays; tests shrink it to force many rounds.
+	catchupBatch int
 	// mu is the instance lock: RLock for SELECT/EXPLAIN, Lock for
 	// everything that mutates heap, catalog, or index state.
 	mu      sync.RWMutex
@@ -63,25 +63,13 @@ func New(db *engine.DB, opts Options) *Manager {
 	if opts.Registry == nil {
 		opts.Registry = obs.DefaultRegistry()
 	}
-	if opts.CatchupBatch <= 0 {
-		opts.CatchupBatch = 256
-	}
-	if opts.MaxRetries < 0 {
-		opts.MaxRetries = 0
-	} else if opts.MaxRetries == 0 {
-		opts.MaxRetries = 2
-	}
 	return &Manager{
-		db:      db,
-		opts:    opts,
-		metrics: newSessionMetrics(opts.Registry),
-		rng:     rand.New(rand.NewSource(opts.Seed)),
+		db:           db,
+		catchupBatch: 256,
+		metrics:      newSessionMetrics(opts.Registry),
+		rng:          rand.New(rand.NewSource(opts.Seed)),
 	}
 }
-
-// DB returns the managed database. Direct use bypasses the session locks;
-// it is safe only while no concurrent sessions are active.
-func (m *Manager) DB() *engine.DB { return m.db }
 
 // isRead reports whether a statement can run under the shared reader lock.
 // EXPLAIN never executes its inner statement, so it reads regardless of
@@ -150,12 +138,12 @@ func (m *Manager) execParsed(sql string, stmt sqlparser.Statement) (*engine.Resu
 	return res, err
 }
 
-// Read runs fn holding the shared reader lock: fn may execute read-only
-// statements and inspect catalog state, but must not mutate anything.
-func (m *Manager) Read(fn func(db *engine.DB) error) error {
+// Read runs fn holding the shared reader lock. fn receives the database's
+// read-only face, so mutating it under the shared lock does not compile.
+func (m *Manager) Read(fn func(r engine.Reader) error) error {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return fn(m.db)
+	return fn(m.db.Reader())
 }
 
 // Exclusive runs fn holding the exclusive lock: no session statement runs

@@ -77,7 +77,8 @@ func TestConcurrentReadersSeeAtomicPublish(t *testing.T) {
 		writes    = 300
 	)
 	db := newPopulatedDB(t, 400, marked)
-	sm := New(db, Options{Seed: 7, CatchupBatch: 16})
+	sm := New(db, Options{Seed: 7})
+	sm.catchupBatch = 16
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, readers*readsEach+writes+1)

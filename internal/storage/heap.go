@@ -280,20 +280,15 @@ func (h *Heap) ScanBatch(io *IOCounter, visit func(b *Batch) bool) {
 	}
 }
 
-// scanPage prepares one page's batch and hands it to visit, holding the
-// page pinned in the buffer pool for the duration of the callback. The pin
-// is released on every exit path, including fault panics out of visit.
+// scanPage prepares one page's batch and hands it to visit with the page
+// pinned in the buffer pool; WithPage releases the pin on every exit path,
+// including fault panics out of visit.
 func (h *Heap) scanPage(pi int, io *IOCounter, b *Batch, visit func(b *Batch) bool) bool {
 	if h.faults != nil {
 		h.faults.MustCheck(fault.SitePageRead)
 	}
 	if io != nil {
 		io.HeapPagesRead++
-	}
-	if h.pool != nil {
-		id := bufferpool.PageID{Table: h.poolTable, Page: int32(pi)}
-		h.pool.Pin(id)
-		defer h.pool.Unpin(id)
 	}
 	p := h.pages[pi]
 	b.Page = int32(pi)
@@ -309,10 +304,8 @@ func (h *Heap) scanPage(pi int, io *IOCounter, b *Batch, visit func(b *Batch) bo
 		}
 		b.Sel = sel
 	}
-	if len(b.Sel) == 0 {
-		return true
-	}
-	return visit(b)
+	id := bufferpool.PageID{Table: h.poolTable, Page: int32(pi)}
+	return h.pool.WithPage(id, func() bool { return len(b.Sel) == 0 || visit(b) })
 }
 
 // Scan visits every live tuple in heap order, charging one read per page.
