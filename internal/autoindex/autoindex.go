@@ -33,29 +33,13 @@ import (
 type Options struct {
 	// Budget caps total secondary-index bytes (<=0: unlimited).
 	Budget int64
-	// TemplateCapacity bounds the SQL2Template store.
-	TemplateCapacity int
 	// MCTS carries the search configuration (Budget is overridden by the
 	// manager's Budget).
 	MCTS mcts.Config
-	// Diagnosis thresholds.
-	Diagnosis diagnosis.Config
-	// MaxCandidates bounds the candidate pool handed to MCTS (top-weighted
-	// first); <=0 means 24.
-	MaxCandidates int
-	// DecayFactor and DecayMinFreq drive template aging on workload shifts.
-	DecayFactor  float64
-	DecayMinFreq float64
-	// StalenessWindow (ticks) and StalenessTrigger for workload-shift
-	// detection.
-	StalenessWindow  int64
-	StalenessTrigger float64
 	// UseForecast makes tuning rounds weight templates by their EWMA trend
 	// (predicted next-window mix, paper §IV-C) instead of cumulative
 	// frequency. Call CloseWindow at round boundaries to feed the trend.
 	UseForecast bool
-	// ForecastAlpha is the EWMA smoothing factor (default 0.5).
-	ForecastAlpha float64
 	// RoundTimeout bounds one tuning round's search work (diagnosis,
 	// candidate generation, MCTS, estimation). Zero means unbounded. On
 	// deadline the round returns its best-so-far recommendation flagged
@@ -64,27 +48,20 @@ type Options struct {
 	RoundTimeout time.Duration
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxCandidates <= 0 {
-		o.MaxCandidates = 24
-	}
-	if o.DecayFactor == 0 {
-		o.DecayFactor = 0.5
-	}
-	if o.DecayMinFreq == 0 {
-		o.DecayMinFreq = 0.5
-	}
-	if o.StalenessWindow == 0 {
-		o.StalenessWindow = 10000
-	}
-	if o.StalenessTrigger == 0 {
-		o.StalenessTrigger = 0.7
-	}
-	if o.ForecastAlpha == 0 {
-		o.ForecastAlpha = 0.5
-	}
-	return o
-}
+// Tuning constants: values no caller has needed to change.
+const (
+	// maxCandidates bounds the candidate pool handed to MCTS (top-weighted
+	// first).
+	maxCandidates = 24
+	// decayFactor and decayMinFreq age the template store on a workload
+	// shift; stalenessWindow (ticks) and stalenessTrigger detect the shift.
+	decayFactor      = 0.5
+	decayMinFreq     = 0.5
+	stalenessWindow  = 10000
+	stalenessTrigger = 0.7
+	// forecastAlpha is the EWMA smoothing factor of the template trend.
+	forecastAlpha = 0.5
+)
 
 // Manager is the AutoIndex system bound to one database.
 type Manager struct {
@@ -126,12 +103,11 @@ type Manager struct {
 // obs.DefaultRegistry (both nil unless a binary opts in); override per
 // manager with Instrument.
 func New(db *engine.DB, opts Options) *Manager {
-	opts = opts.withDefaults()
 	est := costmodel.NewEstimator(db.Catalog())
 	est.Instrument(obs.DefaultRegistry())
 	return &Manager{
 		opts:             opts,
-		store:            template.NewStore(opts.TemplateCapacity),
+		store:            template.NewStore(template.DefaultCapacity),
 		estimator:        est,
 		generator:        candgen.NewGenerator(db.Catalog()),
 		sessions:         session.New(db, session.Options{}),
@@ -156,9 +132,6 @@ func (m *Manager) TemplateStore() *template.Store { return m.store }
 // reader lock and publish under its exclusive lock, and drops serialize
 // behind the same lock. sm must wrap the database the manager was created over.
 func (m *Manager) UseSessions(sm *session.Manager) { m.sessions = sm }
-
-// Sessions returns the session layer the manager tunes through.
-func (m *Manager) Sessions() *session.Manager { return m.sessions }
 
 // Observe routes one executed statement into the template store. Call it
 // for every workload statement (or use Attach to hook the engine directly).
@@ -220,9 +193,6 @@ func (m *Manager) TrainEstimator() error {
 	return nil
 }
 
-// SampleCount returns how many training samples are logged.
-func (m *Manager) SampleCount() int { return len(m.samples) }
-
 // Diagnose runs the index diagnosis over the current window, holding the
 // exclusive lock for the duration.
 func (m *Manager) Diagnose(ctx context.Context) (*diagnosis.Report, error) {
@@ -240,7 +210,7 @@ func (m *Manager) diagnoseSpanned(ctx context.Context, db *engine.DB, parent *ob
 	defer span.End()
 	w := m.store.Workload()
 	rep, err := diagnosis.Diagnose(ctx, db.Catalog(), db.IndexUsage(), db.StatementCount(),
-		w, m.estimator, m.generator, m.opts.Diagnosis)
+		w, m.estimator, m.generator, diagnosis.Config{})
 	if err == nil {
 		span.SetAttr("beneficial_uncreated", len(rep.BeneficialUncreated))
 		span.SetAttr("rarely_used", len(rep.RarelyUsed))
@@ -329,23 +299,7 @@ func (m *Manager) roundWorkload() *workload.Workload {
 // CloseWindow marks a tuning-round boundary for trend tracking (no-op
 // unless UseForecast consumers call it; safe to call regardless).
 func (m *Manager) CloseWindow() {
-	m.store.CloseWindow(m.opts.ForecastAlpha)
-}
-
-// RecommendOn tunes against an explicit workload (bypassing the template
-// store); used by the query-level ablation and tests.
-func (m *Manager) RecommendOn(ctx context.Context, w *workload.Workload) (*Recommendation, error) {
-	round := m.startRound("recommend_on")
-	defer round.End()
-	ctx, cancel := m.roundContext(ctx)
-	defer cancel()
-	var rec *Recommendation
-	err := m.sessions.Exclusive(func(db *engine.DB) error {
-		var rerr error
-		rec, rerr = m.recommendSpanned(ctx, db, w, round)
-		return rerr
-	})
-	return rec, err
+	m.store.CloseWindow(forecastAlpha)
 }
 
 // recommendSpanned is the tuning-round core; round (nil-safe) receives the
@@ -362,8 +316,8 @@ func (m *Manager) recommendSpanned(ctx context.Context, db *engine.DB, w *worklo
 	cgSpan := round.Child("candgen")
 	cands := m.generator.Generate(ctx, w)
 	cgSpan.SetAttr("generated", len(cands))
-	if len(cands) > m.opts.MaxCandidates {
-		cands = cands[:m.opts.MaxCandidates]
+	if len(cands) > maxCandidates {
+		cands = cands[:maxCandidates]
 	}
 	pool := make([]*catalog.IndexMeta, len(cands))
 	for i, c := range cands {
@@ -617,8 +571,8 @@ func (m *Manager) spannedRoundWorkload(round *obs.Span) *workload.Workload {
 // MaybeDecayTemplates applies the paper's workload-shift handling: when most
 // templates are stale, decay frequencies and drop cold templates.
 func (m *Manager) MaybeDecayTemplates() bool {
-	if m.store.StalenessRatio(m.opts.StalenessWindow) >= m.opts.StalenessTrigger {
-		m.store.Decay(m.opts.DecayFactor, m.opts.DecayMinFreq)
+	if m.store.StalenessRatio(stalenessWindow) >= stalenessTrigger {
+		m.store.Decay(decayFactor, decayMinFreq)
 		return true
 	}
 	return false

@@ -45,11 +45,6 @@ func (s LifecycleState) String() string {
 	}
 }
 
-// Terminal reports whether the state is a settled verdict.
-func (s LifecycleState) Terminal() bool {
-	return s == LifecyclePromoted || s == LifecycleReverted
-}
-
 // ApplyWatcher observes the manager's ledger feed: every recorded apply
 // (successful or failed) and every measured workload cost. The guardrail
 // controller implements it to drive the staged → verifying → promoted |

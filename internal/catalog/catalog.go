@@ -371,19 +371,6 @@ func (c *Catalog) WithIndexes(config []*IndexMeta) (*Catalog, error) {
 	return v, nil
 }
 
-// TotalIndexBytes sums the footprint of all real indexes.
-func (c *Catalog) TotalIndexBytes() int64 {
-	var total int64
-	for _, list := range c.indexes {
-		for _, m := range list {
-			if !m.Hypothetical {
-				total += m.SizeBytes
-			}
-		}
-	}
-	return total
-}
-
 // Stats returns the column statistics, or nil when unanalyzed.
 func (t *Table) ColumnStatsFor(col string) *ColumnStats {
 	return t.Stats[strings.ToLower(col)]

@@ -36,15 +36,14 @@ type Sample struct {
 // output is scaled by the maximum target seen at training time so costs are
 // unbounded-positive. Feature values are max-normalized before the layer.
 type Regression struct {
-	W        [3]float64
-	B        float64
-	featMax  [3]float64
-	costMax  float64
-	trained  bool
-	lr       float64
-	epochs   int
-	seed     int64
-	lastLoss float64
+	W       [3]float64
+	B       float64
+	featMax [3]float64
+	costMax float64
+	trained bool
+	lr      float64
+	epochs  int
+	seed    int64
 	// gen counts successful Fit calls; the estimator's what-if cost cache
 	// keys its epoch on it so retraining flushes cached predictions.
 	gen uint64
@@ -67,9 +66,6 @@ func NewRegression(lr float64, epochs int, seed int64) *Regression {
 
 // Trained reports whether Fit has run.
 func (r *Regression) Trained() bool { return r.trained }
-
-// LastLoss returns the final training MSE (normalized target space).
-func (r *Regression) LastLoss() float64 { return r.lastLoss }
 
 // Fit trains the model with mini-batch SGD on the samples.
 func (r *Regression) Fit(samples []Sample) error {
@@ -105,7 +101,6 @@ func (r *Regression) Fit(samples []Sample) error {
 	lr := r.lr
 	for epoch := 0; epoch < r.epochs; epoch++ {
 		rng.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
-		var loss float64
 		for _, i := range idx {
 			s := samples[i]
 			x := r.normalize(s.Features)
@@ -113,14 +108,12 @@ func (r *Regression) Fit(samples []Sample) error {
 			z := r.W[0]*x[0] + r.W[1]*x[1] + r.W[2]*x[2] + r.B
 			p := sigmoid(z)
 			err := p - y
-			loss += err * err
 			grad := err * p * (1 - p) // dMSE/dz
 			for k := 0; k < 3; k++ {
 				r.W[k] -= lr * grad * x[k]
 			}
 			r.B -= lr * grad
 		}
-		r.lastLoss = loss / float64(len(samples))
 		lr = r.lr / (1 + float64(epoch)/float64(r.epochs))
 	}
 	r.trained = true

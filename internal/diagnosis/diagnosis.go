@@ -15,30 +15,22 @@ import (
 	"repro/internal/workload"
 )
 
-// Config tunes the diagnosis thresholds.
-type Config struct {
-	// RareUsageFraction: a real index probed fewer than this fraction of
-	// executed statements is rarely used (default 0.001).
-	RareUsageFraction float64
-	// TuningThreshold: tuning triggers when problem indexes / (real indexes
-	// + uncreated beneficial) exceeds this ratio (default 0.2).
-	TuningThreshold float64
-	// MaxCandidatesChecked bounds estimator calls per diagnosis (default 8).
-	MaxCandidatesChecked int
-}
+// Diagnosis thresholds.
+const (
+	// rareUsageFraction: a real index probed by fewer than this fraction of
+	// the executed statements is rarely used.
+	rareUsageFraction = 0.001
+	// tuningThreshold: tuning triggers when problem indexes / (real indexes
+	// + uncreated beneficial) exceeds this ratio.
+	tuningThreshold = 0.2
+	// maxCandidatesChecked bounds estimator calls per diagnosis.
+	maxCandidatesChecked = 8
+)
 
-func (c Config) withDefaults() Config {
-	if c.RareUsageFraction == 0 {
-		c.RareUsageFraction = 0.001
-	}
-	if c.TuningThreshold == 0 {
-		c.TuningThreshold = 0.2
-	}
-	if c.MaxCandidatesChecked == 0 {
-		c.MaxCandidatesChecked = 8
-	}
-	return c
-}
+// Config is empty: the thresholds are constants no caller has needed to
+// change. It stays, as Diagnose's last parameter, only because the benchmark
+// under bench/ calls Diagnose with diagnosis.Config{}.
+type Config struct{}
 
 // Report is the diagnosis outcome.
 type Report struct {
@@ -64,16 +56,15 @@ type Report struct {
 // The context bounds the estimator work; a cancelled diagnosis returns
 // ctx.Err().
 func Diagnose(ctx context.Context, cat *catalog.Catalog, usage map[string]int64, statements int64,
-	w *workload.Workload, est *costmodel.Estimator, gen *candgen.Generator, cfg Config) (*Report, error) {
+	w *workload.Workload, est *costmodel.Estimator, gen *candgen.Generator, _ Config) (*Report, error) {
 
-	cfg = cfg.withDefaults()
 	rep := &Report{Statements: statements}
 
 	real := nonPKIndexes(cat)
 	current := append([]*catalog.IndexMeta{}, real...)
 
 	// (ii) rarely-used: probe count below floor.
-	floor := cfg.RareUsageFraction * float64(statements)
+	floor := rareUsageFraction * float64(statements)
 	for _, m := range real {
 		if float64(usage[m.Name]) < floor {
 			rep.RarelyUsed = append(rep.RarelyUsed, m.Name)
@@ -101,8 +92,8 @@ func Diagnose(ctx context.Context, cat *catalog.Catalog, usage map[string]int64,
 
 		// (i) beneficial uncreated: top candidates with positive benefit.
 		cands := gen.Generate(ctx, w)
-		if len(cands) > cfg.MaxCandidatesChecked {
-			cands = cands[:cfg.MaxCandidatesChecked]
+		if len(cands) > maxCandidatesChecked {
+			cands = cands[:maxCandidatesChecked]
 		}
 		for _, c := range cands {
 			b, err := est.BenefitContext(ctx, w, current, c.Meta)
@@ -124,7 +115,7 @@ func Diagnose(ctx context.Context, cat *catalog.Catalog, usage map[string]int64,
 	if considered > 0 {
 		rep.ProblemRatio = float64(problems) / float64(considered)
 	}
-	rep.NeedsTuning = rep.ProblemRatio > cfg.TuningThreshold
+	rep.NeedsTuning = rep.ProblemRatio > tuningThreshold
 	return rep, nil
 }
 

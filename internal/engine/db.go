@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -390,17 +389,6 @@ func (db *DB) DropIndex(name string) error {
 	return nil
 }
 
-// IndexTree exposes a live index tree: the single tree of a normal/global
-// index, or the first partition tree of a local index. Use IndexTrees for
-// the full set.
-func (db *DB) IndexTree(name string) *btree.Tree {
-	trees := db.indexes[strings.ToLower(name)]
-	if len(trees) == 0 {
-		return nil
-	}
-	return trees[0]
-}
-
 // IndexTrees exposes all trees of an index (one per partition for local).
 func (db *DB) IndexTrees(name string) []*btree.Tree {
 	return db.indexes[strings.ToLower(name)]
@@ -611,22 +599,3 @@ func (db *DB) TotalDataPages() int64 {
 	}
 	return n
 }
-
-// EstimatedTableHeight estimates a fresh index B+Tree height for n entries.
-func EstimatedTableHeight(n int64) int {
-	if n <= 0 {
-		return 1
-	}
-	h := 1
-	cap64 := int64(BTreeOrder)
-	for cap64 < n {
-		h++
-		cap64 *= int64(BTreeOrder / 2)
-		if h > 12 {
-			break
-		}
-	}
-	return h
-}
-
-var _ = math.Ceil

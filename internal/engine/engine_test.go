@@ -257,7 +257,7 @@ func TestUpdateMaintainsIndex(t *testing.T) {
 func TestUpdateOfNonKeyColumnSkipsIndexMaintenance(t *testing.T) {
 	db := newTestDB(t)
 	mustExec(t, db, "CREATE INDEX idx_status ON orders (status)")
-	tree := db.IndexTree("idx_status")
+	tree := db.IndexTrees("idx_status")[0]
 	before := tree.Len()
 	mustExec(t, db, "UPDATE orders SET amount = 999 WHERE oid = 1")
 	if tree.Len() != before {
@@ -585,7 +585,7 @@ func TestIndexSplitsCountedPerStatement(t *testing.T) {
 	mustExec(t, db, "CREATE TABLE s (id BIGINT, k BIGINT, PRIMARY KEY (id))")
 	mustExec(t, db, "CREATE INDEX idx_s_k ON s (k)")
 	total := func() int64 {
-		return db.IndexTree("pk_s").Splits() + db.IndexTree("idx_s_k").Splits()
+		return db.IndexTrees("pk_s")[0].Splits() + db.IndexTrees("idx_s_k")[0].Splits()
 	}
 	var reported int64
 	for i := 0; i < 200; i++ {

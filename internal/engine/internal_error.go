@@ -25,21 +25,6 @@ func (e *InternalError) Error() string {
 	return fmt.Sprintf("engine: internal panic in %s: %v", e.Op, e.Panic)
 }
 
-// AsInternal unwraps err to an *InternalError, or nil.
-func AsInternal(err error) *InternalError {
-	for err != nil {
-		if ie, ok := err.(*InternalError); ok {
-			return ie
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return nil
-		}
-		err = u.Unwrap()
-	}
-	return nil
-}
-
 // recoverToError is the deferred statement-boundary handler: it converts a
 // panic during statement execution into an error on *errp. Injected faults
 // (*fault.Error, raised by hot paths without an error return) pass through as

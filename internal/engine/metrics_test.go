@@ -122,12 +122,12 @@ func TestBTreeSplitMonitor(t *testing.T) {
 	if splits["pk_big"] == 0 {
 		t.Fatalf("no splits recorded: %v", splits)
 	}
-	if got := db.IndexTree("pk_big").Splits(); splits["pk_big"] != got {
+	if got := db.IndexTrees("pk_big")[0].Splits(); splits["pk_big"] != got {
 		t.Errorf("split counter = %d, tree reports %d", splits["pk_big"], got)
 	}
 	heights := reg.GaugeVec("engine_index_height", "", "index").Values()
-	if heights["pk_big"] != float64(db.IndexTree("pk_big").Height()) {
-		t.Errorf("height gauge = %v, tree height = %d", heights["pk_big"], db.IndexTree("pk_big").Height())
+	if heights["pk_big"] != float64(db.IndexTrees("pk_big")[0].Height()) {
+		t.Errorf("height gauge = %v, tree height = %d", heights["pk_big"], db.IndexTrees("pk_big")[0].Height())
 	}
 }
 

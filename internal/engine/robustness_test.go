@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -195,8 +196,8 @@ func TestRecoverToErrorConvertsPanicToInternalError(t *testing.T) {
 	if res != nil {
 		t.Error("result must be cleared on panic")
 	}
-	ie := AsInternal(err)
-	if ie == nil {
+	var ie *InternalError
+	if !errors.As(err, &ie) {
 		t.Fatalf("want *InternalError, got %v", err)
 	}
 	if ie.Op != "TestOp" || !strings.Contains(ie.Error(), "invariant blown") {
@@ -224,7 +225,7 @@ func TestRecoverToErrorPassesFaultsThrough(t *testing.T) {
 	if err != fe {
 		t.Fatalf("fault panics must come back as themselves: %v", err)
 	}
-	if AsInternal(err) != nil {
+	if errors.As(err, new(*InternalError)) {
 		t.Error("an injected fault is not an internal panic")
 	}
 	if got := reg.Counter("engine_internal_panics_total", "").Value(); got != 0 {

@@ -41,7 +41,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Errorf("index %s missing after restore", name)
 		}
 	}
-	if restored.IndexTree("idx_cid").Len() != orig.IndexTree("idx_cid").Len() {
+	if restored.IndexTrees("idx_cid")[0].Len() != orig.IndexTrees("idx_cid")[0].Len() {
 		t.Error("index entry counts differ after restore")
 	}
 }

@@ -205,8 +205,8 @@ func Fig9Dynamic(seed int64, txnsPerEpoch int) ([]Fig9Epoch, error) {
 		{"write-heavy", tpcc.WriteHeavyMix()},
 		{"read-heavy", tpcc.ReadHeavyMix()},
 		{"standard", tpcc.StandardMix()},
-		// The second standard epoch exposes adaptation lag: the forecast
-		// variant has already shed the read-heavy extras by now.
+		// The second standard epoch exposes adaptation lag: a round that
+		// still weights the read-heavy epoch keeps its extras.
 		{"standard", tpcc.StandardMix()},
 	}
 
@@ -227,7 +227,7 @@ func Fig9Dynamic(seed int64, txnsPerEpoch int) ([]Fig9Epoch, error) {
 		case "Default":
 		case "AutoIndex+F":
 			// Forecast mode (paper §IV-C): tuning rounds weight templates by
-			// their EWMA trend, shortening the adaptation lag on mix swings.
+			// their EWMA trend instead of their decayed cumulative counts.
 			st.mgr = autoindex.New(db, autoindex.Options{
 				MCTS: defaultMCTS(seed), UseForecast: true, RoundTimeout: RoundTimeout})
 		default:

@@ -17,6 +17,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/mcts"
+	"repro/internal/session"
 )
 
 // chaosDB builds a table with enough pages (4000 rows / 64 per page ≈ 63
@@ -321,6 +322,8 @@ func TestChaosBuildStateMachineEnumeration(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/%s", kind, s.name, posName), func(t *testing.T) {
 					db := newDB(t)
 					m := autoindex.New(db, autoindex.Options{})
+					sm := session.New(db, session.Options{})
+					m.UseSessions(sm)
 					pre := indexSet(db)
 					post := append(append([]string{}, pre...), "ai_ev_user_id")
 					sort.Strings(post)
@@ -341,7 +344,7 @@ func TestChaosBuildStateMachineEnumeration(t *testing.T) {
 						}
 						wrote = true
 						for _, sql := range writes {
-							if _, err := m.Sessions().Exec(sql); err != nil {
+							if _, err := sm.Exec(sql); err != nil {
 								t.Errorf("foreground write failed during the build: %s: %v", sql, err)
 							}
 						}

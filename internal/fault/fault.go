@@ -244,16 +244,6 @@ func (in *Injector) MustCheck(site Site) {
 	}
 }
 
-// Calls returns how many times site has been hit. Nil-safe.
-func (in *Injector) Calls(site Site) int64 {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.calls[site]
-}
-
 // Injected returns the total number of faults fired. Nil-safe.
 func (in *Injector) Injected() int64 {
 	if in == nil {

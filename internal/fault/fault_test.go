@@ -15,7 +15,7 @@ func TestNilInjectorIsNoOp(t *testing.T) {
 		t.Fatalf("nil injector must not fire: %v", err)
 	}
 	in.MustCheck(SiteBtreeInsert) // must not panic
-	if in.Calls(SitePageRead) != 0 || in.Injected() != 0 {
+	if in.Injected() != 0 {
 		t.Error("nil injector must report zero activity")
 	}
 	in.Instrument(obs.NewRegistry()) // must not panic
@@ -35,9 +35,6 @@ func TestNthRuleFiresExactlyOnce(t *testing.T) {
 	}
 	if len(fired) != 1 || fired[0] != 3 {
 		t.Fatalf("Nth=3 should fire exactly once at call 3: %v", fired)
-	}
-	if in.Calls(SitePageRead) != 10 {
-		t.Errorf("calls=%d want 10", in.Calls(SitePageRead))
 	}
 	if in.Injected() != 1 {
 		t.Errorf("injected=%d want 1", in.Injected())

@@ -36,10 +36,11 @@ const (
 	// DefaultRegressThreshold is the relative regression tolerance: a mean
 	// measured cost above baseline*(1+threshold) counts as a regression.
 	DefaultRegressThreshold = 0.10
-	// DefaultRevertRetries is how many extra attempts a failed revert gets
-	// when it fails with a transient fault.
-	DefaultRevertRetries = 2
 )
+
+// revertRetries is how many extra attempts a failed revert gets when it
+// fails with a transient fault.
+const revertRetries = 2
 
 // Config tunes the controller.
 type Config struct {
@@ -54,21 +55,11 @@ type Config struct {
 	// windows must exceed baseline*(1+RegressThreshold) to count as a
 	// regression.
 	RegressThreshold float64
-	// RevertRetries caps extra revert attempts on transient faults (<0: no
-	// retries; 0: DefaultRevertRetries).
-	RevertRetries int
-	// DisableUnusedCheck keeps indexes that are never probed during
-	// verification; by default zero probes across all verify windows is a
-	// revert verdict on its own (the index carries no query, only
-	// maintenance cost).
-	DisableUnusedCheck bool
 	// Registry receives the guardrail_* instruments (nil: metrics off).
 	Registry *obs.Registry
 	// Injector arms the guardrail.decide / guardrail.revert fault sites
 	// (nil: no injection).
 	Injector *fault.Injector
-	// Monitor observes lifecycle transitions (nil: off).
-	Monitor Monitor
 }
 
 func (c Config) withDefaults() Config {
@@ -78,20 +69,7 @@ func (c Config) withDefaults() Config {
 	if c.RegressThreshold <= 0 {
 		c.RegressThreshold = DefaultRegressThreshold
 	}
-	if c.RevertRetries == 0 {
-		c.RevertRetries = DefaultRevertRetries
-	} else if c.RevertRetries < 0 {
-		c.RevertRetries = 0
-	}
 	return c
-}
-
-// Monitor observes lifecycle transitions. Implementations must be safe on a
-// nil receiver (the no-instrumentation case), mirroring the btree.Monitor /
-// session.BuildMonitor contract.
-type Monitor interface {
-	// LifecycleChanged fires after ledger entry outcome moved to state.
-	LifecycleChanged(outcome int, state autoindex.LifecycleState)
 }
 
 // tracked is one staged outcome under verification.
@@ -247,7 +225,7 @@ func (c *Controller) verdict(t *tracked, probes map[string]int64) autoindex.Life
 		floatcmp.Less(t.baseline*(1+c.cfg.RegressThreshold), mean) {
 		return autoindex.LifecycleReverted
 	}
-	if !c.cfg.DisableUnusedCheck && c.unused(t, probes) {
+	if c.unused(t, probes) {
 		return autoindex.LifecycleReverted
 	}
 	return autoindex.LifecyclePromoted
@@ -273,17 +251,14 @@ func (c *Controller) settle(idx int, t *tracked, state autoindex.LifecycleState)
 	c.metrics.trackedGauge(len(c.track))
 }
 
-// setState records a lifecycle transition on the ledger, the monitor, and
-// the per-state gauge. Callers hold c.mu.
+// setState records a lifecycle transition on the ledger and the per-state
+// gauge. Callers hold c.mu.
 func (c *Controller) setState(idx int, t *tracked, state autoindex.LifecycleState) {
 	if t.state != state || state == autoindex.LifecycleStaged {
 		c.metrics.stateTransition(t.state, state, state == autoindex.LifecycleStaged)
 	}
 	t.state = state
 	c.mgr.SetOutcomeLifecycle(idx, state)
-	if c.cfg.Monitor != nil {
-		c.cfg.Monitor.LifecycleChanged(idx, state)
-	}
 }
 
 // RevertOutcome drops the indexes ledger entry idx created, through the
@@ -300,13 +275,12 @@ func (c *Controller) RevertOutcome(ctx context.Context, idx int) error {
 		return fmt.Errorf("guardrail: outcome %d is not tracked", idx)
 	}
 	names := append([]string(nil), t.created...)
-	retries := c.cfg.RevertRetries
 	c.mu.Unlock()
 
 	var err error
 	for attempt := 0; ; attempt++ {
 		err = c.revertOnce(ctx, names)
-		if err == nil || attempt >= retries || !fault.IsTransient(err) {
+		if err == nil || attempt >= revertRetries || !fault.IsTransient(err) {
 			break
 		}
 		c.backoff()

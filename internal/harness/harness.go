@@ -32,14 +32,6 @@ func (s RunStats) Throughput() float64 {
 	return float64(s.Statements) / s.TotalCost * 1000
 }
 
-// AvgLatency returns mean cost units per statement.
-func (s RunStats) AvgLatency() float64 {
-	if s.Statements == 0 {
-		return 0
-	}
-	return s.TotalCost / float64(s.Statements)
-}
-
 // Run executes every statement, accumulating stats. Errors are counted but
 // do not stop the run (a workload may contain statements referencing data
 // deleted by earlier ones).

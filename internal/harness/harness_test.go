@@ -42,8 +42,8 @@ func TestRunAccumulates(t *testing.T) {
 	if stats.RowsAffected != 1 {
 		t.Errorf("rows affected: %d", stats.RowsAffected)
 	}
-	if stats.Throughput() <= 0 || stats.AvgLatency() <= 0 {
-		t.Error("derived metrics should be positive")
+	if stats.Throughput() <= 0 {
+		t.Error("throughput should be positive")
 	}
 }
 

@@ -99,7 +99,6 @@ var monitorSurfaces = []struct {
 }{
 	{"internal/btree", "Monitor", "btree.Monitor"},
 	{"internal/session", "BuildMonitor", "session.BuildMonitor"},
-	{"internal/guardrail", "Monitor", "guardrail.Monitor"},
 }
 
 // monitorInterfaces finds the known monitor hook interfaces among the

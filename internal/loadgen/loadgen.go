@@ -27,7 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/session"
 )
@@ -41,30 +40,17 @@ type Executor interface {
 // DBExecutor adapts the engine to the concurrent worker pool through the
 // session layer: SELECT/EXPLAIN statements from different workers run in
 // parallel under the shared reader lock while writes serialize behind the
-// exclusive lock. (An earlier revision serialized every statement behind a
-// single mutex; the session layer replaced it, so read-heavy load now
-// measures genuine parallelism and lock waits on writes remain real
-// response time.)
+// exclusive lock, so lock waits on writes are real response time.
 type DBExecutor struct {
 	sessions *session.Manager
 }
 
-// NewDBExecutor wraps a database for use as a load-generator target,
-// creating a private session manager over it.
-func NewDBExecutor(db *engine.DB) *DBExecutor {
-	return &DBExecutor{sessions: session.New(db, session.Options{})}
-}
-
-// NewSessionExecutor targets an existing session manager — the form the
-// benchrunner uses so foreground traffic and online index builds contend on
-// the same locks.
+// NewSessionExecutor targets a session manager; benchrunner shares one with
+// the tuner so foreground traffic and online index builds contend on the
+// same locks.
 func NewSessionExecutor(sm *session.Manager) *DBExecutor {
 	return &DBExecutor{sessions: sm}
 }
-
-// Sessions exposes the executor's session manager (concurrency assertions,
-// shared tuning).
-func (e *DBExecutor) Sessions() *session.Manager { return e.sessions }
 
 // Exec runs one statement under the appropriate session lock.
 func (e *DBExecutor) Exec(sql string) error {

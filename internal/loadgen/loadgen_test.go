@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/session"
 )
 
 // TestScheduleSameSeedIsIdentical is the determinism acceptance criterion:
@@ -211,7 +212,7 @@ func TestRunAgainstEngine(t *testing.T) {
 	if err := db.AnalyzeAll(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(context.Background(), NewDBExecutor(db), Config{
+	res, err := Run(context.Background(), NewSessionExecutor(session.New(db, session.Options{})), Config{
 		Seed:        9,
 		QPS:         2000,
 		MaxRequests: 200,
@@ -282,8 +283,8 @@ func TestEightWorkersReadP99NotSerial(t *testing.T) {
 		Latency:     perStmt,
 	}))
 
-	exec := NewDBExecutor(db)
-	res, err := Run(context.Background(), exec, Config{
+	sm := session.New(db, session.Options{})
+	res, err := Run(context.Background(), NewSessionExecutor(sm), Config{
 		Seed:        5,
 		QPS:         1e6, // all arrivals effectively simultaneous
 		MaxRequests: requests,
@@ -300,7 +301,7 @@ func TestEightWorkersReadP99NotSerial(t *testing.T) {
 	if res.P99 >= serialFloor/2 {
 		t.Fatalf("p99 = %v with 8 workers, ≥ half the serial floor %v: reads are serializing", res.P99, serialFloor)
 	}
-	if got := exec.Sessions().MaxConcurrentReaders(); got < 2 {
+	if got := sm.MaxConcurrentReaders(); got < 2 {
 		t.Fatalf("max concurrent readers = %d, want ≥ 2: no reader overlap observed", got)
 	}
 }

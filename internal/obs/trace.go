@@ -34,30 +34,19 @@ type SpanData struct {
 // no-op: Start returns a nil *Span and every span method on nil is a no-op,
 // so instrumentation costs one nil check when tracing is off.
 type Tracer struct {
-	mu      sync.Mutex
-	sink    io.Writer
-	ring    []SpanData
-	ringCap int
-	next    atomic.Uint64
+	mu   sync.Mutex
+	sink io.Writer
+	ring []SpanData
+	next atomic.Uint64
 }
+
+// ringCapacity bounds the recent-span ring /debug/trace serves.
+const ringCapacity = 512
 
 // NewTracer creates a tracer writing JSONL span lines to sink (nil sink:
 // spans are only retained in the recent-span ring).
 func NewTracer(sink io.Writer) *Tracer {
-	return &Tracer{sink: sink, ringCap: 512}
-}
-
-// SetRingCapacity bounds the recent-span buffer (default 512; 0 disables).
-func (t *Tracer) SetRingCapacity(n int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.ringCap = n
-	if n >= 0 && len(t.ring) > n {
-		t.ring = append([]SpanData{}, t.ring[len(t.ring)-n:]...)
-	}
-	t.mu.Unlock()
+	return &Tracer{sink: sink}
 }
 
 // Enabled reports whether spans are being recorded.
@@ -94,13 +83,11 @@ func (t *Tracer) Recent() []SpanData {
 func (t *Tracer) emit(d SpanData) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.ringCap > 0 {
-		if len(t.ring) >= t.ringCap {
-			copy(t.ring, t.ring[1:])
-			t.ring = t.ring[:len(t.ring)-1]
-		}
-		t.ring = append(t.ring, d)
+	if len(t.ring) >= ringCapacity {
+		copy(t.ring, t.ring[1:])
+		t.ring = t.ring[:len(t.ring)-1]
 	}
+	t.ring = append(t.ring, d)
 	if t.sink != nil {
 		line, err := json.Marshal(d)
 		if err != nil {

@@ -90,17 +90,18 @@ func TestSpanNestingAndJSONL(t *testing.T) {
 
 func TestTracerRing(t *testing.T) {
 	tr := NewTracer(nil)
-	tr.SetRingCapacity(3)
-	for i := 0; i < 5; i++ {
+	for i := 0; i < ringCapacity+2; i++ {
 		tr.Start("s").End()
 	}
 	recent := tr.Recent()
-	if len(recent) != 3 {
-		t.Fatalf("ring holds %d, want 3", len(recent))
+	if len(recent) != ringCapacity {
+		t.Fatalf("ring holds %d, want %d", len(recent), ringCapacity)
 	}
-	// Oldest evicted: remaining span IDs are the last three started.
-	if recent[0].SpanID >= recent[1].SpanID || recent[1].SpanID >= recent[2].SpanID {
-		t.Fatalf("ring out of order: %v", recent)
+	// Oldest evicted: the ring holds spans 3 .. ringCapacity+2, in order.
+	for i, d := range recent {
+		if d.SpanID != uint64(i+3) {
+			t.Fatalf("ring[%d] = span %d, want %d", i, d.SpanID, i+3)
+		}
 	}
 }
 

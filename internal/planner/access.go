@@ -369,21 +369,3 @@ func onlyBinding(e sqlparser.Expr, binding string) bool {
 	}
 	return true
 }
-
-// estimateIndexHeight estimates a B+Tree height for n entries at the given
-// fanout, matching internal/btree growth.
-func estimateIndexHeight(n int64, fanout int) int {
-	if n <= 0 {
-		return 1
-	}
-	h := 1
-	capacity := int64(fanout)
-	for capacity < n {
-		h++
-		capacity *= int64(fanout / 2) // split at half-full
-		if h > 12 {
-			break
-		}
-	}
-	return h
-}

@@ -73,21 +73,6 @@ func (v Value) AsFloat() float64 {
 	}
 }
 
-// AsInt coerces numeric values to int64.
-func (v Value) AsInt() int64 {
-	switch v.Kind {
-	case KindInt:
-		return v.Int
-	case KindFloat:
-		return int64(v.Float)
-	case KindString:
-		i, _ := strconv.ParseInt(v.Str, 10, 64)
-		return i
-	default:
-		return 0
-	}
-}
-
 // String renders the value as a SQL literal.
 func (v Value) String() string {
 	switch v.Kind {

@@ -109,9 +109,6 @@ func TestValueStringLiterals(t *testing.T) {
 }
 
 func TestCoercions(t *testing.T) {
-	if NewFloat(3.9).AsInt() != 3 {
-		t.Error("float→int truncates")
-	}
 	if NewInt(3).AsFloat() != 3.0 {
 		t.Error("int→float")
 	}

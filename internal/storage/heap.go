@@ -41,11 +41,6 @@ func (c *IOCounter) Add(o IOCounter) {
 	c.IndexPagesWritten += o.IndexPagesWritten
 }
 
-// TotalPages returns all page IO combined.
-func (c *IOCounter) TotalPages() int64 {
-	return c.HeapPagesRead + c.HeapPagesWritten + c.IndexPagesRead + c.IndexPagesWritten
-}
-
 type page struct {
 	tuples []sqltypes.Tuple // nil entries are deleted slots
 	live   int

@@ -45,7 +45,7 @@ func TestUpdateDeleteInvalidRIDChargesNothing(t *testing.T) {
 	if err := h.Delete(btree.RID{Page: 7}, &io); err == nil {
 		t.Fatal("delete of invalid rid must fail")
 	}
-	if io.TotalPages() != 0 {
+	if io != (IOCounter{}) {
 		t.Fatalf("invalid-rid writes charged %+v, want nothing", io)
 	}
 }

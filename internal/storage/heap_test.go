@@ -133,11 +133,11 @@ func TestIOCounterAddAndTotal(t *testing.T) {
 	var b IOCounter
 	b.Add(a)
 	b.Add(a)
-	if b.TotalPages() != 20 {
-		t.Errorf("total: %d", b.TotalPages())
+	if want := (IOCounter{HeapPagesRead: 2, HeapPagesWritten: 4, IndexPagesRead: 6, IndexPagesWritten: 8}); b != want {
+		t.Errorf("sum: %+v, want %+v", b, want)
 	}
 	b.Reset()
-	if b.TotalPages() != 0 {
+	if b != (IOCounter{}) {
 		t.Error("reset")
 	}
 }

@@ -3,6 +3,8 @@ package template
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/sqlparser"
 )
 
 // BenchmarkObserve measures the SQL2Template hot path for an already-known
@@ -55,12 +57,15 @@ func BenchmarkObserveChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkFingerprint isolates normalization without store bookkeeping.
+// BenchmarkFingerprint isolates parse + normalization without store
+// bookkeeping.
 func BenchmarkFingerprint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := FingerprintSQL(
-			"UPDATE acct SET bal = bal - 25.50, cnt = cnt + 1 WHERE id = 42 AND region IN (1,2,3)"); err != nil {
+		stmt, err := sqlparser.Parse(
+			"UPDATE acct SET bal = bal - 25.50, cnt = cnt + 1 WHERE id = 42 AND region IN (1,2,3)")
+		if err != nil {
 			b.Fatal(err)
 		}
+		Fingerprint(stmt)
 	}
 }

@@ -64,10 +64,11 @@ func referenceFingerprint(stmt sqlparser.Statement) (string, error) {
 // outcome is what the canonical path makes of sql: its fingerprint, or the
 // fact that it does not parse.
 func outcome(sql string) string {
-	fp, _, err := FingerprintSQL(sql)
+	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
 		return "parse error"
 	}
+	fp, _, _ := Fingerprint(stmt)
 	return "fingerprint " + fp
 }
 

@@ -100,15 +100,6 @@ func Fingerprint(stmt sqlparser.Statement) (string, sqlparser.Statement, error) 
 	return cp.String(), cp, nil
 }
 
-// FingerprintSQL parses and fingerprints raw SQL.
-func FingerprintSQL(sql string) (string, sqlparser.Statement, error) {
-	stmt, err := sqlparser.Parse(sql)
-	if err != nil {
-		return "", nil, err
-	}
-	return Fingerprint(stmt)
-}
-
 // Observe maps one statement into the store, creating a template on first
 // sight and bumping frequency on every match. It returns the template and
 // whether it already existed. When the store is full, the least valuable
@@ -199,10 +190,13 @@ func (s *Store) evictOne() {
 
 // Decay multiplies every frequency by factor (paper §IV-C: applied when the
 // workload shifts) and drops templates whose frequency falls below minFreq.
+// The window start scales with the frequency, so the next CloseWindow counts
+// only the matches since the last one.
 func (s *Store) Decay(factor, minFreq float64) int {
 	var dropped int
 	for _, t := range s.templates {
 		t.Frequency *= factor
+		t.windowStart *= factor
 		if t.Frequency < minFreq {
 			s.drop(t)
 			dropped++

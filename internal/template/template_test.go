@@ -2,6 +2,7 @@ package template
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,55 +10,51 @@ import (
 	"repro/internal/sqlparser"
 )
 
+// fingerprintOf parses sql and returns its fingerprint.
+func fingerprintOf(t *testing.T, sql string) string {
+	t.Helper()
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		t.Fatalf("Parse(%q): %v", sql, err)
+	}
+	fp, _, _ := Fingerprint(stmt)
+	return fp
+}
+
 func TestFingerprintMergesLiteralVariants(t *testing.T) {
-	fp1, _, err := FingerprintSQL("SELECT * FROM t WHERE a = 1 AND b > 2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp2, _, err := FingerprintSQL("SELECT * FROM t WHERE a = 99 AND b > 1234")
-	if err != nil {
-		t.Fatal(err)
-	}
+	fp1 := fingerprintOf(t, "SELECT * FROM t WHERE a = 1 AND b > 2")
+	fp2 := fingerprintOf(t, "SELECT * FROM t WHERE a = 99 AND b > 1234")
 	if fp1 != fp2 {
 		t.Errorf("literal variants must share fingerprint:\n%s\n%s", fp1, fp2)
 	}
-	fp3, _, _ := FingerprintSQL("SELECT * FROM t WHERE a = 1 AND c > 2")
+	fp3 := fingerprintOf(t, "SELECT * FROM t WHERE a = 1 AND c > 2")
 	if fp1 == fp3 {
 		t.Error("different columns must not share fingerprint")
 	}
 }
 
 func TestFingerprintInListCollapses(t *testing.T) {
-	fp1, _, _ := FingerprintSQL("SELECT * FROM t WHERE a IN (1, 2, 3)")
-	fp2, _, _ := FingerprintSQL("SELECT * FROM t WHERE a IN (7, 8, 9, 10, 11)")
+	fp1 := fingerprintOf(t, "SELECT * FROM t WHERE a IN (1, 2, 3)")
+	fp2 := fingerprintOf(t, "SELECT * FROM t WHERE a IN (7, 8, 9, 10, 11)")
 	if fp1 != fp2 {
 		t.Errorf("IN lists of different lengths must merge:\n%s\n%s", fp1, fp2)
 	}
 }
 
 func TestFingerprintWriteStatements(t *testing.T) {
-	fi1, _, _ := FingerprintSQL("INSERT INTO t (a, b) VALUES (1, 'x')")
-	fi2, _, _ := FingerprintSQL("INSERT INTO t (a, b) VALUES (2, 'y')")
-	if fi1 != fi2 {
+	if fingerprintOf(t, "INSERT INTO t (a, b) VALUES (1, 'x')") != fingerprintOf(t, "INSERT INTO t (a, b) VALUES (2, 'y')") {
 		t.Error("insert variants must merge")
 	}
-	fu1, _, _ := FingerprintSQL("UPDATE t SET a = 5 WHERE b = 1")
-	fu2, _, _ := FingerprintSQL("UPDATE t SET a = 6 WHERE b = 2")
-	if fu1 != fu2 {
+	if fingerprintOf(t, "UPDATE t SET a = 5 WHERE b = 1") != fingerprintOf(t, "UPDATE t SET a = 6 WHERE b = 2") {
 		t.Error("update variants must merge")
 	}
-	fd1, _, _ := FingerprintSQL("DELETE FROM t WHERE a < 5")
-	fd2, _, _ := FingerprintSQL("DELETE FROM t WHERE a < 50")
-	if fd1 != fd2 {
+	if fingerprintOf(t, "DELETE FROM t WHERE a < 5") != fingerprintOf(t, "DELETE FROM t WHERE a < 50") {
 		t.Error("delete variants must merge")
 	}
 }
 
 func TestFingerprintReparsable(t *testing.T) {
-	fp, _, err := FingerprintSQL("SELECT a FROM t WHERE b = 3 AND c IN (1,2) ORDER BY a LIMIT 5")
-	if err != nil {
-		t.Fatal(err)
-	}
+	fp := fingerprintOf(t, "SELECT a FROM t WHERE b = 3 AND c IN (1,2) ORDER BY a LIMIT 5")
 	if _, err := sqlparser.Parse(fp); err != nil {
 		t.Errorf("fingerprint must re-parse: %v\n%s", err, fp)
 	}
@@ -99,6 +96,26 @@ func TestCapacityEviction(t *testing.T) {
 	top := s.Templates()[0]
 	if top.Frequency != 5 {
 		t.Error("hot template must survive eviction")
+	}
+}
+
+// TestDecayScalesTheWindowStart: a decay between two windows must not eat
+// into the next window's count. Ten matches, a window (trend 5), a decay to
+// 0.3, two matches: the second window counted two, so the trend is
+// 0.5·2 + 0.5·5.
+func TestDecayScalesTheWindowStart(t *testing.T) {
+	s := NewStore(100)
+	for i := 0; i < 10; i++ {
+		mustObserve(t, s, "SELECT * FROM t WHERE x = 1")
+	}
+	s.CloseWindow(0.5)
+	s.Decay(0.3, 0.5)
+	for i := 0; i < 2; i++ {
+		mustObserve(t, s, "SELECT * FROM t WHERE x = 1")
+	}
+	s.CloseWindow(0.5)
+	if got := s.Templates()[0].Trend; math.Abs(got-3.5) > 1e-9 {
+		t.Fatalf("trend = %v, want 3.5", got)
 	}
 }
 
@@ -145,14 +162,8 @@ func TestWorkloadConversion(t *testing.T) {
 	if len(w.Queries) != 2 {
 		t.Fatalf("want 2 weighted queries, got %d", len(w.Queries))
 	}
-	if w.TotalWeight() != 10 {
-		t.Errorf("total weight: %v", w.TotalWeight())
-	}
-	if w.Queries[0].Weight != 7 {
-		t.Errorf("ordering by frequency: %v", w.Queries[0].Weight)
-	}
-	if w.WriteRatio() != 0.3 {
-		t.Errorf("write ratio: %v", w.WriteRatio())
+	if w.Queries[0].Weight != 7 || w.Queries[1].Weight != 3 {
+		t.Errorf("weights by frequency, highest first: %v, %v", w.Queries[0].Weight, w.Queries[1].Weight)
 	}
 }
 

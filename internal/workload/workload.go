@@ -18,16 +18,6 @@ type Query struct {
 	Weight float64
 }
 
-// IsWrite reports whether the query modifies data.
-func (q *Query) IsWrite() bool {
-	switch q.Stmt.(type) {
-	case *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
-		return true
-	default:
-		return false
-	}
-}
-
 // Workload is a weighted set of statements observed over one tuning window.
 type Workload struct {
 	Queries []Query
@@ -48,35 +38,4 @@ func (w *Workload) MustAdd(sql string, weight float64) {
 	if err := w.Add(sql, weight); err != nil {
 		panic(err)
 	}
-}
-
-// TotalWeight sums all query weights.
-func (w *Workload) TotalWeight() float64 {
-	var t float64
-	for i := range w.Queries {
-		t += w.Queries[i].Weight
-	}
-	return t
-}
-
-// WriteRatio returns the weighted fraction of write statements.
-func (w *Workload) WriteRatio() float64 {
-	total := w.TotalWeight()
-	if total == 0 {
-		return 0
-	}
-	var writes float64
-	for i := range w.Queries {
-		if w.Queries[i].IsWrite() {
-			writes += w.Queries[i].Weight
-		}
-	}
-	return writes / total
-}
-
-// Clone returns a shallow copy with an independent query slice.
-func (w *Workload) Clone() *Workload {
-	out := &Workload{Queries: make([]Query, len(w.Queries))}
-	copy(out.Queries, w.Queries)
-	return out
 }
