@@ -12,6 +12,14 @@ import (
 	"repro/internal/workload"
 )
 
+// addSQL adds sql to w, failing the test on a parse error.
+func addSQL(tb testing.TB, w *workload.Workload, sql string, weight float64) {
+	tb.Helper()
+	if err := w.Add(sql, weight); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 // greedyDB builds a database with two independent index opportunities of
 // different sizes.
 func greedyDB(t *testing.T) (*engine.DB, *workload.Workload) {
@@ -30,8 +38,8 @@ func greedyDB(t *testing.T) (*engine.DB, *workload.Workload) {
 		t.Fatal(err)
 	}
 	w := &workload.Workload{}
-	w.MustAdd("SELECT * FROM ev WHERE a = 7", 100)
-	w.MustAdd("SELECT * FROM ev WHERE b = 9", 60)
+	addSQL(t, w, "SELECT * FROM ev WHERE a = 7", 100)
+	addSQL(t, w, "SELECT * FROM ev WHERE b = 9", 60)
 	return db, w
 }
 
@@ -103,7 +111,7 @@ func TestGreedyNeverSelectsHarmful(t *testing.T) {
 	gen := candgen.NewGenerator(db.Catalog())
 	// Write-only workload: any index is pure overhead.
 	w := &workload.Workload{}
-	w.MustAdd("INSERT INTO ev (id, a, b, c) VALUES (99999, 1, 2, 3)", 500)
+	addSQL(t, w, "INSERT INTO ev (id, a, b, c) VALUES (99999, 1, 2, 3)", 500)
 	res, err := Greedy(est, gen, w, nil, GreedyOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +129,7 @@ func TestGreedyPerQueryModeMoreExpensive(t *testing.T) {
 	// each; template mode (the workload here is already compressed) does one.
 	w := &workload.Workload{}
 	for i := 0; i < 50; i++ {
-		w.MustAdd(fmt.Sprintf("SELECT * FROM ev WHERE a = %d", i), 1)
+		addSQL(t, w, fmt.Sprintf("SELECT * FROM ev WHERE a = %d", i), 1)
 	}
 	tmplRes, err := Greedy(est, gen, w, nil, GreedyOptions{})
 	if err != nil {

@@ -104,11 +104,11 @@ func TestQLearningWriteOnlyWorkloadSelectsNothing(t *testing.T) {
 	est := costmodel.NewEstimator(db.Catalog())
 	gen := candgen.NewGenerator(db.Catalog())
 	readW := &workload.Workload{}
-	readW.MustAdd("SELECT * FROM ev WHERE a = 7", 1) // generate candidates from a read shape
+	addSQL(t, readW, "SELECT * FROM ev WHERE a = 7", 1) // generate candidates from a read shape
 	metas := candidateMetas(gen.Generate(context.Background(), readW))
 
 	writeW := &workload.Workload{}
-	writeW.MustAdd("INSERT INTO ev (id, a, b, c) VALUES (99999, 1, 2, 3)", 500)
+	addSQL(t, writeW, "INSERT INTO ev (id, a, b, c) VALUES (99999, 1, 2, 3)", 500)
 	res, err := QLearning(est, writeW, metas, QLearningOptions{Episodes: 80, Seed: 2})
 	if err != nil {
 		t.Fatal(err)

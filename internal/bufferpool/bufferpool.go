@@ -135,14 +135,6 @@ func (m *Manager) SetFaultInjector(in *fault.Injector) {
 	m.faults = in
 }
 
-// Capacity returns the configured frame count.
-func (m *Manager) Capacity() int {
-	if m == nil {
-		return 0
-	}
-	return m.capacity
-}
-
 // Stats returns a copy of the counters (zero value on a nil pool).
 func (m *Manager) Stats() Stats {
 	if m == nil {

@@ -156,22 +156,25 @@ func TestNilManagerIsInert(t *testing.T) {
 	m.Unpin(pid(0, 0)) // must not panic on nil
 	m.Instrument(obs.NewRegistry())
 	m.SetFaultInjector(fault.New(1))
-	if m.Capacity() != 0 {
-		t.Fatal("nil pool has nonzero capacity")
-	}
 	if s := m.Stats(); s != (Stats{}) {
 		t.Fatalf("nil pool stats = %+v, want zero", s)
 	}
 }
 
+// TestDefaultCapacity: a pool holds exactly its capacity, so one distinct
+// page more evicts one frame; a capacity of zero or less means
+// DefaultCapacity.
 func TestDefaultCapacity(t *testing.T) {
-	for _, c := range []int{0, -5} {
-		if got := NewManager(c).Capacity(); got != DefaultCapacity {
-			t.Fatalf("NewManager(%d).Capacity() = %d, want %d", c, got, DefaultCapacity)
+	fill := func(m *Manager, pages int) Stats {
+		for i := 0; i < pages; i++ {
+			m.Touch(pid(0, int32(i)))
 		}
+		return m.Stats()
 	}
-	if got := NewManager(7).Capacity(); got != 7 {
-		t.Fatalf("Capacity() = %d, want 7", got)
+	for c, want := range map[int]int{0: DefaultCapacity, -5: DefaultCapacity, 7: 7} {
+		if s := fill(NewManager(c), want+1); s.Resident != want || s.Evictions != 1 {
+			t.Fatalf("NewManager(%d) over %d pages: %+v, want %d resident and 1 eviction", c, want+1, s, want)
+		}
 	}
 }
 

@@ -99,26 +99,17 @@ func (g *Generator) extractFromStatement(stmt sqlparser.Statement) []rawCandidat
 }
 
 func (g *Generator) extractFromSelect(s *sqlparser.SelectStmt) []rawCandidate {
-	// binding → base table name (derived tables are recursed separately)
+	// binding → base table name
 	bindings := make(map[string]string)
-	var out []rawCandidate
 	for _, ref := range s.From {
-		if ref.Subquery != nil {
-			out = append(out, g.extractFromSelect(ref.Subquery)...)
-			continue
-		}
 		bindings[ref.Binding()] = strings.ToLower(ref.Name)
 	}
 	for _, j := range s.Joins {
-		if j.Table.Subquery != nil {
-			out = append(out, g.extractFromSelect(j.Table.Subquery)...)
-		} else {
-			bindings[j.Table.Binding()] = strings.ToLower(j.Table.Name)
-		}
+		bindings[j.Table.Binding()] = strings.ToLower(j.Table.Name)
 	}
 
 	// 1. Filter predicates (WHERE, via DNF).
-	out = append(out, g.extractFromWhere("", bindings, s.Where)...)
+	out := g.extractFromWhere("", bindings, s.Where)
 
 	// 2. Join predicates: WHERE equi-joins plus JOIN ... ON.
 	out = append(out, g.extractJoins(bindings, s.Where)...)
@@ -133,13 +124,7 @@ func (g *Generator) extractFromSelect(s *sqlparser.SelectStmt) []rawCandidate {
 	for _, o := range s.OrderBy {
 		orderExprs = append(orderExprs, o.Expr)
 	}
-	out = append(out, g.extractColumnList(bindings, orderExprs, "order")...)
-
-	// Subqueries inside WHERE.
-	walkSubqueries(s.Where, func(sub *sqlparser.SelectStmt) {
-		out = append(out, g.extractFromSelect(sub)...)
-	})
-	return out
+	return append(out, g.extractColumnList(bindings, orderExprs, "order")...)
 }
 
 // extractFromWhere rewrites the predicate to DNF; every AND-branch yields a
@@ -203,8 +188,6 @@ func (g *Generator) atomColumn(defaultTable string, bindings map[string]string, 
 			sel = costparams.DefaultEqSelectivity
 		case sqlparser.OpNE:
 			return "", "", 1 // inequality is not indexable
-		case sqlparser.OpLike:
-			sel = costparams.DefaultLikeSelectivity
 		default:
 			sel = costparams.DefaultRangeSelectivity
 		}
@@ -485,30 +468,4 @@ func sanitizeName(s string) string {
 		}
 	}
 	return b.String()
-}
-
-// walkSubqueries visits every SELECT nested in an expression.
-func walkSubqueries(e sqlparser.Expr, visit func(*sqlparser.SelectStmt)) {
-	switch v := e.(type) {
-	case nil:
-		return
-	case *sqlparser.SubqueryExpr:
-		visit(v.Query)
-	case *sqlparser.BinaryExpr:
-		walkSubqueries(v.L, visit)
-		walkSubqueries(v.R, visit)
-	case *sqlparser.NotExpr:
-		walkSubqueries(v.E, visit)
-	case *sqlparser.InExpr:
-		walkSubqueries(v.E, visit)
-		for _, item := range v.List {
-			walkSubqueries(item, visit)
-		}
-	case *sqlparser.BetweenExpr:
-		walkSubqueries(v.E, visit)
-		walkSubqueries(v.Lo, visit)
-		walkSubqueries(v.Hi, visit)
-	case *sqlparser.IsNullExpr:
-		walkSubqueries(v.E, visit)
-	}
 }

@@ -11,6 +11,24 @@ import (
 	"repro/internal/workload"
 )
 
+// addSQL adds sql to w, failing the test on a parse error.
+func addSQL(tb testing.TB, w *workload.Workload, sql string, weight float64) {
+	tb.Helper()
+	if err := w.Add(sql, weight); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// parseSQL parses sql, failing the test on error.
+func parseSQL(tb testing.TB, sql string) sqlparser.Statement {
+	tb.Helper()
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return stmt
+}
+
 func testCatalog(t *testing.T) *catalog.Catalog {
 	t.Helper()
 	cat := catalog.New()
@@ -45,7 +63,7 @@ func generate(t *testing.T, cat *catalog.Catalog, sqls ...string) []*Candidate {
 	t.Helper()
 	w := &workload.Workload{}
 	for _, s := range sqls {
-		w.MustAdd(s, 1)
+		addSQL(t, w, s, 1)
 	}
 	return NewGenerator(cat).Generate(context.Background(), w)
 }
@@ -124,7 +142,7 @@ func TestSelectivityThreshold(t *testing.T) {
 	g := NewGenerator(cat)
 	g.SelectivityThreshold = 0.01 // stricter than status eq sel (0.25)
 	w := &workload.Workload{}
-	w.MustAdd("SELECT * FROM orders WHERE status = 'open'", 1)
+	addSQL(t, w, "SELECT * FROM orders WHERE status = 'open'", 1)
 	cands := g.Generate(context.Background(), w)
 	if hasKey(cands, "orders(status)") {
 		t.Errorf("status eq sel 0.25 exceeds 0.01 threshold: %v", keys(cands))
@@ -216,27 +234,6 @@ func TestInsertYieldsNothing(t *testing.T) {
 	}
 }
 
-func TestSubqueryCandidates(t *testing.T) {
-	cat := testCatalog(t)
-	cands := generate(t, cat,
-		"SELECT * FROM customer WHERE id IN (SELECT cid FROM orders WHERE amount > 900)")
-	if !hasKey(cands, "orders(amount)") {
-		t.Errorf("IN-subquery body should contribute candidates: %v", keys(cands))
-	}
-}
-
-func TestDerivedTableCandidates(t *testing.T) {
-	cat := testCatalog(t)
-	cands := generate(t, cat,
-		"SELECT * FROM customer c, (SELECT cid FROM orders WHERE region = 'eu') sub WHERE c.id = sub.cid AND c.city = 'rome'")
-	if !hasKey(cands, "orders(region)") {
-		t.Errorf("derived-table predicate should contribute: %v", keys(cands))
-	}
-	if !hasKey(cands, "customer(city)") {
-		t.Errorf("outer predicate should contribute: %v", keys(cands))
-	}
-}
-
 func TestMaxIndexColumnsBound(t *testing.T) {
 	cat := testCatalog(t)
 	cands := generate(t, cat,
@@ -264,8 +261,8 @@ func TestCandidatesCarryHypoStats(t *testing.T) {
 func TestWeightAggregationAcrossTemplates(t *testing.T) {
 	cat := testCatalog(t)
 	w := &workload.Workload{}
-	w.MustAdd("SELECT * FROM orders WHERE cid = 1", 100)
-	w.MustAdd("UPDATE orders SET amount = 1 WHERE cid = 2", 50)
+	addSQL(t, w, "SELECT * FROM orders WHERE cid = 1", 100)
+	addSQL(t, w, "UPDATE orders SET amount = 1 WHERE cid = 2", 50)
 	cands := NewGenerator(cat).Generate(context.Background(), w)
 	for _, c := range cands {
 		if c.Key() == "orders(cid)" && c.TemplateWeight != 150 {
@@ -276,7 +273,7 @@ func TestWeightAggregationAcrossTemplates(t *testing.T) {
 
 func TestDNFRewriteShapes(t *testing.T) {
 	parse := func(s string) sqlparser.Expr {
-		stmt := sqlparser.MustParse("SELECT * FROM t WHERE " + s).(*sqlparser.SelectStmt)
+		stmt := parseSQL(t, "SELECT * FROM t WHERE "+s).(*sqlparser.SelectStmt)
 		return stmt.Where
 	}
 	// a AND (b OR c) → 2 branches

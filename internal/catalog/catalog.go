@@ -128,15 +128,6 @@ func (t *Table) Column(name string) *Column {
 	return t.colByName[name]
 }
 
-// ColumnNames returns the ordered column names.
-func (t *Table) ColumnNames() []string {
-	out := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
-		out[i] = c.Name
-	}
-	return out
-}
-
 // Catalog is the schema registry for one database.
 type Catalog struct {
 	tables map[string]*Table

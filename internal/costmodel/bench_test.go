@@ -11,13 +11,13 @@ import (
 
 // benchWorkload mimics a compressed template workload: many templates over
 // one table, a few writes.
-func benchWorkload() *workload.Workload {
+func benchWorkload(tb testing.TB) *workload.Workload {
 	w := &workload.Workload{}
 	for i := 0; i < 25; i++ {
-		w.MustAdd(fmt.Sprintf("SELECT * FROM item WHERE cat = %d", i), 10)
+		addSQL(tb, w, fmt.Sprintf("SELECT * FROM item WHERE cat = %d", i), 10)
 	}
 	for i := 0; i < 5; i++ {
-		w.MustAdd(fmt.Sprintf("INSERT INTO item (id, cat, price) VALUES (%d, 1, 1.0)", 800000+i), 2)
+		addSQL(tb, w, fmt.Sprintf("INSERT INTO item (id, cat, price) VALUES (%d, 1, 1.0)", 800000+i), 2)
 	}
 	return w
 }
@@ -37,7 +37,7 @@ func benchmarkWorkloadCost(b *testing.B, disabled bool) {
 	db := liveDB(b)
 	est := NewEstimator(db.Catalog())
 	est.CacheDisabled = disabled
-	w := benchWorkload()
+	w := benchWorkload(b)
 	configs := benchConfigs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -81,9 +81,9 @@ func BenchmarkWorkloadCostLeaveOneOut259(b *testing.B) {
 // BenchmarkCloneVsReparse compares the AST deep copy against the SQL
 // round-trip it replaced on the estimator's hot path.
 func BenchmarkCloneVsReparse(b *testing.B) {
-	stmt := sqlparser.MustParse(
-		"SELECT a, b AS bb, COUNT(*) FROM t JOIN u ON t.id = u.tid " +
-			"WHERE a IN (1, 2, 3) AND b BETWEEN 5 AND 9 AND c IS NOT NULL AND s LIKE 'x%' " +
+	stmt := parseSQL(b,
+		"SELECT a, b AS bb, COUNT(*) FROM t JOIN u ON t.id = u.tid "+
+			"WHERE a IN (1, 2, 3) AND b BETWEEN 5 AND 9 AND c IS NOT NULL AND s = 'x' "+
 			"GROUP BY a, bb HAVING COUNT(*) > 2 ORDER BY bb DESC LIMIT 10")
 	b.Run("clone", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

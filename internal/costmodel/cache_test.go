@@ -16,15 +16,15 @@ func catSpec() *catalog.IndexMeta {
 		NumTuples: 2000, NumPages: 25, Height: 2, SizeBytes: 40000}
 }
 
-func cacheWorkload() *workload.Workload {
+func cacheWorkload(tb testing.TB) *workload.Workload {
 	w := &workload.Workload{}
 	for i := 0; i < 20; i++ {
-		w.MustAdd(fmt.Sprintf("SELECT * FROM item WHERE cat = %d", i), 10)
+		addSQL(tb, w, fmt.Sprintf("SELECT * FROM item WHERE cat = %d", i), 10)
 	}
-	w.MustAdd("SELECT * FROM item WHERE price > 50.0", 3)
-	w.MustAdd("INSERT INTO item (id, cat, price) VALUES (900001, 1, 1.0)", 2)
-	w.MustAdd("UPDATE item SET price = 2.0 WHERE cat = 3", 2)
-	w.MustAdd("DELETE FROM item WHERE cat = 399", 1)
+	addSQL(tb, w, "SELECT * FROM item WHERE price > 50.0", 3)
+	addSQL(tb, w, "INSERT INTO item (id, cat, price) VALUES (900001, 1, 1.0)", 2)
+	addSQL(tb, w, "UPDATE item SET price = 2.0 WHERE cat = 3", 2)
+	addSQL(tb, w, "DELETE FROM item WHERE cat = 399", 1)
 	return w
 }
 
@@ -40,7 +40,7 @@ func TestCachedWorkloadCostBitIdenticalToUncached(t *testing.T) {
 	cached := NewEstimator(db.Catalog())
 	uncached := NewEstimator(db.Catalog())
 	uncached.CacheDisabled = true
-	w := cacheWorkload()
+	w := cacheWorkload(t)
 
 	price := db.Catalog().Index("idx_price")
 	configs := [][]*catalog.IndexMeta{
@@ -96,7 +96,7 @@ func TestCacheSharesAcrossConfigurations(t *testing.T) {
 	est := NewEstimator(db.Catalog())
 	w := &workload.Workload{}
 	for i := 0; i < 10; i++ {
-		w.MustAdd(fmt.Sprintf("SELECT * FROM item WHERE cat = %d", i), 10)
+		addSQL(t, w, fmt.Sprintf("SELECT * FROM item WHERE cat = %d", i), 10)
 	}
 
 	if _, err := est.WorkloadCost(w, nil); err != nil {
@@ -124,7 +124,7 @@ func TestCacheSharesAcrossConfigurations(t *testing.T) {
 func TestCacheInvalidationOnStatsRefresh(t *testing.T) {
 	db := liveDB(t)
 	est := NewEstimator(db.Catalog())
-	w := cacheWorkload()
+	w := cacheWorkload(t)
 	cfg := []*catalog.IndexMeta{catSpec()}
 
 	if _, err := est.WorkloadCost(w, cfg); err != nil {
@@ -175,7 +175,7 @@ func TestCacheInvalidationOnStatsRefresh(t *testing.T) {
 func TestCacheInvalidationOnRetrain(t *testing.T) {
 	db := liveDB(t)
 	est := NewEstimator(db.Catalog())
-	w := cacheWorkload()
+	w := cacheWorkload(t)
 	cfg := []*catalog.IndexMeta{catSpec()}
 
 	before, err := est.WorkloadCost(w, cfg)
@@ -216,7 +216,7 @@ func TestCacheInvalidationOnRetrain(t *testing.T) {
 func TestCacheKnobChangesFlush(t *testing.T) {
 	db := liveDB(t)
 	est := NewEstimator(db.Catalog())
-	w := cacheWorkload()
+	w := cacheWorkload(t)
 	cfg := []*catalog.IndexMeta{catSpec()}
 
 	before, err := est.WorkloadCost(w, cfg)
@@ -256,7 +256,7 @@ func TestTableMemoDroppedWithTheCache(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		w := &workload.Workload{}
 		for i := 0; i < templates; i++ {
-			w.MustAdd(fmt.Sprintf("SELECT * FROM item WHERE cat = %d AND price > %d.5", round*templates+i, i), 10)
+			addSQL(t, w, fmt.Sprintf("SELECT * FROM item WHERE cat = %d AND price > %d.5", round*templates+i, i), 10)
 		}
 		for _, c := range [][]*catalog.IndexMeta{nil, cfg, nil} {
 			if _, err := est.WorkloadCost(w, c); err != nil {
@@ -282,7 +282,7 @@ func TestCacheMetricsExported(t *testing.T) {
 	est := NewEstimator(db.Catalog())
 	reg := obs.NewRegistry()
 	est.Instrument(reg)
-	w := cacheWorkload()
+	w := cacheWorkload(t)
 	cfg := []*catalog.IndexMeta{catSpec()}
 	for i := 0; i < 3; i++ {
 		if _, err := est.WorkloadCost(w, cfg); err != nil {

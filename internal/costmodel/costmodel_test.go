@@ -12,6 +12,24 @@ import (
 	"repro/internal/workload"
 )
 
+// addSQL adds sql to w, failing the test on a parse error.
+func addSQL(tb testing.TB, w *workload.Workload, sql string, weight float64) {
+	tb.Helper()
+	if err := w.Add(sql, weight); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// parseSQL parses sql, failing the test on error.
+func parseSQL(tb testing.TB, sql string) sqlparser.Statement {
+	tb.Helper()
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return stmt
+}
+
 func TestRegressionLearnsLinearStructure(t *testing.T) {
 	// Target: 1*CData + 0.5*CIO + 0.01*CCPU — learnable shape.
 	var samples []Sample
@@ -139,7 +157,7 @@ func TestWorkloadCostReflectsHypotheticalIndex(t *testing.T) {
 	db := liveDB(t)
 	est := NewEstimator(db.Catalog())
 	w := &workload.Workload{}
-	w.MustAdd("SELECT * FROM item WHERE cat = 7", 100)
+	addSQL(t, w, "SELECT * FROM item WHERE cat = 7", 100)
 
 	empty, err := est.WorkloadCost(w, nil)
 	if err != nil {
@@ -170,7 +188,7 @@ func TestWorkloadCostPricesRemoval(t *testing.T) {
 	// Write-heavy workload: the index is pure maintenance overhead.
 	w := &workload.Workload{}
 	for i := 0; i < 5; i++ {
-		w.MustAdd(fmt.Sprintf("INSERT INTO item (id, cat, price) VALUES (%d, 1, 1.0)", 100000+i), 200)
+		addSQL(t, w, fmt.Sprintf("INSERT INTO item (id, cat, price) VALUES (%d, 1, 1.0)", 100000+i), 200)
 	}
 	keep := []*catalog.IndexMeta{db.Catalog().Index("idx_cat")}
 	withIdx, err := est.WorkloadCost(w, keep)
@@ -194,7 +212,7 @@ func TestBenefitPositiveForUsefulIndex(t *testing.T) {
 	db := liveDB(t)
 	est := NewEstimator(db.Catalog())
 	w := &workload.Workload{}
-	w.MustAdd("SELECT * FROM item WHERE cat = 3", 50)
+	addSQL(t, w, "SELECT * FROM item WHERE cat = 3", 50)
 	spec := &catalog.IndexMeta{Table: "item", Columns: []string{"cat"},
 		NumTuples: 2000, NumPages: 25, Height: 2}
 	b, err := est.Benefit(w, nil, spec)
@@ -213,7 +231,7 @@ func TestComputeFeaturesWriteVsRead(t *testing.T) {
 	}
 	est := NewEstimator(db.Catalog())
 
-	read := sqlparser.MustParse("SELECT * FROM item WHERE cat = 1")
+	read := parseSQL(t, "SELECT * FROM item WHERE cat = 1")
 	rf, err := est.ComputeFeatures(read)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +243,7 @@ func TestComputeFeaturesWriteVsRead(t *testing.T) {
 		t.Error("read CData must be positive")
 	}
 
-	ins := sqlparser.MustParse("INSERT INTO item (id, cat, price) VALUES (999999, 1, 1.0)")
+	ins := parseSQL(t, "INSERT INTO item (id, cat, price) VALUES (999999, 1, 1.0)")
 	inf, err := est.ComputeFeatures(ins)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +252,7 @@ func TestComputeFeaturesWriteVsRead(t *testing.T) {
 		t.Errorf("insert must carry maintenance features: %+v", inf)
 	}
 
-	del := sqlparser.MustParse("DELETE FROM item WHERE id = 5")
+	del := parseSQL(t, "DELETE FROM item WHERE id = 5")
 	df, err := est.ComputeFeatures(del)
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +270,7 @@ func TestEstimatorTrainedOnEngineData(t *testing.T) {
 	var samples []Sample
 	for i := 0; i < 40; i++ {
 		sql := fmt.Sprintf("SELECT * FROM item WHERE cat = %d", i%40)
-		stmt := sqlparser.MustParse(sql)
+		stmt := parseSQL(t, sql)
 		f, err := est.ComputeFeatures(stmt)
 		if err != nil {
 			t.Fatal(err)
@@ -265,7 +283,7 @@ func TestEstimatorTrainedOnEngineData(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		sql := fmt.Sprintf("INSERT INTO item (id, cat, price) VALUES (%d, 1, 2.0)", 50000+i)
-		stmt := sqlparser.MustParse(sql)
+		stmt := parseSQL(t, sql)
 		f, err := est.ComputeFeatures(stmt)
 		if err != nil {
 			t.Fatal(err)
@@ -283,7 +301,7 @@ func TestEstimatorTrainedOnEngineData(t *testing.T) {
 		t.Fatal("model should be trained")
 	}
 	// Sanity: trained predictions within the right order of magnitude.
-	f, _ := est.ComputeFeatures(sqlparser.MustParse("SELECT * FROM item WHERE cat = 2"))
+	f, _ := est.ComputeFeatures(parseSQL(t, "SELECT * FROM item WHERE cat = 2"))
 	pred := est.Model().Predict(f)
 	if pred <= 0 || pred > 10000 {
 		t.Errorf("trained prediction out of range: %.2f", pred)

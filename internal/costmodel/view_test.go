@@ -54,14 +54,14 @@ func tpccDB(t testing.TB) (*engine.DB, *workload.Workload) {
 		for _, sql := range txn {
 			if !seen[sql] {
 				seen[sql] = true
-				w.MustAdd(sql, float64(1+len(seen)%7))
+				addSQL(t, w, sql, float64(1+len(seen)%7))
 			}
 		}
 	}
-	w.MustAdd("SELECT * FROM acct WHERE owner = 7", 9)
-	w.MustAdd("SELECT * FROM acct WHERE region = 3 AND bal > 0.5", 4)
-	w.MustAdd("UPDATE acct SET region = 2 WHERE owner = 11", 3)
-	w.MustAdd("INSERT INTO acct (id, owner, region, bal) VALUES (900001, 3, 3, 2.0)", 5)
+	addSQL(t, w, "SELECT * FROM acct WHERE owner = 7", 9)
+	addSQL(t, w, "SELECT * FROM acct WHERE region = 3 AND bal > 0.5", 4)
+	addSQL(t, w, "UPDATE acct SET region = 2 WHERE owner = 11", 3)
+	addSQL(t, w, "INSERT INTO acct (id, owner, region, bal) VALUES (900001, 3, 3, 2.0)", 5)
 	return db, w
 }
 
@@ -81,7 +81,7 @@ func bankingDB(t testing.TB) (*engine.DB, *workload.Workload) {
 	for _, sql := range append(l.SummarizationService(30), l.WithdrawalService(60)...) {
 		if !seen[sql] {
 			seen[sql] = true
-			w.MustAdd(sql, float64(1+len(seen)%5))
+			addSQL(t, w, sql, float64(1+len(seen)%5))
 		}
 	}
 	return db, w
@@ -102,7 +102,10 @@ func secondaryIndexes(cat *catalog.Catalog) []*catalog.IndexMeta {
 func randomSpec(t testing.TB, rng *rand.Rand, cat *catalog.Catalog, tables []string) *catalog.IndexMeta {
 	t.Helper()
 	tbl := cat.Table(tables[rng.Intn(len(tables))])
-	names := tbl.ColumnNames()
+	names := make([]string, len(tbl.Columns))
+	for i, c := range tbl.Columns {
+		names[i] = c.Name
+	}
 	rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
 	cols := names[:1+rng.Intn(min(3, len(names)))]
 	estimate := hypo.Estimate

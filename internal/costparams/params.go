@@ -21,7 +21,6 @@ const (
 const (
 	DefaultEqSelectivity    = 0.005
 	DefaultRangeSelectivity = 1.0 / 3
-	DefaultLikeSelectivity  = 0.05
 )
 
 // IndexSelectivityThreshold is the paper's candidate-generation cutoff: a

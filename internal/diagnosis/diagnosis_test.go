@@ -12,6 +12,14 @@ import (
 	"repro/internal/workload"
 )
 
+// addSQL adds sql to w, failing the test on a parse error.
+func addSQL(tb testing.TB, w *workload.Workload, sql string, weight float64) {
+	tb.Helper()
+	if err := w.Add(sql, weight); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 func diagDB(t *testing.T) (*engine.DB, *workload.Workload) {
 	t.Helper()
 	db := engine.New()
@@ -27,7 +35,7 @@ func diagDB(t *testing.T) (*engine.DB, *workload.Workload) {
 		t.Fatal(err)
 	}
 	w := &workload.Workload{}
-	w.MustAdd("SELECT * FROM ev WHERE a = 3", 200)
+	addSQL(t, w, "SELECT * FROM ev WHERE a = 3", 200)
 	return db, w
 }
 
@@ -77,7 +85,7 @@ func TestDiagnoseNegativeIndex(t *testing.T) {
 	}
 	// Write-heavy workload where idx_b is pure maintenance drag.
 	w := &workload.Workload{}
-	w.MustAdd("INSERT INTO ev (id, a, b) VALUES (9999999, 1, 2)", 500)
+	addSQL(t, w, "INSERT INTO ev (id, a, b) VALUES (9999999, 1, 2)", 500)
 	est := costmodel.NewEstimator(db.Catalog())
 	gen := candgen.NewGenerator(db.Catalog())
 	rep, err := Diagnose(context.Background(), db.Catalog(), db.IndexUsage(), 500, w, est, gen, Config{})

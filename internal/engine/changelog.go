@@ -80,7 +80,3 @@ func (l *ChangeLog) Since(after uint64, max int) []ChangeEntry {
 // reader lock (which excludes writers) before the snapshot scan, detach
 // under the exclusive lock at publish/abort.
 func (db *DB) SetChangeLog(l *ChangeLog) { db.changeLog = l }
-
-// AttachedChangeLog returns the currently attached change log (nil when no
-// online build is in flight).
-func (db *DB) AttachedChangeLog() *ChangeLog { return db.changeLog }

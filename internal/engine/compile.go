@@ -37,20 +37,17 @@ type row []sqltypes.Tuple
 // instead (input rows of an aggregation carry no projection yet).
 const resultSlot = 0
 
-// binding is one FROM-clause entry: a base table, or a derived table's
-// named output columns.
+// binding is one FROM-clause entry: a base table under its binding name.
 type binding struct {
 	name  string
 	table *catalog.Table
-	cols  []string
 }
 
 // layout assigns every binding of a statement its row slot (index + 1);
 // column references resolve against it once, at compile time.
 type layout []binding
 
-// planLayout collects the bindings a plan's scans introduce. A derived
-// table is one binding here; its subplan runs as a statement of its own.
+// planLayout collects the bindings a plan's scans introduce.
 func (db *DB) planLayout(n planner.Node, lay layout) (layout, error) {
 	base := func(table, name string) (layout, error) {
 		t := db.cat.Table(table)
@@ -64,8 +61,6 @@ func (db *DB) planLayout(n planner.Node, lay layout) (layout, error) {
 		return base(v.Table, v.Binding)
 	case *planner.IndexScanNode:
 		return base(v.Table, v.Binding)
-	case *planner.MaterializeNode:
-		return append(lay, binding{name: v.Binding, cols: v.Columns}), nil
 	case *planner.JoinNode:
 		lay, err := db.planLayout(v.Left, lay)
 		if err != nil {
@@ -114,43 +109,22 @@ func (l layout) resolve(ref *sqlparser.ColumnRef) (int, int, error) {
 	if slot == 0 {
 		return 0, 0, fmt.Errorf("engine: binding %q not in row", ref.Table)
 	}
-	b := &l[slot-1]
-	if b.table != nil {
-		if col := b.table.Column(ref.Column); col != nil {
-			return slot, col.Pos, nil
-		}
-	}
-	for pos, name := range b.cols {
-		if name == ref.Column {
-			return slot, pos, nil
-		}
+	if col := l[slot-1].table.Column(ref.Column); col != nil {
+		return slot, col.Pos, nil
 	}
 	return 0, 0, fmt.Errorf("engine: column %s.%s unknown", ref.Table, ref.Column)
 }
 
 // evalCtx is one statement's evaluation state.
 type evalCtx struct {
-	db *DB
-	// st is the owning statement's counter scratch; nested statement
-	// execution (subqueries, derived tables) shares it.
+	// st is the owning statement's counter scratch.
 	st  *stmtState
 	lay layout
 	// ops counts operator evaluations for CPU accounting.
 	ops int64
-	// err is the first runtime failure a closure hit (only subquery
-	// execution can fail once an expression compiled). Closures yield NULL
-	// after it; every operator loop checks it and stops.
-	err error
-	// subqueries memoizes uncorrelated subquery outcomes per statement.
-	subqueries map[*sqlparser.SelectStmt]subqueryResult
 	// compiles counts expression trees compiled (a statement compiles each
 	// plan node's expressions once, however many rows reach the node).
 	compiles int
-}
-
-type subqueryResult struct {
-	vals []sqltypes.Value
-	err  error
 }
 
 func (c *evalCtx) newRow() row { return make(row, len(c.lay)+1) }
@@ -163,6 +137,8 @@ func (c *evalCtx) cloneRow(r row) row {
 
 // valFn evaluates a compiled expression to a value; predFn to its truth.
 // SQL three-valued logic collapses to two-valued: NULL comparisons are false.
+// A compiled expression cannot fail: every error (unknown binding, column or
+// function) is found at compile time, before the first tuple is read.
 type (
 	valFn  func(r row) sqltypes.Value
 	predFn func(r row) bool
@@ -256,8 +232,7 @@ func (c *evalCtx) once(e sqlparser.Expr) (sqltypes.Value, error) {
 	if err != nil {
 		return sqltypes.Null(), err
 	}
-	v := f(c.newRow())
-	return v, c.err
+	return f(c.newRow()), nil
 }
 
 func (cc *compiler) fail(err error) {
@@ -281,10 +256,6 @@ func (cc *compiler) aggIndex(e sqlparser.Expr) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-func isArith(op sqlparser.BinOp) bool {
-	return op == sqlparser.OpAdd || op == sqlparser.OpSub || op == sqlparser.OpMul || op == sqlparser.OpDiv
 }
 
 // value compiles e in value context. spine is true while only binary
@@ -326,8 +297,8 @@ func (cc *compiler) value(e sqlparser.Expr, spine bool) valFn {
 			return func(r row) sqltypes.Value {
 				lv, rv := l(r), rt(r)
 				switch {
-				case isArith(op):
-					return arith(op, lv, rv)
+				case op.IsArith():
+					return op.Arith(lv, rv)
 				case op == sqlparser.OpAnd:
 					return boolVal(truthy(lv) && truthy(rv))
 				case op == sqlparser.OpOr:
@@ -337,7 +308,7 @@ func (cc *compiler) value(e sqlparser.Expr, spine bool) valFn {
 				}
 			}
 		}
-		if isArith(op) {
+		if op.IsArith() {
 			// <col> op <lit>, the SET shape of every counter update, is one
 			// closure charging its three nodes.
 			if slot, pos, ok := cc.colRef(v.L); ok {
@@ -346,7 +317,7 @@ func (cc *compiler) value(e sqlparser.Expr, spine bool) valFn {
 					c := lit.Value
 					return func(r row) sqltypes.Value {
 						*ops += 3
-						return arith(op, column(r, slot, pos), c)
+						return op.Arith(column(r, slot, pos), c)
 					}
 				}
 			}
@@ -354,7 +325,7 @@ func (cc *compiler) value(e sqlparser.Expr, spine bool) valFn {
 			l, rt := cc.value(v.L, false), cc.value(v.R, false)
 			return func(r row) sqltypes.Value {
 				*ops++
-				return arith(op, l(r), rt(r))
+				return op.Arith(l(r), rt(r))
 			}
 		}
 	case *sqlparser.FuncExpr:
@@ -378,16 +349,6 @@ func (cc *compiler) value(e sqlparser.Expr, spine bool) valFn {
 				return sqltypes.NewFloat(-a.Float)
 			}
 			return a
-		}
-	case *sqlparser.SubqueryExpr:
-		cc.visit(1)
-		ctx, q := cc.ctx, v.Query
-		return func(row) sqltypes.Value {
-			*ops++
-			if vals := ctx.scalarSubquery(q); len(vals) > 0 {
-				return vals[0]
-			}
-			return sqltypes.Null()
 		}
 	case *sqlparser.NotExpr, *sqlparser.InExpr, *sqlparser.BetweenExpr, *sqlparser.IsNullExpr:
 	default:
@@ -419,7 +380,7 @@ func (cc *compiler) pred(e sqlparser.Expr) predFn {
 				*ops++
 				return l(r) || rt(r)
 			}
-		case !isArith(v.Op):
+		case !v.Op.IsArith():
 			if f := cc.fusedCompare(v); f != nil {
 				return f
 			}
@@ -459,9 +420,6 @@ func (cc *compiler) pred(e sqlparser.Expr) predFn {
 func compare(op sqlparser.BinOp, lv, rv sqltypes.Value) bool {
 	if lv.IsNull() || rv.IsNull() {
 		return false
-	}
-	if op == sqlparser.OpLike {
-		return likeMatch(lv.Str, rv.Str)
 	}
 	cmp := sqltypes.Compare(lv, rv)
 	switch op {
@@ -504,9 +462,8 @@ func column(r row, slot, pos int) sqltypes.Value {
 // sqltypes.Compare. It returns nil for any other shape.
 func (cc *compiler) fusedCompare(v *sqlparser.BinaryExpr) predFn {
 	op, colSide, litSide := v.Op, v.L, v.R
-	if _, litLeft := v.L.(*sqlparser.Literal); litLeft && op != sqlparser.OpLike {
-		// <lit> cmp <col> is <col> cmp' <lit> with the operator mirrored
-		// (LIKE has no mirror).
+	if _, litLeft := v.L.(*sqlparser.Literal); litLeft {
+		// <lit> cmp <col> is <col> cmp' <lit> with the operator mirrored.
 		colSide, litSide = v.R, v.L
 		switch op {
 		case sqlparser.OpLT:
@@ -527,7 +484,7 @@ func (cc *compiler) fusedCompare(v *sqlparser.BinaryExpr) predFn {
 	cc.visit(3)
 	ops, c := &cc.ctx.ops, lit.Value
 	switch {
-	case c.Kind == sqltypes.KindInt && op != sqlparser.OpLike:
+	case c.Kind == sqltypes.KindInt:
 		ci := c.Int
 		return func(r row) bool {
 			*ops += 3
@@ -567,9 +524,7 @@ func (cc *compiler) fusedCompare(v *sqlparser.BinaryExpr) predFn {
 	}
 }
 
-// in compiles IN. A list item that is a subquery contributes all of its
-// first-column values and, unlike a subquery in value position, is not
-// itself a charged node.
+// in compiles IN.
 func (cc *compiler) in(v *sqlparser.InExpr) predFn {
 	ops := &cc.ctx.ops
 	// Fused shape: <col> IN (<lit>, ...). Two nodes up front (IN + column)
@@ -607,19 +562,10 @@ func (cc *compiler) in(v *sqlparser.InExpr) predFn {
 	}
 	cc.visit(1)
 	sub := cc.value(v.E, false)
-	type inItem struct {
-		val   valFn
-		query *sqlparser.SelectStmt
-	}
-	items := make([]inItem, len(v.List))
+	items := make([]valFn, len(v.List))
 	for i, item := range v.List {
-		if sq, ok := item.(*sqlparser.SubqueryExpr); ok {
-			items[i].query = sq.Query
-		} else {
-			items[i].val = cc.value(item, false)
-		}
+		items[i] = cc.value(item, false)
 	}
-	ctx := cc.ctx
 	return func(r row) bool {
 		*ops++
 		val := sub(r)
@@ -627,16 +573,8 @@ func (cc *compiler) in(v *sqlparser.InExpr) predFn {
 			return false
 		}
 		for _, item := range items {
-			if item.query == nil {
-				if sqltypes.Equal(val, item.val(r)) {
-					return true
-				}
-				continue
-			}
-			for _, sv := range ctx.scalarSubquery(item.query) {
-				if sqltypes.Equal(val, sv) {
-					return true
-				}
+			if sqltypes.Equal(val, item(r)) {
+				return true
 			}
 		}
 		return false
@@ -679,32 +617,6 @@ func (cc *compiler) between(v *sqlparser.BetweenExpr) predFn {
 	}
 }
 
-// scalarSubquery executes an uncorrelated subquery once per statement and
-// returns its first-column values. A failure is recorded on the context
-// and yields no values.
-func (c *evalCtx) scalarSubquery(q *sqlparser.SelectStmt) []sqltypes.Value {
-	res, ok := c.subqueries[q]
-	if !ok {
-		var out *Result
-		if out, res.err = c.db.execSelect(c.st, q); res.err == nil {
-			res.vals = make([]sqltypes.Value, 0, len(out.Rows))
-			for _, r := range out.Rows {
-				if len(r) > 0 {
-					res.vals = append(res.vals, r[0])
-				}
-			}
-		}
-		if c.subqueries == nil {
-			c.subqueries = make(map[*sqlparser.SelectStmt]subqueryResult)
-		}
-		c.subqueries[q] = res
-	}
-	if res.err != nil && c.err == nil {
-		c.err = res.err
-	}
-	return res.vals
-}
-
 func truthy(v sqltypes.Value) bool {
 	switch v.Kind {
 	case sqltypes.KindInt:
@@ -723,68 +635,4 @@ func boolVal(b bool) sqltypes.Value {
 		return sqltypes.NewInt(1)
 	}
 	return sqltypes.NewInt(0)
-}
-
-func arith(op sqlparser.BinOp, l, r sqltypes.Value) sqltypes.Value {
-	if l.IsNull() || r.IsNull() {
-		return sqltypes.Null()
-	}
-	intOp := l.Kind == sqltypes.KindInt && r.Kind == sqltypes.KindInt
-	switch op {
-	case sqlparser.OpAdd:
-		if intOp {
-			return sqltypes.NewInt(l.Int + r.Int)
-		}
-		return sqltypes.NewFloat(l.AsFloat() + r.AsFloat())
-	case sqlparser.OpSub:
-		if intOp {
-			return sqltypes.NewInt(l.Int - r.Int)
-		}
-		return sqltypes.NewFloat(l.AsFloat() - r.AsFloat())
-	case sqlparser.OpMul:
-		if intOp {
-			return sqltypes.NewInt(l.Int * r.Int)
-		}
-		return sqltypes.NewFloat(l.AsFloat() * r.AsFloat())
-	case sqlparser.OpDiv:
-		rf := r.AsFloat()
-		if rf == 0 {
-			return sqltypes.Null()
-		}
-		return sqltypes.NewFloat(l.AsFloat() / rf)
-	default:
-		return sqltypes.Null()
-	}
-}
-
-// likeMatch implements SQL LIKE with % and _ wildcards.
-func likeMatch(s, p string) bool {
-	for len(p) > 0 {
-		switch p[0] {
-		case '%':
-			for len(p) > 0 && p[0] == '%' {
-				p = p[1:]
-			}
-			if len(p) == 0 {
-				return true
-			}
-			for i := 0; i <= len(s); i++ {
-				if likeMatch(s[i:], p) {
-					return true
-				}
-			}
-			return false
-		case '_':
-			if len(s) == 0 {
-				return false
-			}
-			s, p = s[1:], p[1:]
-		default:
-			if len(s) == 0 || s[0] != p[0] {
-				return false
-			}
-			s, p = s[1:], p[1:]
-		}
-	}
-	return len(s) == 0
 }

@@ -210,24 +210,6 @@ func TestDistinct(t *testing.T) {
 	}
 }
 
-func TestDerivedTableJoin(t *testing.T) {
-	db := newTestDB(t)
-	res := mustExec(t, db,
-		"SELECT c.name FROM customer c, (SELECT cid FROM orders WHERE amount > 490) big WHERE c.id = big.cid")
-	if len(res.Rows) == 0 {
-		t.Fatal("derived table join should produce rows")
-	}
-}
-
-func TestInSubquery(t *testing.T) {
-	db := newTestDB(t)
-	res := mustExec(t, db,
-		"SELECT name FROM customer WHERE id IN (SELECT cid FROM orders WHERE amount = 499)")
-	if len(res.Rows) != 2 {
-		t.Fatalf("subquery IN: want 2, got %d", len(res.Rows))
-	}
-}
-
 func TestUpdateBasic(t *testing.T) {
 	db := newTestDB(t)
 	res := mustExec(t, db, "UPDATE customer SET balance = 0 WHERE city = 'oslo'")
@@ -374,9 +356,8 @@ func TestBetweenAndInAndLike(t *testing.T) {
 	if r2.Rows[0][0].Int < 600 {
 		t.Errorf("in-list: %d", r2.Rows[0][0].Int)
 	}
-	r3 := mustExec(t, db, "SELECT COUNT(*) FROM customer WHERE name LIKE 'cust1%'")
-	if r3.Rows[0][0].Int != 111 {
-		t.Errorf("like: %d", r3.Rows[0][0].Int)
+	if _, err := db.Exec("SELECT COUNT(*) FROM customer WHERE name LIKE 'cust1%'"); err == nil {
+		t.Error("LIKE executed; the dialect has no LIKE")
 	}
 }
 
@@ -540,37 +521,6 @@ func TestInListWithEqPrefixOnComposite(t *testing.T) {
 	base := mustExec(t, db, "SELECT COUNT(*) FROM orders WHERE cid = 9 AND status IN ('paid', 'void')")
 	if base.Rows[0][0].Int != int64(len(res.Rows)) {
 		t.Errorf("count mismatch: %d vs %d", base.Rows[0][0].Int, len(res.Rows))
-	}
-}
-
-func TestPrefixLikeUsesIndexRange(t *testing.T) {
-	db := New()
-	mustExec(t, db, "CREATE TABLE u (id BIGINT, name TEXT, PRIMARY KEY (id))")
-	rows := make([]sqltypes.Tuple, 10000)
-	for i := range rows {
-		rows[i] = sqltypes.Tuple{sqltypes.NewInt(int64(i)),
-			sqltypes.NewString(fmt.Sprintf("user%05d", i))}
-	}
-	if err := db.BulkLoad("u", rows); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.AnalyzeAll(); err != nil {
-		t.Fatal(err)
-	}
-	base := mustExec(t, db, "SELECT id FROM u WHERE name LIKE 'user0012%'")
-	mustExec(t, db, "CREATE INDEX idx_name ON u (name)")
-	idx := mustExec(t, db, "SELECT id FROM u WHERE name LIKE 'user0012%'")
-	if len(base.Rows) != 10 || len(idx.Rows) != 10 {
-		t.Fatalf("LIKE results: base=%d idx=%d", len(base.Rows), len(idx.Rows))
-	}
-	if idx.Stats.ActualCost() >= base.Stats.ActualCost()/5 {
-		t.Errorf("prefix LIKE should use the index range: %.1f vs %.1f",
-			idx.Stats.ActualCost(), base.Stats.ActualCost())
-	}
-	// Leading-wildcard LIKE cannot use the range.
-	exp := mustExec(t, db, "EXPLAIN SELECT id FROM u WHERE name LIKE '%0012'")
-	if strings.Contains(exp.PlanText(), "idx_name") {
-		t.Errorf("leading wildcard must not use the index:\n%s", exp.PlanText())
 	}
 }
 

@@ -157,7 +157,7 @@ func (db *DB) newEvalCtx(st *stmtState, root planner.Node) (*evalCtx, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &evalCtx{db: db, st: st, lay: lay}, nil
+	return &evalCtx{st: st, lay: lay}, nil
 }
 
 func outputColumns(stmt *sqlparser.SelectStmt) []string {
@@ -179,27 +179,13 @@ func outputColumns(stmt *sqlparser.SelectStmt) []string {
 	return cols
 }
 
-// runNode executes a plan node, returning its rows. A runtime evaluation
-// failure (ctx.err) surfaces here, whichever operator's closure hit it.
+// runNode executes a plan node, returning its rows.
 func (db *DB) runNode(ctx *evalCtx, n planner.Node) ([]row, error) {
-	rows, err := db.runOperator(ctx, n)
-	if err == nil {
-		err = ctx.err
-	}
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-func (db *DB) runOperator(ctx *evalCtx, n planner.Node) ([]row, error) {
 	switch v := n.(type) {
 	case *planner.SeqScanNode:
 		return db.runSeqScan(ctx, v)
 	case *planner.IndexScanNode:
 		return db.runIndexScan(ctx, v)
-	case *planner.MaterializeNode:
-		return db.runMaterialize(ctx, v)
 	case *planner.JoinNode:
 		return db.runJoin(ctx, v)
 	case *planner.FilterNode:
@@ -243,9 +229,9 @@ func (db *DB) seqScan(ctx *evalCtx, n *planner.SeqScanNode, emit func(btree.RID,
 				emit(b.RID(s), *cur)
 			}
 		}
-		return ctx.err == nil
+		return true
 	})
-	return ctx.err
+	return nil
 }
 
 func (db *DB) runSeqScan(ctx *evalCtx, n *planner.SeqScanNode) ([]row, error) {
@@ -298,15 +284,12 @@ func (db *DB) compileIndexScan(ctx *evalCtx, n *planner.IndexScanNode) (*indexPr
 // bindings the bounds and residual may reference (empty for a standalone
 // scan); each fetched tuple is placed in env's slot for this scan, and emit
 // is called, with env so populated, for every tuple the residual accepts.
-func (db *DB) indexScan(ctx *evalCtx, p *indexProbe, env row, emit func(btree.RID, sqltypes.Tuple)) error {
+func (db *DB) indexScan(ctx *evalCtx, p *indexProbe, env row, emit func(btree.RID, sqltypes.Tuple)) {
 	db.bumpIndexUsage(p.n.Index.Name)
 	if db.metrics != nil {
 		db.metrics.indexProbes.With(p.n.Index.Name).Inc()
 	}
 	bounds, eqKey := p.bounds(env)
-	if ctx.err != nil {
-		return ctx.err
-	}
 	st := ctx.st
 	for _, pb := range bounds {
 		for _, tree := range db.probeTrees(p.n.Index, eqKey, p.trees) {
@@ -322,14 +305,10 @@ func (db *DB) indexScan(ctx *evalCtx, p *indexProbe, env row, emit func(btree.RI
 				if p.residual == nil || p.residual(env) {
 					emit(e.RID, tup)
 				}
-				return ctx.err == nil
+				return true
 			})
-			if ctx.err != nil {
-				return ctx.err
-			}
 		}
 	}
-	return nil
 }
 
 func (db *DB) runIndexScan(ctx *evalCtx, n *planner.IndexScanNode) ([]row, error) {
@@ -339,10 +318,10 @@ func (db *DB) runIndexScan(ctx *evalCtx, n *planner.IndexScanNode) ([]row, error
 	}
 	var out []row
 	env := ctx.newRow()
-	err = db.indexScan(ctx, p, env, func(btree.RID, sqltypes.Tuple) {
+	db.indexScan(ctx, p, env, func(btree.RID, sqltypes.Tuple) {
 		out = append(out, ctx.cloneRow(env))
 	})
-	return out, err
+	return out, nil
 }
 
 // probeBound is one (lo, hi) key window an index scan visits.
@@ -420,22 +399,6 @@ func (db *DB) probeTrees(meta *catalog.IndexMeta, eqKey sqltypes.Key, trees []*b
 	return trees
 }
 
-func (db *DB) runMaterialize(ctx *evalCtx, n *planner.MaterializeNode) ([]row, error) {
-	// Execute the subquery as a statement of its own, then re-expose its
-	// projected tuples under this binding.
-	res, err := db.execSelect(ctx.st, n.Select)
-	if err != nil {
-		return nil, err
-	}
-	slot := ctx.lay.slot(n.Binding)
-	out := make([]row, len(res.Rows))
-	for i, tup := range res.Rows {
-		out[i] = ctx.newRow()
-		out[i][slot] = tup
-	}
-	return out, nil
-}
-
 // mergeRows overlays src's bound tuples onto dst. Every row of one join
 // input binds the same slots, so successive overlays replace each other.
 func mergeRows(dst, src row) {
@@ -477,9 +440,7 @@ func (db *DB) runJoin(ctx *evalCtx, n *planner.JoinNode) ([]row, error) {
 		emit := func(btree.RID, sqltypes.Tuple) { accept() }
 		for _, l := range left {
 			copy(scratch, l)
-			if err := db.indexScan(ctx, probe, scratch, emit); err != nil {
-				return nil, err
-			}
+			db.indexScan(ctx, probe, scratch, emit)
 		}
 		return out, nil
 	}
@@ -617,13 +578,14 @@ func (db *DB) runAgg(ctx *evalCtx, n *planner.AggNode) ([]row, error) {
 	// Collect aggregate expressions from the select list (and HAVING).
 	var aggExprs []*sqlparser.FuncExpr
 	collectAggs := func(e sqlparser.Expr) {
-		walkExprs(e, func(x sqlparser.Expr) {
+		sqlparser.Walk(e, func(x sqlparser.Expr) bool {
 			if f, ok := x.(*sqlparser.FuncExpr); ok {
 				switch f.Name {
 				case "SUM", "COUNT", "AVG", "MIN", "MAX":
 					aggExprs = append(aggExprs, f)
 				}
 			}
+			return true
 		})
 	}
 	for _, it := range n.Select {
@@ -866,34 +828,4 @@ func (db *DB) runProject(ctx *evalCtx, n *planner.ProjectNode) ([]row, error) {
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// walkExprs visits every node of an expression tree.
-func walkExprs(e sqlparser.Expr, visit func(sqlparser.Expr)) {
-	if e == nil {
-		return
-	}
-	visit(e)
-	switch v := e.(type) {
-	case *sqlparser.BinaryExpr:
-		walkExprs(v.L, visit)
-		walkExprs(v.R, visit)
-	case *sqlparser.NotExpr:
-		walkExprs(v.E, visit)
-	case *sqlparser.InExpr:
-		walkExprs(v.E, visit)
-		for _, i := range v.List {
-			walkExprs(i, visit)
-		}
-	case *sqlparser.BetweenExpr:
-		walkExprs(v.E, visit)
-		walkExprs(v.Lo, visit)
-		walkExprs(v.Hi, visit)
-	case *sqlparser.IsNullExpr:
-		walkExprs(v.E, visit)
-	case *sqlparser.FuncExpr:
-		for _, a := range v.Args {
-			walkExprs(a, visit)
-		}
-	}
 }

@@ -98,14 +98,6 @@ func (db *DB) SetMetrics(reg *obs.Registry) {
 	}
 }
 
-// Metrics returns the attached registry (nil when detached).
-func (db *DB) Metrics() *obs.Registry {
-	if db.metrics == nil {
-		return nil
-	}
-	return db.metrics.reg
-}
-
 // treeMonitor adapts one index's trees to the metrics registry.
 type treeMonitor struct {
 	splits *obs.Counter

@@ -17,7 +17,7 @@ func (db *DB) execInsert(st *stmtState, s *sqlparser.InsertStmt) (*Result, error
 		return nil, fmt.Errorf("engine: unknown table %q", s.Table)
 	}
 	heap := db.heaps[t.Name]
-	ctx := &evalCtx{db: db, st: st}
+	ctx := &evalCtx{st: st}
 
 	// Column mapping: explicit list or positional.
 	positions := make([]int, 0, len(t.Columns))
@@ -165,7 +165,7 @@ func (db *DB) targetRows(st *stmtState, table string, where sqlparser.Expr) (*ev
 	case *planner.IndexScanNode:
 		var probe *indexProbe
 		if probe, err = db.compileIndexScan(ctx, sc); err == nil {
-			err = db.indexScan(ctx, probe, ctx.newRow(), collect)
+			db.indexScan(ctx, probe, ctx.newRow(), collect)
 		}
 	default:
 		err = fmt.Errorf("engine: unexpected write-target scan %T", scan)
@@ -232,9 +232,6 @@ func (db *DB) execUpdate(st *stmtState, s *sqlparser.UpdateStmt) (*Result, error
 		for _, a := range set {
 			newTup[a.pos] = a.val(r)
 		}
-		if ctx.err != nil {
-			return nil, ctx.err
-		}
 		if err := heap.Update(rid, newTup, &st.io); err != nil {
 			return nil, err
 		}
@@ -255,33 +252,12 @@ func (db *DB) execUpdate(st *stmtState, s *sqlparser.UpdateStmt) (*Result, error
 // qualifyColumns rewrites unqualified column references in an expression to
 // carry the given table binding.
 func qualifyColumns(e sqlparser.Expr, table string) {
-	switch v := e.(type) {
-	case nil:
-	case *sqlparser.ColumnRef:
-		if v.Table == "" {
-			v.Table = table
+	sqlparser.Walk(e, func(x sqlparser.Expr) bool {
+		if ref, ok := x.(*sqlparser.ColumnRef); ok && ref.Table == "" {
+			ref.Table = table
 		}
-	case *sqlparser.BinaryExpr:
-		qualifyColumns(v.L, table)
-		qualifyColumns(v.R, table)
-	case *sqlparser.NotExpr:
-		qualifyColumns(v.E, table)
-	case *sqlparser.InExpr:
-		qualifyColumns(v.E, table)
-		for _, item := range v.List {
-			qualifyColumns(item, table)
-		}
-	case *sqlparser.BetweenExpr:
-		qualifyColumns(v.E, table)
-		qualifyColumns(v.Lo, table)
-		qualifyColumns(v.Hi, table)
-	case *sqlparser.IsNullExpr:
-		qualifyColumns(v.E, table)
-	case *sqlparser.FuncExpr:
-		for _, a := range v.Args {
-			qualifyColumns(a, table)
-		}
-	}
+		return true
+	})
 }
 
 // execDelete tombstones matching tuples. Per the paper's remark, index

@@ -20,6 +20,23 @@ import (
 	"repro/internal/session"
 )
 
+// changeLogAttached reports whether an online build's change log is still
+// attached to db: a new build can start logging only when none is. The
+// probe build logs nothing and is aborted at once.
+func changeLogAttached(t *testing.T, db *engine.DB) bool {
+	t.Helper()
+	tbl := db.Catalog().Tables()[0]
+	b, err := db.NewIndexBuild(engine.IndexBuildSpec{Name: "log_probe", Table: tbl.Name, Columns: []string{tbl.Columns[0].Name}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.StartLogging() != nil {
+		return true
+	}
+	b.Abort()
+	return false
+}
+
 // chaosDB builds a table with enough pages (4000 rows / 64 per page ≈ 63
 // heap pages) that an Nth-page-read rule lands inside a CREATE INDEX scan,
 // plus a manager that has observed a read-heavy workload.
@@ -329,15 +346,21 @@ func TestChaosBuildStateMachineEnumeration(t *testing.T) {
 					sort.Strings(post)
 					before, _ := ids(t, db, probe)
 
-					var lastLog *engine.ChangeLog
-					checks, wrote := 0, false
+					// A build attempt's log stays attached from its snapshot
+					// to its publish or abort, and a retry is preceded by a
+					// check made with no log attached: checks are counted
+					// per attempt.
+					inAttempt, checks, wrote := false, 0, false
 					ctx := stepCtx{context.Background(), func() {
-						log := db.AttachedChangeLog()
-						if log == nil || wrote || pos == writerNone {
+						if !changeLogAttached(t, db) {
+							inAttempt = false
 							return
 						}
-						if log != lastLog {
-							lastLog, checks = log, 0
+						if !inAttempt {
+							inAttempt, checks = true, 0
+						}
+						if wrote || pos == writerNone {
+							return
 						}
 						if checks++; checks != pos {
 							return
@@ -381,7 +404,7 @@ func TestChaosBuildStateMachineEnumeration(t *testing.T) {
 					if got := indexSet(db); !equalSets(got, want) {
 						t.Errorf("index set = %v, want exactly %v", got, want)
 					}
-					if db.AttachedChangeLog() != nil {
+					if changeLogAttached(t, db) {
 						t.Error("change log still attached")
 					}
 					outs := m.Outcomes()

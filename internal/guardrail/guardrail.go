@@ -114,10 +114,6 @@ func Attach(mgr *autoindex.Manager, cfg Config) *Controller {
 	return c
 }
 
-// Detach removes the controller from the manager. In-flight tracked
-// outcomes stay in their current lifecycle state.
-func (c *Controller) Detach() { c.mgr.SetApplyWatcher(nil) }
-
 // Tracked returns how many outcomes are currently staged or verifying.
 func (c *Controller) Tracked() int {
 	c.mu.Lock()

@@ -49,9 +49,6 @@ func NewTracer(sink io.Writer) *Tracer {
 	return &Tracer{sink: sink}
 }
 
-// Enabled reports whether spans are being recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Start opens a root span (its own trace). End must be called to emit it.
 func (t *Tracer) Start(name string) *Span {
 	if t == nil {

@@ -9,9 +9,6 @@ import (
 
 func TestNilTracerAndSpanAreNoOps(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
 	span := tr.Start("root")
 	if span != nil {
 		t.Fatal("nil tracer returned a live span")

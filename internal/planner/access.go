@@ -43,32 +43,6 @@ func extractBounds(binding string, conjuncts []sqlparser.Expr, outerOK bool) map
 	for _, c := range conjuncts {
 		switch v := c.(type) {
 		case *sqlparser.BinaryExpr:
-			if v.Op == sqlparser.OpLike {
-				// Prefix LIKE ('abc%') becomes a range bound [abc, abc\xff);
-				// the LIKE itself stays in the residual filter, so the bound
-				// only narrows the scan and can never change results.
-				col, okCol := v.L.(*sqlparser.ColumnRef)
-				lit, okLit := v.R.(*sqlparser.Literal)
-				if !okCol || !okLit || col.Table != binding {
-					continue
-				}
-				prefix := likePrefix(lit.Value.Str)
-				if prefix == "" {
-					continue
-				}
-				b := bounds[col.Column]
-				if b == nil {
-					b = &accessBound{col: col.Column}
-					bounds[col.Column] = b
-				}
-				if b.eq == nil && len(b.in) == 0 && b.lo == nil && b.hi == nil {
-					b.lo = &sqlparser.Literal{Value: sqltypes.NewString(prefix)}
-					b.hi = &sqlparser.Literal{Value: sqltypes.NewString(prefix + "\xff")}
-					b.loInc, b.hiInc = true, false
-					// No conj consumption: LIKE must remain in the residual.
-				}
-				continue
-			}
 			if !v.Op.IsComparison() || v.Op == sqlparser.OpNE {
 				continue
 			}
@@ -154,17 +128,6 @@ func extractBounds(binding string, conjuncts []sqlparser.Expr, outerOK bool) map
 		}
 	}
 	return bounds
-}
-
-// likePrefix returns the literal prefix of a LIKE pattern before the first
-// wildcard ("" when the pattern starts with one).
-func likePrefix(pattern string) string {
-	for i := 0; i < len(pattern); i++ {
-		if pattern[i] == '%' || pattern[i] == '_' {
-			return pattern[:i]
-		}
-	}
-	return pattern
 }
 
 // normalizeComparison orients col-op-expr with the column on the left and

@@ -109,7 +109,7 @@ func TestPlannerInListWithVariablesFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	// IN list referencing a column is not a constant bound.
-	stmt := sqlparser.MustParse("SELECT * FROM orders WHERE cid IN (oid, 2)").(*sqlparser.SelectStmt)
+	stmt := parseStmt(t, "SELECT * FROM orders WHERE cid IN (oid, 2)").(*sqlparser.SelectStmt)
 	p, err := PlanSelect(cat, stmt)
 	if err != nil {
 		t.Fatal(err)

@@ -73,22 +73,6 @@ func (n *IndexScanNode) Explain() string {
 		n.Table, n.Index.Name, len(n.EqVals), n.Lo != nil || n.Hi != nil, n.rows, n.cost)
 }
 
-// MaterializeNode runs a derived-table subplan once and exposes its rows
-// under a binding with named columns.
-type MaterializeNode struct {
-	baseNode
-	Binding string
-	Columns []string
-	Input   Node
-	// Select carries the subquery's projection for the engine to evaluate.
-	Select *sqlparser.SelectStmt
-}
-
-// Explain renders the node.
-func (n *MaterializeNode) Explain() string {
-	return fmt.Sprintf("Materialize(%s) rows=%.0f cost=%.1f", n.Binding, n.rows, n.cost)
-}
-
 // JoinStrategy enumerates physical join algorithms.
 type JoinStrategy uint8
 

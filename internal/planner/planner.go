@@ -1,7 +1,6 @@
 package planner
 
 import (
-	"fmt"
 	"math"
 	"strings"
 
@@ -142,7 +141,7 @@ func resolveStatement(sc *scope, stmt *sqlparser.SelectStmt) error {
 type tableInput struct {
 	binding string
 	node    Node
-	info    *bindingInfo
+	table   *catalog.Table
 }
 
 // planFromClause builds the join tree over all bindings: each binding is
@@ -155,35 +154,17 @@ func planFromClause(cat *catalog.Catalog, sc *scope, conjuncts []sqlparser.Expr)
 
 	inputs := make(map[string]*tableInput)
 	for _, b := range sc.order {
-		info := sc.bindings[b]
-		var node Node
-		if info.derived != nil {
-			subPlan, err := PlanSelect(cat, info.derived)
-			if err != nil {
-				return nil, nil, fmt.Errorf("planner: derived table %q: %w", b, err)
+		var mine []sqlparser.Expr
+		for _, c := range conjuncts {
+			if onlyBinding(c, b) && referencesBinding(c, b) {
+				mine = append(mine, c)
 			}
-			usedIndexes = append(usedIndexes, subPlan.IndexesUsed...)
-			node = &MaterializeNode{
-				baseNode: baseNode{rows: subPlan.Root.EstRows(), cost: subPlan.Root.EstCost()},
-				Binding:  b,
-				Columns:  info.columns,
-				Input:    subPlan.Root,
-				Select:   info.derived,
-			}
-		} else {
-			var mine []sqlparser.Expr
-			for _, c := range conjuncts {
-				if onlyBinding(c, b) && referencesBinding(c, b) {
-					mine = append(mine, c)
-				}
-			}
-			scan, idxName := buildScan(cat, info.table, b, mine, false)
-			if idxName != "" {
-				usedIndexes = append(usedIndexes, idxName)
-			}
-			node = scan
 		}
-		inputs[b] = &tableInput{binding: b, node: node, info: info}
+		scan, idxName := buildScan(cat, sc.bindings[b], b, mine, false)
+		if idxName != "" {
+			usedIndexes = append(usedIndexes, idxName)
+		}
+		inputs[b] = &tableInput{binding: b, node: scan, table: sc.bindings[b]}
 	}
 
 	// Cross-binding conjuncts become join conditions.
@@ -322,21 +303,17 @@ func hasAggregate(items []sqlparser.SelectItem) bool {
 }
 
 func exprHasAggregate(e sqlparser.Expr) bool {
-	switch v := e.(type) {
-	case *sqlparser.FuncExpr:
-		switch v.Name {
-		case "SUM", "COUNT", "AVG", "MIN", "MAX":
-			return true
-		}
-		for _, a := range v.Args {
-			if exprHasAggregate(a) {
-				return true
+	found := false
+	sqlparser.Walk(e, func(x sqlparser.Expr) bool {
+		if f, ok := x.(*sqlparser.FuncExpr); ok {
+			switch f.Name {
+			case "SUM", "COUNT", "AVG", "MIN", "MAX":
+				found = true
 			}
 		}
-	case *sqlparser.BinaryExpr:
-		return exprHasAggregate(v.L) || exprHasAggregate(v.R)
-	}
-	return false
+		return !found
+	})
+	return found
 }
 
 // referencesBinding reports whether e mentions the binding at all.
@@ -412,8 +389,6 @@ func explainInto(b *strings.Builder, n Node, depth int) {
 	case *ProjectNode:
 		explainInto(b, v.Input, depth+1)
 	case *LimitNode:
-		explainInto(b, v.Input, depth+1)
-	case *MaterializeNode:
 		explainInto(b, v.Input, depth+1)
 	}
 }

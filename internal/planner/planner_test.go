@@ -58,9 +58,19 @@ func testCatalog(t *testing.T) *catalog.Catalog {
 	return cat
 }
 
+// parseStmt parses sql, failing the test on error.
+func parseStmt(t *testing.T, sql string) sqlparser.Statement {
+	t.Helper()
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		t.Fatalf("Parse(%q): %v", sql, err)
+	}
+	return stmt
+}
+
 func plan(t *testing.T, cat *catalog.Catalog, sql string) *SelectPlan {
 	t.Helper()
-	stmt := sqlparser.MustParse(sql).(*sqlparser.SelectStmt)
+	stmt := parseStmt(t, sql).(*sqlparser.SelectStmt)
 	p, err := PlanSelect(cat, stmt)
 	if err != nil {
 		t.Fatalf("PlanSelect(%q): %v", sql, err)
@@ -183,7 +193,7 @@ func TestINLJoinChosenWithInnerIndex(t *testing.T) {
 func TestAmbiguousColumnError(t *testing.T) {
 	cat := testCatalog(t)
 	// "cid" exists only in orders, "id" only in customer — make ambiguity
-	stmt := sqlparser.MustParse("SELECT oid FROM orders o1, orders o2 WHERE oid = 3").(*sqlparser.SelectStmt)
+	stmt := parseStmt(t, "SELECT oid FROM orders o1, orders o2 WHERE oid = 3").(*sqlparser.SelectStmt)
 	if _, err := PlanSelect(cat, stmt); err == nil {
 		t.Error("ambiguous column must error")
 	}
@@ -197,7 +207,7 @@ func TestUnknownTableAndColumnErrors(t *testing.T) {
 		"SELECT o.ghost FROM orders o",
 		"SELECT * FROM orders WHERE ghost = 1",
 	} {
-		stmt := sqlparser.MustParse(sql).(*sqlparser.SelectStmt)
+		stmt := parseStmt(t, sql).(*sqlparser.SelectStmt)
 		if _, err := PlanSelect(cat, stmt); err == nil {
 			t.Errorf("PlanSelect(%q) should fail", sql)
 		}
@@ -228,7 +238,7 @@ func TestOrderBySatisfiedByIndex(t *testing.T) {
 
 func TestWritePlanInsertMaintenanceGrowsWithIndexes(t *testing.T) {
 	cat := testCatalog(t)
-	ins := sqlparser.MustParse("INSERT INTO orders (oid, cid, amount, status) VALUES (1, 2, 3.0, 'x')")
+	ins := parseStmt(t, "INSERT INTO orders (oid, cid, amount, status) VALUES (1, 2, 3.0, 'x')")
 	wp1, err := PlanWrite(cat, ins)
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +273,7 @@ func TestWritePlanUpdateOnlyTouchedIndexes(t *testing.T) {
 		Columns: []string{"amount"}, NumTuples: 100000, Height: 3}); err != nil {
 		t.Fatal(err)
 	}
-	upd := sqlparser.MustParse("UPDATE orders SET amount = 5 WHERE oid = 3")
+	upd := parseStmt(t, "UPDATE orders SET amount = 5 WHERE oid = 3")
 	wp, err := PlanWrite(cat, upd)
 	if err != nil {
 		t.Fatal(err)
@@ -293,22 +303,13 @@ func TestWritePlanDeleteHasNoMaintenance(t *testing.T) {
 		Columns: []string{"cid"}, NumTuples: 100000, Height: 3}); err != nil {
 		t.Fatal(err)
 	}
-	del := sqlparser.MustParse("DELETE FROM orders WHERE oid = 3")
+	del := parseStmt(t, "DELETE FROM orders WHERE oid = 3")
 	wp, err := PlanWrite(cat, del)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(wp.MaintainIndexes) != 0 {
 		t.Errorf("deletes defer index maintenance (paper §V): %d entries", len(wp.MaintainIndexes))
-	}
-}
-
-func TestDerivedTablePlanning(t *testing.T) {
-	cat := testCatalog(t)
-	p := plan(t, cat,
-		"SELECT c.city FROM customer c, (SELECT cid FROM orders WHERE amount > 900) big WHERE c.id = big.cid")
-	if !strings.Contains(Explain(p.Root), "Materialize(big)") {
-		t.Errorf("expected materialized derived table:\n%s", Explain(p.Root))
 	}
 }
 
@@ -331,8 +332,6 @@ func findIndexScan(n Node) (*IndexScanNode, bool) {
 			return s, true
 		}
 		return findIndexScan(v.Right)
-	case *MaterializeNode:
-		return findIndexScan(v.Input)
 	default:
 		return nil, false
 	}

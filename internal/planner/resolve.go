@@ -8,62 +8,26 @@ import (
 	"repro/internal/sqlparser"
 )
 
-// scope maps query bindings to their column sets during name resolution.
+// scope maps query bindings to their base tables during name resolution.
 type scope struct {
 	// order preserves FROM-clause order for join planning.
 	order    []string
-	bindings map[string]*bindingInfo
-}
-
-type bindingInfo struct {
-	binding string
-	// table is non-nil for base tables.
-	table *catalog.Table
-	// derived is non-nil for derived tables; columns lists its output names.
-	derived *sqlparser.SelectStmt
-	columns []string
-}
-
-func (b *bindingInfo) hasColumn(col string) bool {
-	if b.table != nil {
-		return b.table.Column(col) != nil
-	}
-	for _, c := range b.columns {
-		if c == col {
-			return true
-		}
-	}
-	return false
+	bindings map[string]*catalog.Table
 }
 
 // buildScope registers every FROM and JOIN binding of the statement.
 func buildScope(cat *catalog.Catalog, stmt *sqlparser.SelectStmt) (*scope, error) {
-	sc := &scope{bindings: make(map[string]*bindingInfo)}
+	sc := &scope{bindings: make(map[string]*catalog.Table)}
 	add := func(ref sqlparser.TableRef) error {
 		b := ref.Binding()
-		if b == "" {
-			return fmt.Errorf("planner: derived table requires an alias")
-		}
 		if _, dup := sc.bindings[b]; dup {
 			return fmt.Errorf("planner: duplicate binding %q", b)
 		}
-		info := &bindingInfo{binding: b}
-		if ref.Subquery != nil {
-			info.derived = ref.Subquery
-			cols, err := derivedColumns(cat, ref.Subquery)
-			if err != nil {
-				return err
-			}
-			info.columns = cols
-		} else {
-			t := cat.Table(ref.Name)
-			if t == nil {
-				return fmt.Errorf("planner: unknown table %q", ref.Name)
-			}
-			info.table = t
-			info.columns = t.ColumnNames()
+		t := cat.Table(ref.Name)
+		if t == nil {
+			return fmt.Errorf("planner: unknown table %q", ref.Name)
 		}
-		sc.bindings[b] = info
+		sc.bindings[b] = t
 		sc.order = append(sc.order, b)
 		return nil
 	}
@@ -80,101 +44,36 @@ func buildScope(cat *catalog.Catalog, stmt *sqlparser.SelectStmt) (*scope, error
 	return sc, nil
 }
 
-// derivedColumns computes the output column names of a subquery.
-func derivedColumns(cat *catalog.Catalog, sub *sqlparser.SelectStmt) ([]string, error) {
-	var cols []string
-	for i, item := range sub.Select {
-		switch {
-		case item.Star:
-			inner, err := buildScope(cat, sub)
-			if err != nil {
-				return nil, err
-			}
-			for _, b := range inner.order {
-				cols = append(cols, inner.bindings[b].columns...)
-			}
-		case item.Alias != "":
-			cols = append(cols, item.Alias)
-		default:
-			if ref, ok := item.Expr.(*sqlparser.ColumnRef); ok {
-				cols = append(cols, ref.Column)
-			} else {
-				cols = append(cols, fmt.Sprintf("col%d", i+1))
-			}
-		}
-	}
-	return cols, nil
-}
-
-// resolveColumns rewrites every unqualified ColumnRef in the expression to
+// resolveExpr rewrites every unqualified ColumnRef in the expression to
 // carry its binding, verifying qualified references. It returns an error on
 // unknown or ambiguous columns.
 func (sc *scope) resolveExpr(e sqlparser.Expr) error {
-	switch v := e.(type) {
-	case nil:
-		return nil
-	case *sqlparser.ColumnRef:
-		return sc.resolveRef(v)
-	case *sqlparser.BinaryExpr:
-		if err := sc.resolveExpr(v.L); err != nil {
-			return err
+	var err error
+	sqlparser.Walk(e, func(x sqlparser.Expr) bool {
+		if ref, ok := x.(*sqlparser.ColumnRef); ok && err == nil {
+			err = sc.resolveRef(ref)
 		}
-		return sc.resolveExpr(v.R)
-	case *sqlparser.NotExpr:
-		return sc.resolveExpr(v.E)
-	case *sqlparser.InExpr:
-		if err := sc.resolveExpr(v.E); err != nil {
-			return err
-		}
-		for _, item := range v.List {
-			if _, sub := item.(*sqlparser.SubqueryExpr); sub {
-				continue // subquery resolves in its own scope at plan time
-			}
-			if err := sc.resolveExpr(item); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *sqlparser.BetweenExpr:
-		if err := sc.resolveExpr(v.E); err != nil {
-			return err
-		}
-		if err := sc.resolveExpr(v.Lo); err != nil {
-			return err
-		}
-		return sc.resolveExpr(v.Hi)
-	case *sqlparser.IsNullExpr:
-		return sc.resolveExpr(v.E)
-	case *sqlparser.FuncExpr:
-		for _, a := range v.Args {
-			if err := sc.resolveExpr(a); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *sqlparser.Literal, *sqlparser.Placeholder, *sqlparser.SubqueryExpr:
-		return nil
-	default:
-		return fmt.Errorf("planner: unsupported expression %T", e)
-	}
+		return err == nil
+	})
+	return err
 }
 
 func (sc *scope) resolveRef(ref *sqlparser.ColumnRef) error {
 	ref.Column = strings.ToLower(ref.Column)
 	if ref.Table != "" {
 		ref.Table = strings.ToLower(ref.Table)
-		b, ok := sc.bindings[ref.Table]
+		t, ok := sc.bindings[ref.Table]
 		if !ok {
 			return fmt.Errorf("planner: unknown binding %q", ref.Table)
 		}
-		if !b.hasColumn(ref.Column) {
+		if t.Column(ref.Column) == nil {
 			return fmt.Errorf("planner: column %q not in %q", ref.Column, ref.Table)
 		}
 		return nil
 	}
 	var found string
 	for _, b := range sc.order {
-		if sc.bindings[b].hasColumn(ref.Column) {
+		if sc.bindings[b].Column(ref.Column) != nil {
 			if found != "" {
 				return fmt.Errorf("planner: ambiguous column %q (in %q and %q)", ref.Column, found, b)
 			}
@@ -190,31 +89,12 @@ func (sc *scope) resolveRef(ref *sqlparser.ColumnRef) error {
 
 // exprBindings collects the set of bindings an expression references.
 func exprBindings(e sqlparser.Expr, out map[string]bool) {
-	switch v := e.(type) {
-	case nil:
-	case *sqlparser.ColumnRef:
-		out[v.Table] = true
-	case *sqlparser.BinaryExpr:
-		exprBindings(v.L, out)
-		exprBindings(v.R, out)
-	case *sqlparser.NotExpr:
-		exprBindings(v.E, out)
-	case *sqlparser.InExpr:
-		exprBindings(v.E, out)
-		for _, item := range v.List {
-			exprBindings(item, out)
+	sqlparser.Walk(e, func(x sqlparser.Expr) bool {
+		if ref, ok := x.(*sqlparser.ColumnRef); ok {
+			out[ref.Table] = true
 		}
-	case *sqlparser.BetweenExpr:
-		exprBindings(v.E, out)
-		exprBindings(v.Lo, out)
-		exprBindings(v.Hi, out)
-	case *sqlparser.IsNullExpr:
-		exprBindings(v.E, out)
-	case *sqlparser.FuncExpr:
-		for _, a := range v.Args {
-			exprBindings(a, out)
-		}
-	}
+		return true
+	})
 }
 
 // splitConjuncts flattens a predicate into its AND-ed conjuncts.
@@ -247,39 +127,5 @@ func andAll(conjuncts []sqlparser.Expr) sqlparser.Expr {
 func isConstExpr(e sqlparser.Expr) bool {
 	m := make(map[string]bool)
 	exprBindings(e, m)
-	if _, hasSub := findSubquery(e); hasSub {
-		return false
-	}
 	return len(m) == 0
-}
-
-func findSubquery(e sqlparser.Expr) (*sqlparser.SubqueryExpr, bool) {
-	switch v := e.(type) {
-	case *sqlparser.SubqueryExpr:
-		return v, true
-	case *sqlparser.BinaryExpr:
-		if s, ok := findSubquery(v.L); ok {
-			return s, true
-		}
-		return findSubquery(v.R)
-	case *sqlparser.NotExpr:
-		return findSubquery(v.E)
-	case *sqlparser.InExpr:
-		for _, item := range v.List {
-			if s, ok := findSubquery(item); ok {
-				return s, true
-			}
-		}
-		return findSubquery(v.E)
-	case *sqlparser.BetweenExpr:
-		if s, ok := findSubquery(v.E); ok {
-			return s, true
-		}
-		if s, ok := findSubquery(v.Lo); ok {
-			return s, true
-		}
-		return findSubquery(v.Hi)
-	default:
-		return nil, false
-	}
 }

@@ -85,14 +85,14 @@ func buildJoin(cat *catalog.Catalog, cur Node, next *tableInput,
 
 	// Option 1: index nested loop — next is a base table with an index
 	// usable from the join conjuncts (outer references allowed).
-	if next.info.table != nil && len(conds) > 0 {
+	if len(conds) > 0 {
 		var mine []sqlparser.Expr
 		for _, c := range allConjuncts {
 			if onlyBinding(c, next.binding) && referencesBinding(c, next.binding) {
 				mine = append(mine, c)
 			}
 		}
-		inner, idxName := buildScan(cat, next.info.table, next.binding,
+		inner, idxName := buildScan(cat, next.table, next.binding,
 			append(append([]sqlparser.Expr{}, mine...), conds...), true)
 		if idx, ok := inner.(*IndexScanNode); ok && usesOuterBound(idx, next.binding) {
 			perProbe := idx.EstCost()

@@ -21,38 +21,8 @@ func constValue(e sqlparser.Expr) (sqltypes.Value, bool) {
 		if !okL || !okR {
 			return sqltypes.Null(), false
 		}
-		return evalArith(v.Op, l, r)
-	default:
-		return sqltypes.Null(), false
-	}
-}
-
-func evalArith(op sqlparser.BinOp, l, r sqltypes.Value) (sqltypes.Value, bool) {
-	if l.IsNull() || r.IsNull() {
-		return sqltypes.Null(), true
-	}
-	intOp := l.Kind == sqltypes.KindInt && r.Kind == sqltypes.KindInt
-	switch op {
-	case sqlparser.OpAdd:
-		if intOp {
-			return sqltypes.NewInt(l.Int + r.Int), true
-		}
-		return sqltypes.NewFloat(l.AsFloat() + r.AsFloat()), true
-	case sqlparser.OpSub:
-		if intOp {
-			return sqltypes.NewInt(l.Int - r.Int), true
-		}
-		return sqltypes.NewFloat(l.AsFloat() - r.AsFloat()), true
-	case sqlparser.OpMul:
-		if intOp {
-			return sqltypes.NewInt(l.Int * r.Int), true
-		}
-		return sqltypes.NewFloat(l.AsFloat() * r.AsFloat()), true
-	case sqlparser.OpDiv:
-		if r.AsFloat() == 0 {
-			return sqltypes.Null(), true
-		}
-		return sqltypes.NewFloat(l.AsFloat() / r.AsFloat()), true
+		// A NULL operand folds to NULL under any operator.
+		return v.Op.Arith(l, r), v.Op.IsArith() || l.IsNull() || r.IsNull()
 	default:
 		return sqltypes.Null(), false
 	}
@@ -70,8 +40,6 @@ func predicateSelectivity(tbl *catalog.Table, e sqlparser.Expr) float64 {
 			a := predicateSelectivity(tbl, v.L)
 			b := predicateSelectivity(tbl, v.R)
 			return a + b - a*b
-		case sqlparser.OpLike:
-			return costparams.DefaultLikeSelectivity
 		default:
 			return comparisonSelectivity(tbl, v)
 		}
@@ -102,8 +70,6 @@ func predicateSelectivity(tbl *catalog.Table, e sqlparser.Expr) float64 {
 		}
 		return stats.SelectivityRange(lo, hi, true, true)
 	case *sqlparser.IsNullExpr:
-		stats := columnStatsName(tbl, "")
-		_ = stats
 		if v.Not {
 			return 0.95
 		}
@@ -179,11 +145,4 @@ func columnStats(tbl *catalog.Table, ref *sqlparser.ColumnRef) *catalog.ColumnSt
 		return nil
 	}
 	return tbl.ColumnStatsFor(ref.Column)
-}
-
-func columnStatsName(tbl *catalog.Table, col string) *catalog.ColumnStats {
-	if tbl == nil {
-		return nil
-	}
-	return tbl.ColumnStatsFor(col)
 }

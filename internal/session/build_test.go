@@ -300,7 +300,7 @@ func TestChaosBuildKilledMidCatchupRollsBack(t *testing.T) {
 	if len(db.IndexTrees("idx_chaos")) != 0 {
 		t.Fatal("failed build leaked trees")
 	}
-	if db.AttachedChangeLog() != nil {
+	if changeLogAttached(t, db) {
 		t.Fatal("failed build left the change log attached")
 	}
 	if got := mon.seq[len(mon.seq)-1]; got != BuildFailed {
@@ -423,7 +423,7 @@ func TestBuildValidationErrors(t *testing.T) {
 		if rep.Code.Temporary() {
 			t.Errorf("spec %+v: validation errors are permanent, got code %v", spec, rep.Code)
 		}
-		if db.AttachedChangeLog() != nil {
+		if changeLogAttached(t, db) {
 			t.Fatalf("spec %+v: change log leaked", spec)
 		}
 	}

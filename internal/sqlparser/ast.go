@@ -1,9 +1,10 @@
 // Package sqlparser implements a hand-written lexer and recursive-descent
-// parser for the SQL subset used by AutoIndex workloads: SELECT with joins,
-// derived tables, GROUP BY / ORDER BY / LIMIT, and the DML statements
+// parser for the SQL subset used by AutoIndex workloads: SELECT over base
+// tables with joins, GROUP BY / ORDER BY / LIMIT, and the DML statements
 // INSERT, UPDATE and DELETE, plus the DDL needed to define schemas and
-// indexes. It produces a typed AST that the planner and the candidate index
-// generator consume.
+// indexes. A statement is one scope: subqueries, derived tables and LIKE
+// are rejected with an error naming the construct. It produces a typed AST
+// that the planner and the candidate index generator consume.
 package sqlparser
 
 import (
@@ -41,11 +42,10 @@ type SelectItem struct {
 	Star  bool
 }
 
-// TableRef is a table or derived table in the FROM clause.
+// TableRef is a base table in the FROM clause.
 type TableRef struct {
-	Name     string
-	Alias    string
-	Subquery *SelectStmt // non-nil for derived tables
+	Name  string
+	Alias string
 }
 
 // Binding returns the name the table is referenced by in expressions.
@@ -170,20 +170,57 @@ const (
 	OpSub
 	OpMul
 	OpDiv
-	OpLike
 )
 
 var opNames = map[BinOp]string{
 	OpEQ: "=", OpNE: "<>", OpLT: "<", OpLE: "<=", OpGT: ">", OpGE: ">=",
 	OpAnd: "AND", OpOr: "OR", OpAdd: "+", OpSub: "-", OpMul: "*", OpDiv: "/",
-	OpLike: "LIKE",
 }
 
 // String returns the SQL spelling of the operator.
 func (o BinOp) String() string { return opNames[o] }
 
 // IsComparison reports whether the operator is a scalar comparison.
-func (o BinOp) IsComparison() bool { return o <= OpGE || o == OpLike }
+func (o BinOp) IsComparison() bool { return o <= OpGE }
+
+// IsArith reports whether the operator is arithmetic (+, -, *, /).
+func (o BinOp) IsArith() bool { return o >= OpAdd && o <= OpDiv }
+
+// Arith applies an arithmetic operator under SQL NULL rules: a NULL operand
+// yields NULL, and so does division by zero. Two ints stay an int except
+// under division. A non-arithmetic operator yields NULL. The planner's
+// constant folder and the executor both evaluate arithmetic through it.
+func (o BinOp) Arith(l, r sqltypes.Value) sqltypes.Value {
+	if l.IsNull() || r.IsNull() {
+		return sqltypes.Null()
+	}
+	intOp := l.Kind == sqltypes.KindInt && r.Kind == sqltypes.KindInt
+	switch o {
+	case OpAdd:
+		if intOp {
+			return sqltypes.NewInt(l.Int + r.Int)
+		}
+		return sqltypes.NewFloat(l.AsFloat() + r.AsFloat())
+	case OpSub:
+		if intOp {
+			return sqltypes.NewInt(l.Int - r.Int)
+		}
+		return sqltypes.NewFloat(l.AsFloat() - r.AsFloat())
+	case OpMul:
+		if intOp {
+			return sqltypes.NewInt(l.Int * r.Int)
+		}
+		return sqltypes.NewFloat(l.AsFloat() * r.AsFloat())
+	case OpDiv:
+		rf := r.AsFloat()
+		if rf == 0 {
+			return sqltypes.Null()
+		}
+		return sqltypes.NewFloat(l.AsFloat() / rf)
+	default:
+		return sqltypes.Null()
+	}
+}
 
 // ColumnRef references table.column (table part optional).
 type ColumnRef struct {
@@ -236,21 +273,15 @@ type FuncExpr struct {
 	Star bool // COUNT(*)
 }
 
-// SubqueryExpr wraps a scalar or IN subquery in an expression position.
-type SubqueryExpr struct {
-	Query *SelectStmt
-}
-
-func (*ColumnRef) expr()    {}
-func (*Literal) expr()      {}
-func (*Placeholder) expr()  {}
-func (*BinaryExpr) expr()   {}
-func (*NotExpr) expr()      {}
-func (*InExpr) expr()       {}
-func (*BetweenExpr) expr()  {}
-func (*IsNullExpr) expr()   {}
-func (*FuncExpr) expr()     {}
-func (*SubqueryExpr) expr() {}
+func (*ColumnRef) expr()   {}
+func (*Literal) expr()     {}
+func (*Placeholder) expr() {}
+func (*BinaryExpr) expr()  {}
+func (*NotExpr) expr()     {}
+func (*InExpr) expr()      {}
+func (*BetweenExpr) expr() {}
+func (*IsNullExpr) expr()  {}
+func (*FuncExpr) expr()    {}
 
 // String renders the column reference.
 func (c *ColumnRef) String() string {
@@ -307,9 +338,6 @@ func (f *FuncExpr) String() string {
 	}
 	return f.Name + "(" + strings.Join(parts, ", ") + ")"
 }
-
-// String renders the subquery.
-func (s *SubqueryExpr) String() string { return "(" + s.Query.String() + ")" }
 
 // String renders a normalized SELECT.
 func (s *SelectStmt) String() string {
@@ -377,11 +405,7 @@ func (s *SelectStmt) String() string {
 }
 
 func writeTableRef(b *strings.Builder, t TableRef) {
-	if t.Subquery != nil {
-		b.WriteString("(" + t.Subquery.String() + ")")
-	} else {
-		b.WriteString(t.Name)
-	}
+	b.WriteString(t.Name)
 	if t.Alias != "" {
 		b.WriteString(" " + t.Alias)
 	}

@@ -9,8 +9,9 @@ package sqlparser
 // configuration evaluation).
 //
 // sqltypes.Value and plain string/scalar fields are immutable by
-// convention and copied by value; every Expr node, nested SelectStmt and
-// slice is duplicated.
+// convention and copied by value; every Expr node and slice is duplicated.
+
+import "slices"
 
 // cloneExpr deep-copies an expression, passing nil through (optional
 // clauses like WHERE/HAVING are nil when absent).
@@ -69,20 +70,8 @@ func (f *FuncExpr) Clone() Expr {
 	return &FuncExpr{Name: f.Name, Args: cloneExprs(f.Args), Star: f.Star}
 }
 
-// Clone deep-copies the subquery expression.
-func (s *SubqueryExpr) Clone() Expr { return &SubqueryExpr{Query: s.Query.CloneSelect()} }
-
-func cloneTableRef(t TableRef) TableRef {
-	out := TableRef{Name: t.Name, Alias: t.Alias}
-	if t.Subquery != nil {
-		out.Subquery = t.Subquery.CloneSelect()
-	}
-	return out
-}
-
 // CloneSelect deep-copies a SELECT with its concrete type (Clone returns
-// the Statement interface; nested subqueries and the planner need the
-// *SelectStmt itself).
+// the Statement interface; the planner needs the *SelectStmt itself).
 func (s *SelectStmt) CloneSelect() *SelectStmt {
 	if s == nil {
 		return nil
@@ -97,16 +86,11 @@ func (s *SelectStmt) CloneSelect() *SelectStmt {
 			cp.Select[i] = SelectItem{Expr: cloneExpr(it.Expr), Alias: it.Alias, Star: it.Star}
 		}
 	}
-	if s.From != nil {
-		cp.From = make([]TableRef, len(s.From))
-		for i, t := range s.From {
-			cp.From[i] = cloneTableRef(t)
-		}
-	}
+	cp.From = slices.Clone(s.From)
 	if s.Joins != nil {
 		cp.Joins = make([]JoinClause, len(s.Joins))
 		for i, j := range s.Joins {
-			cp.Joins[i] = JoinClause{Table: cloneTableRef(j.Table), On: cloneExpr(j.On)}
+			cp.Joins[i] = JoinClause{Table: j.Table, On: cloneExpr(j.On)}
 		}
 	}
 	cp.Where = cloneExpr(s.Where)

@@ -16,8 +16,6 @@ var fuzzSeeds = []string{
 	"SELECT e.id, u.name FROM ev e JOIN users u ON e.user_id = u.id WHERE u.region = $",
 	"SELECT * FROM ev WHERE score BETWEEN $ AND $ ORDER BY score DESC",
 	"SELECT * FROM ev WHERE kind IN ('click', 'view', 'purchase')",
-	"SELECT * FROM (SELECT id, score FROM ev WHERE score > 0.5) t WHERE t.id < 100",
-	"SELECT * FROM ev WHERE id IN (SELECT id FROM hot)",
 	"INSERT INTO ev (id, user_id, kind, score) VALUES (1, 2, 'click', 0.5), (2, 3, 'view', 0.25)",
 	"UPDATE ev SET score = score + 1.5, kind = 'seen' WHERE id = $",
 	"DELETE FROM ev WHERE score < 0.1",
@@ -35,6 +33,11 @@ var fuzzSeeds = []string{
 	strings.Repeat("(", 600),
 	"SELECT " + strings.Repeat("NOT ", 600) + "a FROM t",
 	"EXPLAIN " + strings.Repeat("EXPLAIN ", 600) + "DROP INDEX i",
+	// Rejected constructs: each must fail with an error, never panic.
+	"SELECT * FROM (SELECT id, score FROM ev WHERE score > 0.5) t WHERE t.id < 100",
+	"SELECT * FROM ev WHERE id IN (SELECT id FROM hot)",
+	"SELECT * FROM ev WHERE score = (SELECT MAX(score) FROM ev)",
+	"SELECT * FROM ev WHERE kind LIKE 'cl%'",
 }
 
 // FuzzParse asserts Parse never panics, and that anything it accepts

@@ -29,16 +29,6 @@ func Parse(sql string) (Statement, error) {
 	return stmt, nil
 }
 
-// MustParse parses sql and panics on error; for tests and workload
-// generators that emit known-good SQL.
-func MustParse(sql string) Statement {
-	s, err := Parse(sql)
-	if err != nil {
-		panic(fmt.Sprintf("MustParse(%q): %v", sql, err))
-	}
-	return s
-}
-
 type parser struct {
 	toks  []token
 	pos   int
@@ -46,8 +36,8 @@ type parser struct {
 	depth int
 }
 
-// maxParseDepth bounds recursion through nested expressions, subqueries,
-// NOT/unary chains, and EXPLAIN prefixes. Adversarial inputs like a long
+// maxParseDepth bounds recursion through nested expressions, NOT/unary
+// chains, and EXPLAIN prefixes. Adversarial inputs like a long
 // run of "(" otherwise recurse once per byte and can exhaust the stack
 // (found by FuzzParse); real workload SQL nests a handful of levels.
 const maxParseDepth = 512
@@ -157,10 +147,6 @@ func (p *parser) parseStatement() (Statement, error) {
 }
 
 func (p *parser) parseSelect() (*SelectStmt, error) {
-	if err := p.enter(); err != nil {
-		return nil, err
-	}
-	defer p.leave()
 	if err := p.expectKeyword("SELECT"); err != nil {
 		return nil, err
 	}
@@ -295,22 +281,14 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 
 func (p *parser) parseTableRef() (TableRef, error) {
 	var ref TableRef
-	if p.acceptSymbol("(") {
-		sub, err := p.parseSelect()
-		if err != nil {
-			return ref, err
-		}
-		if err := p.expectSymbol(")"); err != nil {
-			return ref, err
-		}
-		ref.Subquery = sub
-	} else {
-		name, err := p.expectIdent()
-		if err != nil {
-			return ref, err
-		}
-		ref.Name = name
+	if p.peek().kind == tokSymbol && p.peek().text == "(" {
+		return ref, p.errorf("derived tables (FROM (SELECT ...)) are not supported")
 	}
+	name, err := p.expectIdent()
+	if err != nil {
+		return ref, err
+	}
+	ref.Name = name
 	if p.acceptKeyword("AS") {
 		alias, err := p.expectIdent()
 		if err != nil {
@@ -702,12 +680,7 @@ func (p *parser) parseComparison() (Expr, error) {
 	if t.kind == tokKeyword {
 		switch t.text {
 		case "LIKE":
-			p.advance()
-			right, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
-			}
-			return &BinaryExpr{Op: OpLike, L: left, R: right}, nil
+			return nil, p.errorf("LIKE is not supported")
 		case "BETWEEN":
 			p.advance()
 			lo, err := p.parseAdditive()
@@ -728,14 +701,7 @@ func (p *parser) parseComparison() (Expr, error) {
 				return nil, err
 			}
 			if p.peek().kind == tokKeyword && p.peek().text == "SELECT" {
-				sub, err := p.parseSelect()
-				if err != nil {
-					return nil, err
-				}
-				if err := p.expectSymbol(")"); err != nil {
-					return nil, err
-				}
-				return &InExpr{E: left, List: []Expr{&SubqueryExpr{Query: sub}}}, nil
+				return nil, p.errorf("IN (SELECT ...) subqueries are not supported")
 			}
 			var list []Expr
 			for {
@@ -915,14 +881,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if t.text == "(" {
 			p.advance()
 			if p.peek().kind == tokKeyword && p.peek().text == "SELECT" {
-				sub, err := p.parseSelect()
-				if err != nil {
-					return nil, err
-				}
-				if err := p.expectSymbol(")"); err != nil {
-					return nil, err
-				}
-				return &SubqueryExpr{Query: sub}, nil
+				return nil, p.errorf("scalar subqueries ((SELECT ...) as a value) are not supported")
 			}
 			e, err := p.parseExpr()
 			if err != nil {

@@ -7,6 +7,16 @@ import (
 	"repro/internal/sqltypes"
 )
 
+// parse parses sql, failing the test on error.
+func parse(t testing.TB, sql string) Statement {
+	t.Helper()
+	s, err := Parse(sql)
+	if err != nil {
+		t.Fatalf("Parse(%q): %v", sql, err)
+	}
+	return s
+}
+
 func TestParseSimpleSelect(t *testing.T) {
 	s, err := Parse("SELECT a, b FROM t WHERE a = 1 AND b > 2.5")
 	if err != nil {
@@ -30,14 +40,14 @@ func TestParseSimpleSelect(t *testing.T) {
 }
 
 func TestParseSelectStar(t *testing.T) {
-	s := MustParse("SELECT * FROM orders").(*SelectStmt)
+	s := parse(t, "SELECT * FROM orders").(*SelectStmt)
 	if !s.Select[0].Star {
 		t.Error("expected star projection")
 	}
 }
 
 func TestParseJoinOn(t *testing.T) {
-	s := MustParse("SELECT o.id FROM orders o JOIN customer c ON o.cid = c.id WHERE c.name = 'x'").(*SelectStmt)
+	s := parse(t, "SELECT o.id FROM orders o JOIN customer c ON o.cid = c.id WHERE c.name = 'x'").(*SelectStmt)
 	if len(s.Joins) != 1 {
 		t.Fatalf("want 1 join, got %d", len(s.Joins))
 	}
@@ -51,14 +61,14 @@ func TestParseJoinOn(t *testing.T) {
 }
 
 func TestParseImplicitJoinCommaList(t *testing.T) {
-	s := MustParse("SELECT * FROM a, b WHERE a.x = b.y").(*SelectStmt)
+	s := parse(t, "SELECT * FROM a, b WHERE a.x = b.y").(*SelectStmt)
 	if len(s.From) != 2 {
 		t.Fatalf("want 2 from tables, got %d", len(s.From))
 	}
 }
 
 func TestParseGroupOrderLimit(t *testing.T) {
-	s := MustParse("SELECT c, COUNT(*) FROM t GROUP BY c HAVING COUNT(*) > 5 ORDER BY c DESC LIMIT 10").(*SelectStmt)
+	s := parse(t, "SELECT c, COUNT(*) FROM t GROUP BY c HAVING COUNT(*) > 5 ORDER BY c DESC LIMIT 10").(*SelectStmt)
 	if len(s.GroupBy) != 1 {
 		t.Error("group by missing")
 	}
@@ -74,7 +84,7 @@ func TestParseGroupOrderLimit(t *testing.T) {
 }
 
 func TestParseAggregates(t *testing.T) {
-	s := MustParse("SELECT SUM(amount), AVG(price), MIN(a), MAX(b), COUNT(*) FROM t").(*SelectStmt)
+	s := parse(t, "SELECT SUM(amount), AVG(price), MIN(a), MAX(b), COUNT(*) FROM t").(*SelectStmt)
 	names := []string{"SUM", "AVG", "MIN", "MAX", "COUNT"}
 	for i, n := range names {
 		fn := s.Select[i].Expr.(*FuncExpr)
@@ -84,39 +94,27 @@ func TestParseAggregates(t *testing.T) {
 	}
 }
 
+// TestParseInBetweenLikeIsNull: IN lists, BETWEEN and IS [NOT] NULL parse;
+// the same predicate with a LIKE conjunct is rejected.
 func TestParseInBetweenLikeIsNull(t *testing.T) {
-	s := MustParse("SELECT * FROM t WHERE a IN (1,2,3) AND b BETWEEN 1 AND 9 AND c LIKE 'ab%' AND d IS NOT NULL").(*SelectStmt)
+	where := "a IN (1,2,3) AND b BETWEEN 1 AND 9 AND d IS NOT NULL"
+	s := parse(t, "SELECT * FROM t WHERE "+where).(*SelectStmt)
 	if s.Where == nil {
 		t.Fatal("where missing")
 	}
 	str := s.Where.String()
-	for _, frag := range []string{"IN (1, 2, 3)", "BETWEEN 1 AND 9", "LIKE", "IS NOT NULL"} {
+	for _, frag := range []string{"IN (1, 2, 3)", "BETWEEN 1 AND 9", "IS NOT NULL"} {
 		if !strings.Contains(str, frag) {
 			t.Errorf("where %q missing fragment %q", str, frag)
 		}
 	}
-}
-
-func TestParseSubqueryInFrom(t *testing.T) {
-	s := MustParse("SELECT * FROM t1, (SELECT * FROM t2 WHERE a = 2) sub WHERE t1.a = 1 AND t1.b = sub.b").(*SelectStmt)
-	if s.From[1].Subquery == nil {
-		t.Fatal("expected derived table")
-	}
-	if s.From[1].Alias != "sub" {
-		t.Errorf("derived table alias: got %q", s.From[1].Alias)
-	}
-}
-
-func TestParseSubqueryInWhere(t *testing.T) {
-	s := MustParse("SELECT * FROM t WHERE a IN (SELECT x FROM u WHERE y = 3)").(*SelectStmt)
-	in := s.Where.(*InExpr)
-	if _, ok := in.List[0].(*SubqueryExpr); !ok {
-		t.Fatal("expected IN subquery")
+	if _, err := Parse("SELECT * FROM t WHERE c LIKE 'ab%' AND " + where); err == nil {
+		t.Error("LIKE parsed")
 	}
 }
 
 func TestParseInsert(t *testing.T) {
-	s := MustParse("INSERT INTO t (a, b, c) VALUES (1, 'x', 2.5)").(*InsertStmt)
+	s := parse(t, "INSERT INTO t (a, b, c) VALUES (1, 'x', 2.5)").(*InsertStmt)
 	if s.Table != "t" || len(s.Columns) != 3 || len(s.Values) != 1 {
 		t.Fatal("insert shape wrong")
 	}
@@ -127,14 +125,14 @@ func TestParseInsert(t *testing.T) {
 }
 
 func TestParseInsertMultiRow(t *testing.T) {
-	s := MustParse("INSERT INTO t VALUES (1, 2), (3, 4)").(*InsertStmt)
+	s := parse(t, "INSERT INTO t VALUES (1, 2), (3, 4)").(*InsertStmt)
 	if len(s.Values) != 2 {
 		t.Fatalf("want 2 rows, got %d", len(s.Values))
 	}
 }
 
 func TestParseUpdate(t *testing.T) {
-	s := MustParse("UPDATE t SET a = 5, b = b + 1 WHERE id = 3").(*UpdateStmt)
+	s := parse(t, "UPDATE t SET a = 5, b = b + 1 WHERE id = 3").(*UpdateStmt)
 	if len(s.Set) != 2 {
 		t.Fatal("want 2 assignments")
 	}
@@ -147,14 +145,14 @@ func TestParseUpdate(t *testing.T) {
 }
 
 func TestParseDelete(t *testing.T) {
-	s := MustParse("DELETE FROM t WHERE a < 10").(*DeleteStmt)
+	s := parse(t, "DELETE FROM t WHERE a < 10").(*DeleteStmt)
 	if s.Table != "t" || s.Where == nil {
 		t.Fatal("delete shape wrong")
 	}
 }
 
 func TestParseCreateTable(t *testing.T) {
-	s := MustParse("CREATE TABLE t (id BIGINT, name VARCHAR(20), score DOUBLE, PRIMARY KEY (id))").(*CreateTableStmt)
+	s := parse(t, "CREATE TABLE t (id BIGINT, name VARCHAR(20), score DOUBLE, PRIMARY KEY (id))").(*CreateTableStmt)
 	if len(s.Columns) != 3 {
 		t.Fatalf("want 3 columns, got %d", len(s.Columns))
 	}
@@ -167,22 +165,22 @@ func TestParseCreateTable(t *testing.T) {
 }
 
 func TestParseCreateDropIndex(t *testing.T) {
-	ci := MustParse("CREATE INDEX idx_ab ON t (a, b)").(*CreateIndexStmt)
+	ci := parse(t, "CREATE INDEX idx_ab ON t (a, b)").(*CreateIndexStmt)
 	if ci.Name != "idx_ab" || len(ci.Columns) != 2 {
 		t.Fatal("create index shape")
 	}
-	ui := MustParse("CREATE UNIQUE INDEX u ON t (a)").(*CreateIndexStmt)
+	ui := parse(t, "CREATE UNIQUE INDEX u ON t (a)").(*CreateIndexStmt)
 	if !ui.Unique {
 		t.Error("unique flag")
 	}
-	di := MustParse("DROP INDEX idx_ab").(*DropIndexStmt)
+	di := parse(t, "DROP INDEX idx_ab").(*DropIndexStmt)
 	if di.Name != "idx_ab" {
 		t.Error("drop index name")
 	}
 }
 
 func TestParsePlaceholders(t *testing.T) {
-	s := MustParse("SELECT * FROM t WHERE a = $ AND b > ?").(*SelectStmt)
+	s := parse(t, "SELECT * FROM t WHERE a = $ AND b > ?").(*SelectStmt)
 	and := s.Where.(*BinaryExpr)
 	eq := and.L.(*BinaryExpr)
 	if _, ok := eq.R.(*Placeholder); !ok {
@@ -191,7 +189,7 @@ func TestParsePlaceholders(t *testing.T) {
 }
 
 func TestParseNegativeNumbers(t *testing.T) {
-	s := MustParse("SELECT * FROM t WHERE a = -5 AND b = -2.5").(*SelectStmt)
+	s := parse(t, "SELECT * FROM t WHERE a = -5 AND b = -2.5").(*SelectStmt)
 	and := s.Where.(*BinaryExpr)
 	eq := and.L.(*BinaryExpr)
 	if eq.R.(*Literal).Value.Int != -5 {
@@ -200,7 +198,7 @@ func TestParseNegativeNumbers(t *testing.T) {
 }
 
 func TestParseStringEscapes(t *testing.T) {
-	s := MustParse("SELECT * FROM t WHERE name = 'o''brien'").(*SelectStmt)
+	s := parse(t, "SELECT * FROM t WHERE name = 'o''brien'").(*SelectStmt)
 	eq := s.Where.(*BinaryExpr)
 	if eq.R.(*Literal).Value.Str != "o'brien" {
 		t.Error("escaped quote in string")
@@ -208,7 +206,7 @@ func TestParseStringEscapes(t *testing.T) {
 }
 
 func TestParseOrPrecedence(t *testing.T) {
-	s := MustParse("SELECT * FROM t WHERE a = 1 OR b = 2 AND c = 3").(*SelectStmt)
+	s := parse(t, "SELECT * FROM t WHERE a = 1 OR b = 2 AND c = 3").(*SelectStmt)
 	or := s.Where.(*BinaryExpr)
 	if or.Op != OpOr {
 		t.Fatal("top must be OR (AND binds tighter)")
@@ -220,7 +218,7 @@ func TestParseOrPrecedence(t *testing.T) {
 }
 
 func TestParseParenthesesOverridePrecedence(t *testing.T) {
-	s := MustParse("SELECT * FROM t WHERE (a = 1 OR b = 2) AND c = 3").(*SelectStmt)
+	s := parse(t, "SELECT * FROM t WHERE (a = 1 OR b = 2) AND c = 3").(*SelectStmt)
 	and := s.Where.(*BinaryExpr)
 	if and.Op != OpAnd {
 		t.Fatal("top must be AND with parens")
@@ -228,22 +226,37 @@ func TestParseParenthesesOverridePrecedence(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"SELEC * FROM t",
-		"SELECT FROM t",
-		"SELECT * FROM",
-		"SELECT * FROM t WHERE",
-		"INSERT INTO",
-		"UPDATE t",
-		"CREATE INDEX ON t (a)",
-		"SELECT * FROM t WHERE a = 'unterminated",
-		"SELECT * FROM t WHERE a @ 3",
-		"SELECT * FROM t extra garbage here (",
+	// Each bad statement, with the text its error must contain ("" when any
+	// error will do). A statement is one scope over base tables, so the
+	// constructs that would nest one statement in another, and LIKE, are
+	// rejected by name.
+	bad := []struct{ sql, names string }{
+		{"", ""},
+		{"SELEC * FROM t", ""},
+		{"SELECT FROM t", ""},
+		{"SELECT * FROM", ""},
+		{"SELECT * FROM t WHERE", ""},
+		{"INSERT INTO", ""},
+		{"UPDATE t", ""},
+		{"CREATE INDEX ON t (a)", ""},
+		{"SELECT * FROM t WHERE a = 'unterminated", ""},
+		{"SELECT * FROM t WHERE a @ 3", ""},
+		{"SELECT * FROM t extra garbage here (", ""},
+		{"SELECT * FROM t WHERE name LIKE 'ab%'", "LIKE"},
+		{"SELECT * FROM t WHERE a IN (SELECT x FROM u)", "IN (SELECT ...) subqueries"},
+		{"SELECT * FROM t WHERE a = (SELECT MAX(x) FROM u)", "scalar subqueries"},
+		{"SELECT * FROM t, (SELECT a FROM u) sub WHERE t.a = sub.a", "derived tables"},
+		{"UPDATE t SET a = (SELECT MAX(x) FROM u) WHERE id = 1", "scalar subqueries"},
+		{"DELETE FROM t WHERE a IN (SELECT x FROM u)", "IN (SELECT ...) subqueries"},
 	}
-	for _, sql := range bad {
-		if _, err := Parse(sql); err == nil {
-			t.Errorf("Parse(%q) should fail", sql)
+	for _, c := range bad {
+		_, err := Parse(c.sql)
+		if err == nil {
+			t.Errorf("Parse(%q) should fail", c.sql)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.names) {
+			t.Errorf("Parse(%q): error %q does not name %q", c.sql, err, c.names)
 		}
 	}
 }
@@ -258,7 +271,7 @@ func TestStringRoundTrip(t *testing.T) {
 		"SELECT c, COUNT(*) FROM t GROUP BY c ORDER BY c LIMIT 5",
 	}
 	for _, q := range queries {
-		s1 := MustParse(q)
+		s1 := parse(t, q)
 		rendered := s1.String()
 		s2, err := Parse(rendered)
 		if err != nil {
@@ -274,7 +287,7 @@ func TestStringRoundTrip(t *testing.T) {
 func TestTemplateRoundTrip(t *testing.T) {
 	// Templates with placeholders must re-parse (SQL2Template requirement).
 	tmpl := "SELECT * FROM t WHERE ((a = $) AND (b > $))"
-	s := MustParse(tmpl)
+	s := parse(t, tmpl)
 	if s.String() != tmpl {
 		t.Errorf("template round trip: got %s", s.String())
 	}

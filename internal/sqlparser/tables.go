@@ -6,10 +6,9 @@ import (
 )
 
 // ReferencedTables returns the sorted, lower-cased set of base-table names
-// a statement touches: FROM/JOIN tables, DML targets, and every table
-// inside derived tables and subquery expressions. The what-if cost cache
-// keys on it — a query's plan can only depend on indexes sitting on these
-// tables.
+// a statement touches: FROM/JOIN tables and DML targets (an expression
+// cannot name a table). The what-if cost cache keys on it — a query's plan
+// can only depend on indexes sitting on these tables.
 func ReferencedTables(stmt Statement) []string {
 	set := make(map[string]bool)
 	collectStmtTables(stmt, set)
@@ -24,81 +23,23 @@ func ReferencedTables(stmt Statement) []string {
 func collectStmtTables(stmt Statement, set map[string]bool) {
 	switch s := stmt.(type) {
 	case *SelectStmt:
-		collectSelectTables(s, set)
+		for _, t := range s.From {
+			set[strings.ToLower(t.Name)] = true
+		}
+		for _, j := range s.Joins {
+			set[strings.ToLower(j.Table.Name)] = true
+		}
 	case *InsertStmt:
 		set[strings.ToLower(s.Table)] = true
 	case *UpdateStmt:
 		set[strings.ToLower(s.Table)] = true
-		collectExprTables(s.Where, set)
-		for _, a := range s.Set {
-			collectExprTables(a.Value, set)
-		}
 	case *DeleteStmt:
 		set[strings.ToLower(s.Table)] = true
-		collectExprTables(s.Where, set)
 	case *CreateTableStmt:
 		set[strings.ToLower(s.Table)] = true
 	case *CreateIndexStmt:
 		set[strings.ToLower(s.Table)] = true
 	case *ExplainStmt:
 		collectStmtTables(s.Stmt, set)
-	}
-}
-
-func collectSelectTables(s *SelectStmt, set map[string]bool) {
-	if s == nil {
-		return
-	}
-	ref := func(t TableRef) {
-		if t.Subquery != nil {
-			collectSelectTables(t.Subquery, set)
-			return
-		}
-		set[strings.ToLower(t.Name)] = true
-	}
-	for _, t := range s.From {
-		ref(t)
-	}
-	for _, j := range s.Joins {
-		ref(j.Table)
-	}
-	for _, it := range s.Select {
-		collectExprTables(it.Expr, set)
-	}
-	collectExprTables(s.Where, set)
-	for _, g := range s.GroupBy {
-		collectExprTables(g, set)
-	}
-	collectExprTables(s.Having, set)
-	for _, o := range s.OrderBy {
-		collectExprTables(o.Expr, set)
-	}
-}
-
-func collectExprTables(e Expr, set map[string]bool) {
-	switch v := e.(type) {
-	case nil:
-	case *BinaryExpr:
-		collectExprTables(v.L, set)
-		collectExprTables(v.R, set)
-	case *NotExpr:
-		collectExprTables(v.E, set)
-	case *InExpr:
-		collectExprTables(v.E, set)
-		for _, item := range v.List {
-			collectExprTables(item, set)
-		}
-	case *BetweenExpr:
-		collectExprTables(v.E, set)
-		collectExprTables(v.Lo, set)
-		collectExprTables(v.Hi, set)
-	case *IsNullExpr:
-		collectExprTables(v.E, set)
-	case *FuncExpr:
-		for _, a := range v.Args {
-			collectExprTables(a, set)
-		}
-	case *SubqueryExpr:
-		collectSelectTables(v.Query, set)
 	}
 }

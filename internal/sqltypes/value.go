@@ -179,19 +179,6 @@ func CompareKeys(a, b Key) int {
 	}
 }
 
-// HasPrefix reports whether key k starts with prefix p.
-func (k Key) HasPrefix(p Key) bool {
-	if len(p) > len(k) {
-		return false
-	}
-	for i := range p {
-		if Compare(k[i], p[i]) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // EncodedSize approximates the on-page byte width of the value; used for
 // index size estimation (hypothetical indexes and storage budgets).
 func (v Value) EncodedSize() int {

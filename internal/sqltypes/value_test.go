@@ -80,22 +80,6 @@ func TestCompareKeysPrefixOrdering(t *testing.T) {
 	}
 }
 
-func TestKeyHasPrefix(t *testing.T) {
-	k := Key{NewInt(1), NewString("x"), NewFloat(2.5)}
-	if !k.HasPrefix(Key{NewInt(1)}) {
-		t.Error("single-column prefix should match")
-	}
-	if !k.HasPrefix(Key{NewInt(1), NewString("x")}) {
-		t.Error("two-column prefix should match")
-	}
-	if k.HasPrefix(Key{NewInt(2)}) {
-		t.Error("mismatching prefix must not match")
-	}
-	if k.HasPrefix(Key{NewInt(1), NewString("x"), NewFloat(2.5), NewInt(9)}) {
-		t.Error("longer prefix than key must not match")
-	}
-}
-
 func TestValueStringLiterals(t *testing.T) {
 	if got := NewString("o'brien").String(); got != "'o''brien'" {
 		t.Errorf("string literal escaping: got %s", got)

@@ -30,9 +30,6 @@ type IOCounter struct {
 	IndexPagesWritten int64
 }
 
-// Reset zeroes all counters.
-func (c *IOCounter) Reset() { *c = IOCounter{} }
-
 // Add accumulates another counter into c.
 func (c *IOCounter) Add(o IOCounter) {
 	c.HeapPagesRead += o.HeapPagesRead

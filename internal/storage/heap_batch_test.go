@@ -15,7 +15,7 @@ func TestFetchOutOfRangeChargesNothing(t *testing.T) {
 	var io IOCounter
 	h := NewHeap()
 	h.Insert(tup(1), nil)
-	io.Reset()
+	io = IOCounter{}
 	for _, rid := range []btree.RID{{Page: -1}, {Page: 5}, {Page: 1, Slot: 0}} {
 		if got := h.Fetch(rid, &io); got != nil {
 			t.Fatalf("Fetch(%v) = %v, want nil", rid, got)
@@ -38,7 +38,7 @@ func TestUpdateDeleteInvalidRIDChargesNothing(t *testing.T) {
 	var io IOCounter
 	h := NewHeap()
 	h.Insert(tup(1), nil)
-	io.Reset()
+	io = IOCounter{}
 	if err := h.Update(btree.RID{Page: 7}, tup(2), &io); err == nil {
 		t.Fatal("update of invalid rid must fail")
 	}

@@ -322,11 +322,6 @@ func stripSelect(s *sqlparser.SelectStmt) {
 			s.Select[i].Expr = stripExpr(s.Select[i].Expr)
 		}
 	}
-	for i := range s.From {
-		if s.From[i].Subquery != nil {
-			stripSelect(s.From[i].Subquery)
-		}
-	}
 	for i := range s.Joins {
 		s.Joins[i].On = stripExpr(s.Joins[i].On)
 	}
@@ -358,21 +353,7 @@ func stripExpr(e sqlparser.Expr) sqlparser.Expr {
 		v.E = stripExpr(v.E)
 		// Collapse the IN list to one placeholder so lists of different
 		// lengths share a template.
-		hasSub := false
-		for _, item := range v.List {
-			if _, ok := item.(*sqlparser.SubqueryExpr); ok {
-				hasSub = true
-			}
-		}
-		if !hasSub {
-			v.List = []sqlparser.Expr{&sqlparser.Placeholder{}}
-			return v
-		}
-		// A list that keeps its subquery keeps its other items too, stripped
-		// like any expression (they used to keep their literals).
-		for i, item := range v.List {
-			v.List[i] = stripExpr(item)
-		}
+		v.List = []sqlparser.Expr{&sqlparser.Placeholder{}}
 		return v
 	case *sqlparser.BetweenExpr:
 		v.E = stripExpr(v.E)
@@ -386,9 +367,6 @@ func stripExpr(e sqlparser.Expr) sqlparser.Expr {
 		for i := range v.Args {
 			v.Args[i] = stripExpr(v.Args[i])
 		}
-		return v
-	case *sqlparser.SubqueryExpr:
-		stripSelect(v.Query)
 		return v
 	default:
 		return e

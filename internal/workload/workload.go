@@ -32,10 +32,3 @@ func (w *Workload) Add(sql string, weight float64) error {
 	w.Queries = append(w.Queries, Query{SQL: sql, Stmt: stmt, Weight: weight})
 	return nil
 }
-
-// MustAdd is Add that panics; for generators emitting known-good SQL.
-func (w *Workload) MustAdd(sql string, weight float64) {
-	if err := w.Add(sql, weight); err != nil {
-		panic(err)
-	}
-}

@@ -8,14 +8,43 @@
 #
 #   bash scripts/product-cover.sh
 #
-# The gate fails one way only: a zero-coverage function the ledger does not
-# list fails it (exit 1). A listed function that a run does reach is
-# reported, not failed, so a function that only some runs reach (timing,
+# The gate fails (exit 1) on a ledger line that names nothing — its file is
+# gone or no longer declares that function, or a "(package)" line's
+# directory is gone — before anything is built, and on a zero-coverage
+# function the ledger does not list. A listed function that a run does reach
+# is reported, not failed, so a function that only some runs reach (timing,
 # worker interleaving) cannot make the gate flaky. DESIGN.md §17 has the
 # ledger's format and how to justify an entry.
 set -euo pipefail
 
 ledger=COVERAGE_product.txt
+
+# Ledger lines are "path Func — reason"; blank lines and # comments skip.
+if awk '!/^(#|$)/' "$ledger" | grep -vE '^[^ ]+ [^ ]+ — [^ ]'; then
+	echo "product-cover: the ledger lines above lack the \"path Func — reason\" form" >&2
+	exit 1
+fi
+# Every line names something that exists: a "(package)" line a directory,
+# any other line a function (Func) or method (Type.Method) its file declares.
+stale=$(awk '!/^(#|$)/ { print $1, $2 }' "$ledger" | while read -r file name; do
+	if [[ $name == "(package)" ]]; then
+		[ -d "$file" ] || echo "$file $name"
+		continue
+	fi
+	if [[ $name == *.* ]]; then
+		decl="^func \(([A-Za-z0-9_]+ )?\*?${name%%.*}(\[[^]]*\])?\) ${name#*.}(\[|\()"
+	else
+		decl="^func ${name}(\[|\()"
+	fi
+	[ -f "$file" ] && grep -qE "$decl" "$file" || echo "$file $name"
+done)
+if [ -n "$stale" ]; then
+	echo "product-cover: $ledger lines naming no function that exists:" >&2
+	sed 's/^/  /' <<<"$stale" >&2
+	echo "delete each line, or correct its path or name" >&2
+	exit 1
+fi
+
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 bin=$work/bin
@@ -106,16 +135,11 @@ go list -f '{{if and .GoFiles (ne .Name "main")}}{{.ImportPath}}{{end}}' ./... |
 	comm -23 - "$work/linked.txt" | sed -e 's|^repro/||' -e 's|$| (package)|' >>"$work/zero.txt"
 sort -u -o "$work/zero.txt" "$work/zero.txt"
 
-# Ledger lines are "path Func — reason"; blank lines and # comments skip.
-if awk '!/^(#|$)/' "$ledger" | grep -vE '^[^ ]+ [^ ]+ — [^ ]'; then
-	echo "product-cover: the ledger lines above lack the \"path Func — reason\" form" >&2
-	exit 1
-fi
 awk '!/^(#|$)/ { print $1, $2 }' "$ledger" | sort -u >"$work/listed.txt"
 
 reached=$(comm -13 "$work/zero.txt" "$work/listed.txt")
 if [ -n "$reached" ]; then
-	echo "listed in $ledger but reached by a shipped run (or gone):" >&2
+	echo "listed in $ledger but reached by a shipped run:" >&2
 	sed 's/^/  /' <<<"$reached" >&2
 fi
 unlisted=$(comm -23 "$work/zero.txt" "$work/listed.txt")
