@@ -175,8 +175,9 @@ func run(scenario string, scale int, schemaFile, workloadFile string,
 	return tune(db, stream, budget, seed, apply, saveSnap, rounds)
 }
 
-// tune runs the observe → diagnose → recommend (→ apply) loop for the given
-// number of rounds, then optionally snapshots the database.
+// tune runs the observe → diagnose → recommend loop for the given number of
+// rounds (with apply, each round is a Tune: recommend, then apply), then
+// optionally snapshots the database.
 func tune(db *engine.DB, stream []string, budget, seed int64, apply bool,
 	saveSnap string, rounds int) error {
 
@@ -184,24 +185,24 @@ func tune(db *engine.DB, stream []string, budget, seed int64, apply bool,
 		rounds = 1
 	}
 	ctx := context.Background()
+	// The database's registry is every component's: set it before wrapping.
+	if metricsRegistry != nil {
+		db.SetMetrics(metricsRegistry)
+	}
 	mgr := autoindex.New(db, autoindex.Options{
 		Budget:       budget,
 		MCTS:         mcts.Config{Iterations: 200, Rollouts: 4, Seed: seed, EarlyStopRounds: 50},
 		UseForecast:  rounds > 1,
 		RoundTimeout: roundTimeout,
 	})
-	if metricsRegistry != nil {
-		db.SetMetrics(metricsRegistry)
-		mgr.Instrument(metricsRegistry, metricsTracer)
-	}
-	mgr.UseSessions(session.New(db, session.Options{Seed: seed, Registry: metricsRegistry}))
+	mgr.Instrument(metricsTracer)
+	mgr.UseSessions(session.New(db, session.Options{Seed: seed}))
 	var guard *guardrail.Controller
 	if guardrailOn {
 		guard = guardrail.Attach(mgr, guardrail.Config{
 			Seed:             seed,
 			VerifyWindows:    verifyWindows,
 			RegressThreshold: regressThreshold,
-			Registry:         metricsRegistry,
 		})
 		fmt.Printf("guardrail on: verify-windows=%d regress-threshold=%.2f\n",
 			verifyWindows, regressThreshold)
@@ -240,8 +241,16 @@ func tune(db *engine.DB, stream []string, budget, seed int64, apply bool,
 			}
 		}
 
-		rec, err := mgr.Recommend(ctx)
-		if err != nil {
+		// A failed apply still returns the recommendation, printed before
+		// the error.
+		var rec *autoindex.Recommendation
+		var applied *autoindex.ApplyReport
+		if apply {
+			rec, applied, err = mgr.Tune(ctx)
+		} else {
+			rec, err = mgr.Recommend(ctx)
+		}
+		if rec == nil {
 			return err
 		}
 		fmt.Printf("recommendation (%d candidates, %d evaluations, %v):\n",
@@ -268,15 +277,14 @@ func tune(db *engine.DB, stream []string, budget, seed int64, apply bool,
 			rec.BaseCost, rec.BestCost, rec.EstimatedBenefit)
 
 		if apply {
-			report, err := mgr.Apply(ctx, rec)
 			if err != nil {
-				if report != nil && report.RolledBack {
+				if applied.RolledBack {
 					fmt.Printf("apply failed, rolled back: %v\n", err)
 				}
 				return err
 			}
 			fmt.Printf("applied: %d created, %d dropped\n",
-				len(report.Created), len(report.Dropped))
+				len(applied.Created), len(applied.Dropped))
 		}
 	}
 

@@ -179,8 +179,7 @@ func main() {
 // writeSnapshot persists one perf-trajectory point from the process
 // registry the experiments just fed.
 func writeSnapshot(path, exp string, seed int64, quick bool, wall time.Duration) error {
-	rc := obs.NewRuntimeCollector(obs.DefaultRegistry())
-	rc.Sample() // record end-of-run heap/GC/goroutine state alongside the counters
+	obs.SampleRuntime(obs.DefaultRegistry()) // end-of-run heap/GC/goroutine state beside the counters
 	snap := obs.BuildBenchSnapshot(exp, seed, quick, wall, obs.DefaultRegistry())
 	if err := snap.WriteFile(path); err != nil {
 		return err
@@ -207,7 +206,6 @@ type loadgenOpts struct {
 // tuneOutcome carries the concurrent tuning round's result back to the
 // foreground once the load finishes.
 type tuneOutcome struct {
-	rec *autoindex.Recommendation
 	rep *autoindex.ApplyReport
 	err error
 }
@@ -242,7 +240,7 @@ func runLoadgen(o loadgenOpts) error {
 
 	// All traffic routes through one session manager: SELECTs share the
 	// reader lock, writes and index publishes serialize against it.
-	sm := session.New(db, session.Options{Seed: o.seed, Registry: obs.DefaultRegistry()})
+	sm := session.New(db, session.Options{Seed: o.seed})
 	ctx := context.Background()
 
 	var tuneCh chan tuneOutcome
@@ -260,13 +258,8 @@ func runLoadgen(o loadgenOpts) error {
 		}
 		tuneCh = make(chan tuneOutcome, 1)
 		go func() {
-			rec, err := mgr.Recommend(ctx)
-			if err != nil {
-				tuneCh <- tuneOutcome{err: err}
-				return
-			}
-			rep, err := mgr.Apply(ctx, rec)
-			tuneCh <- tuneOutcome{rec: rec, rep: rep, err: err}
+			_, rep, err := mgr.Tune(ctx)
+			tuneCh <- tuneOutcome{rep: rep, err: err}
 		}()
 	}
 
@@ -346,10 +339,10 @@ func runGuardrailLoadgen(o loadgenOpts) error {
 		return fmt.Errorf("statement stream too short: %d statements for %d windows", len(stmts), windows)
 	}
 
-	sm := session.New(db, session.Options{Seed: o.seed, Registry: obs.DefaultRegistry()})
+	sm := session.New(db, session.Options{Seed: o.seed})
 	mgr := autoindex.New(db, autoindex.Options{})
 	mgr.UseSessions(sm)
-	guard := guardrail.Attach(mgr, guardrail.Config{Seed: o.seed, Registry: obs.DefaultRegistry()})
+	guard := guardrail.Attach(mgr, guardrail.Config{Seed: o.seed})
 	ctx := context.Background()
 
 	// Per-window measured cost comes from the engine's statement-cost

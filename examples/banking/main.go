@@ -65,11 +65,7 @@ func main() {
 	fmt.Printf("bulk prune removed %d indexes\n", len(drops))
 
 	// Tree-search refinement over the survivors plus fresh candidates.
-	rec, err := mgr.Recommend(ctx)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rep, err := mgr.Apply(ctx, rec)
+	_, rep, err := mgr.Tune(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,17 +25,17 @@ func main() {
 	if err := loader.Load(db); err != nil {
 		log.Fatal(err)
 	}
+
+	// Observability: the database's registry, which the manager reports into
+	// too, plus a span tree per tuning round. The same registry/tracer pair
+	// backs the /metrics and /debug/trace endpoints in cmd/autoindex; here the
+	// trace goes to stderr as JSONL.
+	reg := obs.NewRegistry()
+	db.SetMetrics(reg)
 	mgr := autoindex.New(db, autoindex.Options{
 		MCTS: mcts.Config{Iterations: 120, Seed: 13, EarlyStopRounds: 40},
 	})
-
-	// Observability: engine metrics plus a span per tuning round. The same
-	// registry/tracer pair backs the /metrics and /debug/trace endpoints in
-	// cmd/autoindex; here the trace goes to stderr as JSONL.
-	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(os.Stderr)
-	db.SetMetrics(reg)
-	mgr.Instrument(reg, tracer)
+	mgr.Instrument(obs.NewTracer(os.Stderr))
 
 	epochs := []struct {
 		name string
@@ -59,11 +59,7 @@ func main() {
 			i+1, ep.name, run.Statements, run.TotalCost, run.Throughput())
 
 		// Epoch boundary: tune against what this epoch actually ran.
-		rec, err := mgr.Recommend(context.Background())
-		if err != nil {
-			log.Fatal(err)
-		}
-		rep, err := mgr.Apply(context.Background(), rec)
+		rec, rep, err := mgr.Tune(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -34,7 +34,7 @@ func main() {
 		}
 		fmt.Printf("executed: cost=%.1f errors=%d\n", run.TotalCost, run.Errors)
 
-		rec, err := mgr.Recommend(context.Background())
+		rec, _, err := mgr.Tune(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -46,9 +46,6 @@ func main() {
 		}
 		if len(rec.Create) == 0 && len(rec.Drop) == 0 {
 			fmt.Println("  (no index changes)")
-		}
-		if _, err := mgr.Apply(context.Background(), rec); err != nil {
-			log.Fatal(err)
 		}
 		listIndexes(db)
 	}

@@ -52,7 +52,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rec, err := mgr.Recommend(context.Background())
+		rec, _, err := mgr.Tune(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -62,9 +62,6 @@ func main() {
 				kind = "LOCAL"
 			}
 			fmt.Printf("AutoIndex chose: CREATE %s INDEX ON %s %v\n", kind, spec.Table, spec.Columns)
-		}
-		if _, err := mgr.Apply(context.Background(), rec); err != nil {
-			log.Fatal(err)
 		}
 		after := harness.Run(db, stmts)
 		fmt.Printf("workload cost: %.0f -> %.0f (%.1fx)\n",

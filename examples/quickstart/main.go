@@ -53,7 +53,7 @@ func main() {
 	fmt.Printf("before tuning: total cost %.1f, %d templates observed\n",
 		before.TotalCost, mgr.TemplateStore().Len())
 
-	// 4. Diagnose, recommend, apply.
+	// 4. Diagnose, then tune: recommend and apply in one round.
 	ctx := context.Background()
 	report, err := mgr.Diagnose(ctx)
 	if err != nil {
@@ -62,16 +62,13 @@ func main() {
 	fmt.Printf("diagnosis: %d beneficial indexes missing, tuning needed: %v\n",
 		len(report.BeneficialUncreated), report.NeedsTuning)
 
-	rec, err := mgr.Recommend(ctx)
+	rec, _, err := mgr.Tune(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, spec := range rec.Create {
 		fmt.Printf("recommended: CREATE INDEX ON %s %v (estimated benefit share of %.1f)\n",
 			spec.Table, spec.Columns, rec.EstimatedBenefit)
-	}
-	if _, err := mgr.Apply(ctx, rec); err != nil {
-		log.Fatal(err)
 	}
 
 	// 5. Re-run and confirm: the measured cost completes the recommendation's

@@ -99,8 +99,13 @@ func (m *Manager) ApplyDrops(ctx context.Context, names []string) (*ApplyReport,
 	return m.applySpanned(ctx, &Recommendation{Drop: names}, nil)
 }
 
+// applySpanned is Apply traced as an apply child of parent, or as a root
+// apply span when parent is nil.
 func (m *Manager) applySpanned(ctx context.Context, rec *Recommendation, parent *obs.Span) (rep *ApplyReport, err error) {
-	span := m.childOrRoot(parent, "apply")
+	span := parent.Child("apply")
+	if parent == nil {
+		span = m.tracer.Start("apply")
+	}
 	rep = &ApplyReport{}
 	defer func() {
 		rep.Err = err

@@ -155,7 +155,7 @@ func TestTuneUnderDeadlineAppliesNothingButSucceeds(t *testing.T) {
 		}
 	}
 	before := len(db.Catalog().Indexes(false))
-	rec, err := m.Tune(context.Background(), true)
+	rec, _, err := m.Tune(context.Background())
 	if err != nil {
 		t.Fatalf("Tune under deadline should degrade, not error: %v", err)
 	}
@@ -223,9 +223,10 @@ func TestRollbackRebuildIsAnOnlineBuild(t *testing.T) {
 				t.Fatal(err)
 			}
 			reg, tracer := obs.NewRegistry(), obs.NewTracer(nil)
+			db.SetMetrics(reg)
 			m := New(db, Options{MCTS: mctsFast()})
-			m.UseSessions(session.New(db, session.Options{Seed: 1, Registry: reg}))
-			m.Instrument(nil, tracer)
+			m.UseSessions(session.New(db, session.Options{Seed: 1}))
+			m.Instrument(tracer)
 			if tc.faulted {
 				// No page is read before the rebuild's scan: the 5th read is
 				// inside it.

@@ -40,8 +40,8 @@ type Options struct {
 	// (predicted next-window mix, paper §IV-C) instead of cumulative
 	// frequency. Call CloseWindow at round boundaries to feed the trend.
 	UseForecast bool
-	// RoundTimeout bounds one tuning round's search work (diagnosis,
-	// candidate generation, MCTS, estimation). Zero means unbounded. On
+	// RoundTimeout bounds one tuning round's search work (candidate
+	// generation, MCTS, estimation). Zero means unbounded. On
 	// deadline the round returns its best-so-far recommendation flagged
 	// Degraded instead of an error; the apply phase is never time-boxed —
 	// a started apply runs to completion or rolls back.
@@ -53,12 +53,6 @@ const (
 	// maxCandidates bounds the candidate pool handed to MCTS (top-weighted
 	// first).
 	maxCandidates = 24
-	// decayFactor and decayMinFreq age the template store on a workload
-	// shift; stalenessWindow (ticks) and stalenessTrigger detect the shift.
-	decayFactor      = 0.5
-	decayMinFreq     = 0.5
-	stalenessWindow  = 10000
-	stalenessTrigger = 0.7
 	// forecastAlpha is the EWMA smoothing factor of the template trend.
 	forecastAlpha = 0.5
 )
@@ -99,12 +93,14 @@ type Manager struct {
 
 // New creates a manager over a live database, reaching it through a private
 // session layer: enough for a caller that runs statements and tuning from one
-// goroutine. Observability defaults to the process-wide obs.DefaultTracer /
-// obs.DefaultRegistry (both nil unless a binary opts in); override per
-// manager with Instrument.
+// goroutine. The manager, its estimator and its searches report into the
+// database's registry (engine.DB.Registry, read here: call db.SetMetrics
+// first). Tracing defaults to the process-wide obs.DefaultTracer (nil unless
+// a binary opts in); override per manager with Instrument.
 func New(db *engine.DB, opts Options) *Manager {
+	reg := db.Registry()
 	est := costmodel.NewEstimator(db.Catalog())
-	est.Instrument(obs.DefaultRegistry())
+	est.Instrument(reg)
 	return &Manager{
 		opts:             opts,
 		store:            template.NewStore(template.DefaultCapacity),
@@ -112,7 +108,7 @@ func New(db *engine.DB, opts Options) *Manager {
 		generator:        candgen.NewGenerator(db.Catalog()),
 		sessions:         session.New(db, session.Options{}),
 		tracer:           obs.DefaultTracer(),
-		metrics:          newManagerMetrics(obs.DefaultRegistry()),
+		metrics:          newManagerMetrics(reg),
 		lastMeasuredCost: math.NaN(),
 	}
 }
@@ -194,23 +190,18 @@ func (m *Manager) TrainEstimator() error {
 }
 
 // Diagnose runs the index diagnosis over the current window, holding the
-// exclusive lock for the duration.
+// exclusive lock for the duration, and traces it as a diagnose span. It is
+// the gate in front of Tune: a caller tunes when NeedsTuning is set.
 func (m *Manager) Diagnose(ctx context.Context) (*diagnosis.Report, error) {
+	span := m.tracer.Start("diagnose")
+	defer span.End()
 	var rep *diagnosis.Report
 	err := m.sessions.Exclusive(func(db *engine.DB) error {
 		var derr error
-		rep, derr = m.diagnoseSpanned(ctx, db, nil)
+		rep, derr = diagnosis.Diagnose(ctx, db.Catalog(), db.IndexUsage(), db.StatementCount(),
+			m.store.Workload(), m.estimator, m.generator, diagnosis.Config{})
 		return derr
 	})
-	return rep, err
-}
-
-func (m *Manager) diagnoseSpanned(ctx context.Context, db *engine.DB, parent *obs.Span) (*diagnosis.Report, error) {
-	span := m.childOrRoot(parent, "diagnose")
-	defer span.End()
-	w := m.store.Workload()
-	rep, err := diagnosis.Diagnose(ctx, db.Catalog(), db.IndexUsage(), db.StatementCount(),
-		w, m.estimator, m.generator, diagnosis.Config{})
 	if err == nil {
 		span.SetAttr("beneficial_uncreated", len(rep.BeneficialUncreated))
 		span.SetAttr("rarely_used", len(rep.RarelyUsed))
@@ -219,15 +210,6 @@ func (m *Manager) diagnoseSpanned(ctx context.Context, db *engine.DB, parent *ob
 		span.SetAttr("needs_tuning", rep.NeedsTuning)
 	}
 	return rep, err
-}
-
-// childOrRoot opens a child of parent, or a root span when parent is nil
-// (nil-safe throughout: with tracing off it returns nil).
-func (m *Manager) childOrRoot(parent *obs.Span, name string) *obs.Span {
-	if parent != nil {
-		return parent.Child(name)
-	}
-	return m.tracer.Start(name)
 }
 
 // Recommendation is the outcome of one tuning round.
@@ -264,8 +246,39 @@ type Recommendation struct {
 func (m *Manager) Recommend(ctx context.Context) (*Recommendation, error) {
 	round := m.startRound("recommend")
 	defer round.End()
-	ctx, cancel := m.roundContext(ctx)
-	defer cancel()
+	return m.search(ctx, round)
+}
+
+// Tune runs one tuning round that applies what it finds: the search of
+// Recommend, then Apply of its recommendation, traced as one tuning_round
+// span with workload → candgen → mcts → estimate → apply children. The
+// search holds the exclusive lock (one still view of statistics and
+// templates) and is bounded by Options.RoundTimeout; the apply runs outside
+// the lock, so online builds can take the reader lock for their snapshots,
+// and under the caller's ctx, so a recommendation found in time is applied
+// transactionally even if the search deadline has since passed. When the
+// apply fails, Tune returns the recommendation and the report with the
+// error (the report says whether the changes were rolled back); when the
+// search fails, both are nil. Tune does not diagnose: Diagnose is the gate.
+func (m *Manager) Tune(ctx context.Context) (*Recommendation, *ApplyReport, error) {
+	round := m.startRound("tune")
+	defer round.End()
+	rec, err := m.search(ctx, round)
+	if err != nil {
+		return nil, nil, err
+	}
+	rep, err := m.applySpanned(ctx, rec, round)
+	return rec, rep, err
+}
+
+// search is a round's search half: the round's workload and recommendation
+// under the exclusive lock, bounded by Options.RoundTimeout.
+func (m *Manager) search(ctx context.Context, round *obs.Span) (*Recommendation, error) {
+	if m.opts.RoundTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, m.opts.RoundTimeout)
+		defer cancel()
+	}
 	var rec *Recommendation
 	err := m.sessions.Exclusive(func(db *engine.DB) error {
 		var rerr error
@@ -273,14 +286,6 @@ func (m *Manager) Recommend(ctx context.Context) (*Recommendation, error) {
 		return rerr
 	})
 	return rec, err
-}
-
-// roundContext tightens ctx with the configured round timeout, if any.
-func (m *Manager) roundContext(ctx context.Context) (context.Context, context.CancelFunc) {
-	if m.opts.RoundTimeout > 0 {
-		return context.WithTimeout(ctx, m.opts.RoundTimeout)
-	}
-	return ctx, func() {}
 }
 
 // isCtxErr reports whether err stems from cancellation or deadline.
@@ -341,7 +346,7 @@ func (m *Manager) recommendSpanned(ctx context.Context, db *engine.DB, w *worklo
 	cfg.Budget = m.opts.Budget
 	mctsSpan := round.Child("mcts")
 	cfg.Span = mctsSpan
-	cfg.Metrics = m.mctsRegistry()
+	cfg.Metrics = m.Registry()
 	eval := mcts.EvaluatorFunc(func(evalCtx context.Context, active []*catalog.IndexMeta) (float64, error) {
 		return m.estimator.WorkloadCostContext(evalCtx, w, active)
 	})
@@ -509,73 +514,14 @@ func (m *Manager) pruneRecommendation(ctx context.Context, db *engine.DB, w *wor
 	return drops, nil
 }
 
-// Tune is the full loop: handle workload drift (decay stale templates),
-// diagnose, and when tuning is needed (or force is set), recommend and
-// apply. It returns the recommendation (nil when no tuning happened). The
-// whole round is traced as one span with diagnose → candgen → mcts →
-// estimate → apply children.
-//
-// Options.RoundTimeout (or a deadline on ctx) bounds the search phases;
-// the apply phase runs under the caller's ctx so a recommendation that was
-// found in time is applied transactionally even if the search deadline has
-// since passed.
-func (m *Manager) Tune(ctx context.Context, force bool) (*Recommendation, error) {
-	round := m.startRound("tune")
-	defer round.End()
-	if decayed := m.MaybeDecayTemplates(); decayed {
-		round.SetAttr("templates_decayed", true)
-	}
-	searchCtx, cancel := m.roundContext(ctx)
-	defer cancel()
-	// The search half holds the exclusive lock (one still view of
-	// statistics and templates for the whole round); the apply half runs
-	// outside it so online builds can take the reader lock for their
-	// snapshot phase without self-deadlocking.
-	var rec *Recommendation
-	skipped := false
-	err := m.sessions.Exclusive(func(db *engine.DB) error {
-		if !force {
-			rep, derr := m.diagnoseSpanned(searchCtx, db, round)
-			if derr != nil {
-				return derr
-			}
-			if !rep.NeedsTuning {
-				round.SetAttr("skipped", "no_tuning_needed")
-				skipped = true
-				return nil
-			}
-		}
-		var rerr error
-		rec, rerr = m.recommendSpanned(searchCtx, db, m.spannedRoundWorkload(round), round)
-		return rerr
-	})
-	if err != nil || skipped {
-		return nil, err
-	}
-	if _, err := m.applySpanned(ctx, rec, round); err != nil {
-		return nil, err
-	}
-	return rec, nil
-}
-
 // spannedRoundWorkload materializes the round's workload under its own
 // child span, keeping the tuning-round trace's child coverage tight.
 func (m *Manager) spannedRoundWorkload(round *obs.Span) *workload.Workload {
-	span := m.childOrRoot(round, "workload")
+	span := round.Child("workload")
 	w := m.roundWorkload()
 	span.SetAttr("templates", len(w.Queries))
 	span.End()
 	return w
-}
-
-// MaybeDecayTemplates applies the paper's workload-shift handling: when most
-// templates are stale, decay frequencies and drop cold templates.
-func (m *Manager) MaybeDecayTemplates() bool {
-	if m.store.StalenessRatio(stalenessWindow) >= stalenessTrigger {
-		m.store.Decay(decayFactor, decayMinFreq)
-		return true
-	}
-	return false
 }
 
 // realSecondaryIndexes lists droppable (non-PK, real) indexes.

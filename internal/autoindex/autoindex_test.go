@@ -284,7 +284,7 @@ func TestTuneNoopOnHealthySystem(t *testing.T) {
 		}
 	}
 	// First tune fixes the problem.
-	if _, err := m.Tune(context.Background(), true); err != nil {
+	if _, _, err := m.Tune(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Re-observe the same traffic; the system is now healthy.
@@ -294,12 +294,13 @@ func TestTuneNoopOnHealthySystem(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rec, err := m.Tune(context.Background(), false)
+	rep, err := m.Diagnose(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec != nil && (len(rec.Create) > 0 || len(rec.Drop) > 0) {
-		t.Errorf("healthy system should not re-tune: %v", recKeys(rec))
+	if rep.NeedsTuning {
+		t.Errorf("healthy system should not re-tune: ratio %.2f, beneficial-uncreated %d, rarely-used %d, negative %d",
+			rep.ProblemRatio, len(rep.BeneficialUncreated), len(rep.RarelyUsed), len(rep.Negative))
 	}
 }
 

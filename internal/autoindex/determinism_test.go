@@ -12,8 +12,8 @@ import (
 	"repro/internal/session"
 )
 
-// TestSameSeedRunsAreByteIdentical runs the full recommendation pipeline
-// (observe → diagnose → candgen → MCTS → estimate → apply) from an
+// TestSameSeedRunsAreByteIdentical runs the full tuning round (observe,
+// then Tune: candgen → MCTS → estimate → apply) from an
 // identically built database with the same seed with the estimator's
 // per-query cache on and off, and asserts every run is indistinguishable:
 // same recommendation, same costs, same evaluation counts, and
@@ -31,11 +31,8 @@ func TestSameSeedRunsAreByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		rec, err := m.Recommend(context.Background())
+		rec, _, err := m.Tune(context.Background())
 		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Apply(context.Background(), rec); err != nil {
 			t.Fatal(err)
 		}
 		js, err := m.Report().JSON()
@@ -74,8 +71,9 @@ func TestSameSeedRunsAreByteIdentical(t *testing.T) {
 
 	// Observability must be read-only: rerunning the baseline variant with a
 	// process-default metrics registry and tracer attached (picked up by
-	// engine.New and autoindex.New, exactly as benchrunner -bench-out
-	// installs them) must still produce a byte-identical StateReport.
+	// engine.New, and from the database by autoindex.New, exactly as
+	// benchrunner -bench-out installs them) must still produce a
+	// byte-identical StateReport.
 	obs.SetDefaultRegistry(obs.NewRegistry())
 	obs.SetDefaultTracer(obs.NewTracer(nil))
 	defer func() {
@@ -121,11 +119,8 @@ func TestSameSeedRunsAreByteIdenticalWithSessions(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		rec, err := m.Recommend(context.Background())
+		rec, _, err := m.Tune(context.Background())
 		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Apply(context.Background(), rec); err != nil {
 			t.Fatal(err)
 		}
 		js, err := m.Report().JSON()

@@ -42,25 +42,19 @@ func newManagerMetrics(reg *obs.Registry) *managerMetrics {
 	}
 }
 
-// Instrument attaches a metrics registry and/or tracer to the manager
-// (either may be nil). It overrides whatever process-wide defaults New
-// picked up; passing nil for both turns observability off again.
-func (m *Manager) Instrument(reg *obs.Registry, tracer *obs.Tracer) {
-	m.metrics = newManagerMetrics(reg)
-	m.tracer = tracer
-	m.estimator.Instrument(reg)
-}
+// Instrument sets the tracer the manager's rounds report to, overriding the
+// process-wide default New picked up; nil turns tracing off. Metrics are the
+// database's: see New.
+func (m *Manager) Instrument(tracer *obs.Tracer) { m.tracer = tracer }
 
-// Registry returns the manager's metrics registry (nil when off).
+// Registry returns the manager's metrics registry, the one of the database
+// it was created over (nil when off).
 func (m *Manager) Registry() *obs.Registry {
 	if m.metrics == nil {
 		return nil
 	}
 	return m.metrics.reg
 }
-
-// mctsRegistry returns the registry handle for the MCTS config (nil-safe).
-func (m *Manager) mctsRegistry() *obs.Registry { return m.Registry() }
 
 // startRound opens a tuning-round span and bumps the round counter. The
 // returned span is nil when tracing is off — all callees are nil-safe.

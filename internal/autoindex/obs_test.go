@@ -24,35 +24,37 @@ func childNames(n *obs.SpanNode) []string {
 
 func TestTuningRoundEmitsSpanTree(t *testing.T) {
 	db, reads := readHeavyDB(t)
+	reg := obs.NewRegistry()
+	db.SetMetrics(reg)
 	m := New(db, Options{MCTS: mctsFast()})
 	var sink strings.Builder
 	tracer := obs.NewTracer(&sink)
-	reg := obs.NewRegistry()
-	m.Instrument(reg, tracer)
+	m.Instrument(tracer)
 
 	for _, sql := range reads {
 		if err := m.Observe(sql); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rec, err := m.Tune(context.Background(), true)
+	rec, _, err := m.Tune(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec == nil || len(rec.Create) == 0 {
-		t.Fatalf("forced tune should recommend something: %+v", rec)
+		t.Fatalf("tune should recommend something: %+v", rec)
 	}
 
+	// One round, one tree: the apply is the round's child, not a root.
 	forest := obs.BuildForest(tracer.Recent())
 	if len(forest) != 1 {
-		t.Fatalf("expected 1 root span, got %d", len(forest))
+		t.Fatalf("expected exactly 1 root span, got %d", len(forest))
 	}
 	round := forest[0]
 	if round.Name != "tuning_round" {
 		t.Fatalf("root span = %q, want tuning_round", round.Name)
 	}
-	// Forced tune skips diagnose; pipeline children in order. The estimate
-	// span only appears when >1 index was created (freeloader pruning runs).
+	// Pipeline children in order, apply last. The estimate span only appears
+	// when >1 index was created (freeloader pruning runs).
 	got := childNames(round)
 	want := []string{"workload", "candgen", "mcts", "apply"}
 	if len(rec.Create) > 1 {
@@ -131,40 +133,18 @@ func TestTuningRoundEmitsSpanTree(t *testing.T) {
 	}
 }
 
-func TestDiagnoseSpanUnderTune(t *testing.T) {
-	db, reads := readHeavyDB(t)
-	m := New(db, Options{MCTS: mctsFast()})
-	tracer := obs.NewTracer(nil)
-	m.Instrument(nil, tracer)
-	for _, sql := range reads {
-		if err := m.Observe(sql); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Unforced tune runs diagnose first; with a clear missing index it
-	// proceeds through the full pipeline.
-	if _, err := m.Tune(context.Background(), false); err != nil {
-		t.Fatal(err)
-	}
-	forest := obs.BuildForest(tracer.Recent())
-	if len(forest) != 1 {
-		t.Fatalf("expected 1 root, got %d", len(forest))
-	}
-	names := childNames(forest[0])
-	if len(names) == 0 || names[0] != "diagnose" {
-		t.Fatalf("unforced tune children = %v, want diagnose first", names)
-	}
-}
-
 // TestInstrumentationOffIsDeterministic locks the zero-overhead contract:
 // the recommendation with tracing+metrics attached must be identical to the
 // one computed bare, and a bare manager must carry no obs state.
 func TestInstrumentationOffIsDeterministic(t *testing.T) {
 	run := func(instrument bool) *Recommendation {
 		db, reads := readHeavyDB(t)
+		if instrument {
+			db.SetMetrics(obs.NewRegistry())
+		}
 		m := New(db, Options{MCTS: mctsFast()})
 		if instrument {
-			m.Instrument(obs.NewRegistry(), obs.NewTracer(&strings.Builder{}))
+			m.Instrument(obs.NewTracer(&strings.Builder{}))
 		}
 		for _, sql := range reads {
 			if err := m.Observe(sql); err != nil {
@@ -191,9 +171,9 @@ func TestInstrumentationOffIsDeterministic(t *testing.T) {
 
 func TestPredictedVsMeasuredBenefit(t *testing.T) {
 	db, reads := readHeavyDB(t)
-	m := New(db, Options{MCTS: mctsFast()})
 	reg := obs.NewRegistry()
-	m.Instrument(reg, nil)
+	db.SetMetrics(reg)
+	m := New(db, Options{MCTS: mctsFast()})
 
 	for _, sql := range reads {
 		if err := m.Observe(sql); err != nil {

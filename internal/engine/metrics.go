@@ -45,7 +45,8 @@ type dbMetrics struct {
 // SetMetrics attaches a metrics registry to the database (nil detaches).
 // While attached, every executed statement feeds the engine_* metrics and
 // every live index tree reports splits and height changes; detached (the
-// default), the hot path pays a single nil check.
+// default), the hot path pays a single nil check. Set it before wrapping
+// the database: components read Registry when they are constructed.
 func (db *DB) SetMetrics(reg *obs.Registry) {
 	if reg == nil {
 		db.metrics = nil
@@ -96,6 +97,16 @@ func (db *DB) SetMetrics(reg *obs.Registry) {
 		m.indexHeight.With(meta.Name).Set(float64(meta.Height))
 		m.indexBytes.With(meta.Name).Set(float64(meta.SizeBytes))
 	}
+}
+
+// Registry returns the registry the database reports into (nil when metrics
+// are off). It is the one registry of everything built over the database:
+// session.New, autoindex.New and guardrail.Attach read it at construction.
+func (db *DB) Registry() *obs.Registry {
+	if db.metrics == nil {
+		return nil
+	}
+	return db.metrics.reg
 }
 
 // treeMonitor adapts one index's trees to the metrics registry.

@@ -58,11 +58,7 @@ func Fig8TemplateOverhead(seed int64, txns int) (*Fig8Result, error) {
 		if err := observeAll(m, warm); err != nil {
 			return nil, err
 		}
-		rec, err := m.Recommend(context.Background())
-		if err != nil {
-			return nil, err
-		}
-		if _, err := m.Apply(context.Background(), rec); err != nil {
+		if _, _, err := m.Tune(context.Background()); err != nil {
 			return nil, err
 		}
 		out.TemplateTuneMs = time.Since(start).Milliseconds()

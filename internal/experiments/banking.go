@@ -63,11 +63,7 @@ func Fig1BankingRemoval(seed int64, stmtsPerPhase int) (*Fig1Result, error) {
 	if _, err := m.ApplyDrops(context.Background(), drops); err != nil {
 		return nil, err
 	}
-	rec, err := m.Recommend(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	if _, err := m.Apply(context.Background(), rec); err != nil {
+	if _, _, err := m.Tune(context.Background()); err != nil {
 		return nil, err
 	}
 	out.TuneMillis = time.Since(start).Milliseconds()
@@ -130,11 +126,7 @@ func Table2Table3BankingCreation(seed int64, stmtsPerService int) (*Table2Result
 
 	_, bytesBefore := secondaryIndexStats(db.Catalog())
 	start := time.Now()
-	rec, err := m.Recommend(context.Background())
-	if err != nil {
-		return nil, nil, err
-	}
-	applyRep, err := m.Apply(context.Background(), rec)
+	rec, applyRep, err := m.Tune(context.Background())
 	if err != nil {
 		return nil, nil, err
 	}

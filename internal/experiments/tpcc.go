@@ -93,11 +93,7 @@ func Fig5TPCC(p Fig5Params) (*Fig5Result, error) {
 			return nil, err
 		}
 		start := time.Now()
-		rec, err := m.Recommend(context.Background())
-		if err != nil {
-			return nil, err
-		}
-		if _, err := m.Apply(context.Background(), rec); err != nil {
+		if _, _, err := m.Tune(context.Background()); err != nil {
 			return nil, err
 		}
 		tune := time.Since(start)
@@ -283,11 +279,7 @@ func Fig9Dynamic(seed int64, txnsPerEpoch int) ([]Fig9Epoch, error) {
 				}
 				start := time.Now()
 				st.mgr.CloseWindow() // trend boundary (forecast variant)
-				rec, err := st.mgr.Recommend(context.Background())
-				if err != nil {
-					return nil, err
-				}
-				if _, err := st.mgr.Apply(context.Background(), rec); err != nil {
+				if _, _, err := st.mgr.Tune(context.Background()); err != nil {
 					return nil, err
 				}
 				tune = time.Since(start)
@@ -389,11 +381,7 @@ func Fig10StorageBudgets(seed int64, scale int) ([]Fig10Budget, error) {
 				return nil, err
 			}
 			start := time.Now()
-			rec, err := m.Recommend(context.Background())
-			if err != nil {
-				return nil, err
-			}
-			if _, err := m.Apply(context.Background(), rec); err != nil {
+			if _, _, err := m.Tune(context.Background()); err != nil {
 				return nil, err
 			}
 			tune := time.Since(start)

@@ -107,11 +107,8 @@ func Fig6TPCDS(seed int64) (*Fig6Result, error) {
 		if err := observeAll(m, stmts); err != nil {
 			return nil, err
 		}
-		rec, err := m.Recommend(context.Background())
+		rec, _, err := m.Tune(context.Background())
 		if err != nil {
-			return nil, err
-		}
-		if _, err := m.Apply(context.Background(), rec); err != nil {
 			return nil, err
 		}
 		out.AutoIndexCount = len(rec.Create)

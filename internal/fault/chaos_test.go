@@ -199,7 +199,7 @@ func TestChaosDropRollbackRebuildsDroppedIndex(t *testing.T) {
 }
 
 // TestChaosFullTuningRoundsInvariant runs the complete tuning round
-// (diagnose skipped via force, recommend, transactional apply) under mixed
+// (recommend, then transactional apply) under mixed
 // seeded schedules — transient page-write noise plus a hard Nth read fault —
 // and asserts the all-or-nothing invariant for whatever outcome each
 // schedule produces.
@@ -218,10 +218,13 @@ func TestChaosFullTuningRoundsInvariant(t *testing.T) {
 			)
 			db.SetFaultInjector(in)
 
-			rec, err := m.Tune(context.Background(), true)
+			rec, rep, err := m.Tune(context.Background())
 			after := indexSet(db)
 			if err != nil {
 				failures++
+				if rec == nil || rep == nil || !rep.RolledBack {
+					t.Errorf("failed apply must return its recommendation and rolled-back report: rec=%v rep=%v", rec, rep)
+				}
 				// Failed round: the config must be exactly the pre-apply one.
 				if !equalSets(before, after) {
 					t.Errorf("failed round left a partial config:\nbefore=%v\nafter =%v", before, after)

@@ -85,6 +85,7 @@ func TestChaosRevertHardFaultLeavesExactlyPreRevert(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			db := guardDB(t)
 			reg := obs.NewRegistry()
+			db.SetMetrics(reg)
 			m := autoindex.New(db, autoindex.Options{})
 			// A hard (non-transient) fault is not retried in-window, so the
 			// first revert fails outright; the pure-Nth rule then never
@@ -94,7 +95,7 @@ func TestChaosRevertHardFaultLeavesExactlyPreRevert(t *testing.T) {
 			})
 			c := guardrail.Attach(m, guardrail.Config{
 				Seed: seed, VerifyWindows: 2, RegressThreshold: 0.1,
-				Injector: in, Registry: reg,
+				Injector: in,
 			})
 
 			m.ObserveMeasuredCost(100)
@@ -136,13 +137,14 @@ func TestChaosDecideFaultDropsVerdictNotState(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			db := guardDB(t)
 			reg := obs.NewRegistry()
+			db.SetMetrics(reg)
 			m := autoindex.New(db, autoindex.Options{})
 			in := fault.New(seed, fault.Rule{
 				Site: fault.SiteGuardrailDecide, Kind: fault.KindIO, Nth: 1,
 			})
 			guardrail.Attach(m, guardrail.Config{
 				Seed: seed, VerifyWindows: 2, RegressThreshold: 0.1,
-				Injector: in, Registry: reg,
+				Injector: in,
 			})
 
 			m.ObserveMeasuredCost(100)

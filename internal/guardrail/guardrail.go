@@ -25,7 +25,6 @@ import (
 	"repro/internal/autoindex"
 	"repro/internal/fault"
 	"repro/internal/floatcmp"
-	"repro/internal/obs"
 )
 
 // Defaults for Config zero values.
@@ -55,8 +54,6 @@ type Config struct {
 	// windows must exceed baseline*(1+RegressThreshold) to count as a
 	// regression.
 	RegressThreshold float64
-	// Registry receives the guardrail_* instruments (nil: metrics off).
-	Registry *obs.Registry
 	// Injector arms the guardrail.decide / guardrail.revert fault sites
 	// (nil: no injection).
 	Injector *fault.Injector
@@ -100,13 +97,14 @@ type Controller struct {
 
 // Attach builds a controller over mgr and installs it as the manager's
 // apply watcher. Subsequent Apply calls stage their outcomes; subsequent
-// ObserveMeasuredCost calls feed verification windows.
+// ObserveMeasuredCost calls feed verification windows. The guardrail_*
+// instruments go to the manager's registry, the database's (nil: off).
 func Attach(mgr *autoindex.Manager, cfg Config) *Controller {
 	cfg = cfg.withDefaults()
 	c := &Controller{
 		mgr:     mgr,
 		cfg:     cfg,
-		metrics: newGuardrailMetrics(cfg.Registry),
+		metrics: newGuardrailMetrics(mgr.Registry()),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		track:   make(map[int]*tracked),
 	}

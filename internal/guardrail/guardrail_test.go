@@ -3,13 +3,16 @@ package guardrail_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/autoindex"
 	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/guardrail"
+	"repro/internal/mcts"
 	"repro/internal/obs"
+	"repro/internal/session"
 )
 
 // guardDB builds a small read-heavy table with an obvious ev(user_id)
@@ -190,10 +193,9 @@ func TestRevertOutcomeRejectsUntrackedIndex(t *testing.T) {
 func TestGuardrailMetrics(t *testing.T) {
 	db := guardDB(t)
 	reg := obs.NewRegistry()
+	db.SetMetrics(reg)
 	m := autoindex.New(db, autoindex.Options{})
-	guardrail.Attach(m, guardrail.Config{
-		Seed: 1, VerifyWindows: 2, RegressThreshold: 0.1, Registry: reg,
-	})
+	guardrail.Attach(m, guardrail.Config{Seed: 1, VerifyWindows: 2, RegressThreshold: 0.1})
 
 	m.ObserveMeasuredCost(100)
 	applyUserIDIndex(t, m)
@@ -242,5 +244,48 @@ func TestLedgerSeesLifecycleTransitions(t *testing.T) {
 	}
 	if fmt.Sprint(seen) != fmt.Sprint(want) {
 		t.Fatalf("lifecycle = %v, want %v", seen, want)
+	}
+}
+
+// TestEveryComponentReportsIntoTheDatabaseRegistry wires the stack the way a
+// shipped binary does — the registry set on the database only — and checks
+// that every layer built over it reports there: the engine, the session
+// layer, the manager with its estimator and search, and the guardrail.
+func TestEveryComponentReportsIntoTheDatabaseRegistry(t *testing.T) {
+	db := guardDB(t)
+	reg := obs.NewRegistry()
+	db.SetMetrics(reg)
+	sm := session.New(db, session.Options{Seed: 1})
+	m := autoindex.New(db, autoindex.Options{MCTS: mcts.Config{Iterations: 50, Seed: 1}})
+	m.UseSessions(sm)
+	guardrail.Attach(m, guardrail.Config{Seed: 1})
+
+	for i := 0; i < 200; i++ {
+		sql := fmt.Sprintf("SELECT score FROM ev WHERE user_id = %d", i%200)
+		if err := m.Observe(sql); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sm.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.ObserveMeasuredCost(100)
+	rec, _, err := m.Tune(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Create) == 0 {
+		t.Fatal("tune should create the user_id index, or the guardrail has nothing to stage")
+	}
+	m.ObserveMeasuredCost(50)
+
+	families := map[string]bool{}
+	for name := range reg.Snapshot() {
+		families[strings.SplitN(name, "_", 2)[0]] = true
+	}
+	for _, want := range []string{"engine", "session", "autoindex", "mcts", "costmodel", "guardrail"} {
+		if !families[want] {
+			t.Errorf("no %s_* metric in the database's registry (families: %v)", want, families)
+		}
 	}
 }

@@ -3,83 +3,42 @@ package obs
 import (
 	"math"
 	"runtime/metrics"
-	"sync"
-	"time"
 )
 
-// runtimeSamples are the runtime/metrics series the collector reads. The
-// pause histogram is summarised into a cumulative-seconds gauge (see
-// Sample); the rest map 1:1 onto gauges.
-var runtimeSampleNames = []string{
-	"/memory/classes/heap/objects:bytes",
-	"/sched/goroutines:goroutines",
-	"/gc/cycles/total:gc-cycles",
-	"/gc/pauses:seconds",
+// runtimeGauges maps the runtime/metrics series SampleRuntime reads onto
+// the runtime_* gauges it sets.
+var runtimeGauges = []struct{ sample, gauge, help string }{
+	{"/memory/classes/heap/objects:bytes", "runtime_heap_bytes", "Live heap memory (bytes of live objects)"},
+	{"/sched/goroutines:goroutines", "runtime_goroutines", "Current goroutine count"},
+	{"/gc/cycles/total:gc-cycles", "runtime_gc_cycles_total", "Completed GC cycles"},
+	{"/gc/pauses:seconds", "runtime_gc_pause_seconds_total",
+		"Approximate cumulative stop-the-world GC pause seconds (bucket-midpoint sum)"},
 }
 
-// RuntimeCollector samples Go runtime health — live heap bytes, goroutine
-// count, GC cycles and cumulative GC pause time — into gauges on a
-// registry, via the runtime/metrics package. Use Sample for a one-shot
-// reading (e.g. when writing a bench snapshot) or Start/Stop for periodic
-// background sampling next to the HTTP metrics endpoint. A nil collector
-// (from a nil registry) is a no-op on every method.
-type RuntimeCollector struct {
-	heapBytes    *Gauge
-	goroutines   *Gauge
-	gcCycles     *Gauge
-	gcPauseTotal *Gauge
-
-	mu      sync.Mutex
-	samples []metrics.Sample
-	stop    chan struct{}
-	done    chan struct{}
-}
-
-// NewRuntimeCollector registers the runtime_* gauges on reg and returns a
-// collector feeding them. A nil registry returns a nil (no-op) collector.
-func NewRuntimeCollector(reg *Registry) *RuntimeCollector {
+// SampleRuntime takes one reading of Go runtime health — live heap bytes,
+// goroutine count, GC cycles and cumulative GC pause time — via the
+// runtime/metrics package, and publishes it to runtime_* gauges on reg (a
+// nil registry is a no-op). The GC pause total is approximated from the
+// runtime's pause-time histogram by a count-weighted bucket-midpoint sum
+// (the runtime does not export an exact total); the approximation error is
+// bounded by the bucket widths and is cumulative-monotone like the true
+// total.
+func SampleRuntime(reg *Registry) {
 	if reg == nil {
-		return nil
-	}
-	c := &RuntimeCollector{
-		heapBytes:  reg.Gauge("runtime_heap_bytes", "Live heap memory (bytes of live objects)"),
-		goroutines: reg.Gauge("runtime_goroutines", "Current goroutine count"),
-		gcCycles:   reg.Gauge("runtime_gc_cycles_total", "Completed GC cycles"),
-		gcPauseTotal: reg.Gauge("runtime_gc_pause_seconds_total",
-			"Approximate cumulative stop-the-world GC pause seconds (bucket-midpoint sum)"),
-		samples: make([]metrics.Sample, len(runtimeSampleNames)),
-	}
-	for i, name := range runtimeSampleNames {
-		c.samples[i].Name = name
-	}
-	return c
-}
-
-// Sample takes one reading of every runtime series and publishes it to the
-// gauges. The GC pause total is approximated from the runtime's pause-time
-// histogram by a count-weighted bucket-midpoint sum (the runtime does not
-// export an exact total); the approximation error is bounded by the bucket
-// widths and is cumulative-monotone like the true total.
-func (c *RuntimeCollector) Sample() {
-	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	metrics.Read(c.samples)
-	for i := range c.samples {
-		s := &c.samples[i]
-		switch s.Name {
-		case "/memory/classes/heap/objects:bytes":
-			c.heapBytes.Set(float64(s.Value.Uint64()))
-		case "/sched/goroutines:goroutines":
-			c.goroutines.Set(float64(s.Value.Uint64()))
-		case "/gc/cycles/total:gc-cycles":
-			c.gcCycles.Set(float64(s.Value.Uint64()))
-		case "/gc/pauses:seconds":
-			if s.Value.Kind() == metrics.KindFloat64Histogram {
-				c.gcPauseTotal.Set(histogramApproxSum(s.Value.Float64Histogram()))
-			}
+	samples := make([]metrics.Sample, len(runtimeGauges))
+	for i, g := range runtimeGauges {
+		samples[i].Name = g.sample
+	}
+	metrics.Read(samples)
+	for i, g := range runtimeGauges {
+		gauge := reg.Gauge(g.gauge, g.help)
+		switch v := samples[i].Value; v.Kind() {
+		case metrics.KindUint64:
+			gauge.Set(float64(v.Uint64()))
+		case metrics.KindFloat64Histogram:
+			gauge.Set(histogramApproxSum(v.Float64Histogram()))
 		}
 	}
 }
@@ -105,59 +64,4 @@ func histogramApproxSum(h *metrics.Float64Histogram) float64 {
 		sum += float64(count) * (lo + hi) / 2
 	}
 	return sum
-}
-
-// Start begins periodic sampling every interval (minimum 10ms) in a
-// background goroutine until Stop. Starting an already started collector is
-// a no-op.
-func (c *RuntimeCollector) Start(interval time.Duration) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	if c.stop != nil {
-		c.mu.Unlock()
-		return
-	}
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	c.stop, c.done = stop, done
-	c.mu.Unlock()
-
-	c.Sample() // publish an initial reading immediately
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				c.Sample()
-			}
-		}
-	}()
-}
-
-// Stop halts background sampling (taking one final reading) and waits for
-// the sampler goroutine to exit. Stopping a never-started or already
-// stopped collector is a no-op.
-func (c *RuntimeCollector) Stop() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	stop, done := c.stop, c.done
-	c.stop, c.done = nil, nil
-	c.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
-	c.Sample()
 }

@@ -1,14 +1,10 @@
 package obs
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestRuntimeCollectorSample(t *testing.T) {
 	reg := NewRegistry()
-	c := NewRuntimeCollector(reg)
-	c.Sample()
+	SampleRuntime(reg)
 	snap := reg.Snapshot()
 	if v, _ := snap["runtime_goroutines"].(float64); v < 1 {
 		t.Fatalf("runtime_goroutines = %v, want >= 1", v)
@@ -25,25 +21,6 @@ func TestRuntimeCollectorSample(t *testing.T) {
 	}
 }
 
-func TestRuntimeCollectorStartStop(t *testing.T) {
-	reg := NewRegistry()
-	c := NewRuntimeCollector(reg)
-	c.Start(10 * time.Millisecond)
-	c.Start(10 * time.Millisecond) // double start is a no-op
-	time.Sleep(25 * time.Millisecond)
-	c.Stop()
-	c.Stop() // double stop is a no-op
-	if v, _ := reg.Snapshot()["runtime_goroutines"].(float64); v < 1 {
-		t.Fatalf("runtime_goroutines after Start/Stop = %v", v)
-	}
-}
-
 func TestRuntimeCollectorNil(t *testing.T) {
-	var c *RuntimeCollector
-	c.Sample()
-	c.Start(time.Second)
-	c.Stop()
-	if got := NewRuntimeCollector(nil); got != nil {
-		t.Fatalf("NewRuntimeCollector(nil) = %v, want nil", got)
-	}
+	SampleRuntime(nil) // must not panic
 }

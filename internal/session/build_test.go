@@ -277,7 +277,8 @@ func TestChaosBuildKilledMidCatchupRollsBack(t *testing.T) {
 	db := newPopulatedDB(t, 200, 40)
 	db.SetFaultInjector(fault.New(1, fault.Rule{Site: fault.SiteBuildCatchup, Kind: fault.KindIO, Nth: 1}))
 	mon := &buildStates{}
-	sm := New(db, Options{Seed: 5, Registry: reg})
+	db.SetMetrics(reg)
+	sm := New(db, Options{Seed: 5})
 
 	rep, err := sm.BuildIndexOnlineMonitored(context.Background(), engine.IndexBuildSpec{
 		Name: "idx_chaos", Table: "items", Columns: []string{"k"},
@@ -334,7 +335,8 @@ func TestChaosTransientFaultRetriesAndSucceeds(t *testing.T) {
 	reg := obs.NewRegistry()
 	db := newPopulatedDB(t, 150, 30)
 	db.SetFaultInjector(fault.New(1, fault.Rule{Site: fault.SiteBuildCatchup, Kind: fault.KindTransient, Nth: 1}))
-	sm := New(db, Options{Seed: 5, Registry: reg})
+	db.SetMetrics(reg)
+	sm := New(db, Options{Seed: 5})
 
 	rep, err := sm.BuildIndexOnline(context.Background(), engine.IndexBuildSpec{
 		Name: "idx_retry", Table: "items", Columns: []string{"k"},

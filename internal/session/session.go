@@ -19,19 +19,15 @@ import (
 	"sync/atomic"
 
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/sqlparser"
 )
 
-// Options configures a session manager.
+// Options configures a session manager. Its session_* instruments go to the
+// database's registry (engine.DB.Registry), read when New runs.
 type Options struct {
 	// Seed drives the build-retry jitter (explicit seeding keeps runs
 	// reproducible; zero is a valid seed).
 	Seed int64
-	// Registry receives session_* instruments; nil falls back to the
-	// process default registry (matching engine.New), and nil-with-no-
-	// default keeps the hot path uninstrumented.
-	Registry *obs.Registry
 }
 
 // buildRetries bounds online-build retries on temporary errors.
@@ -60,13 +56,10 @@ type Manager struct {
 // New wraps a database in a session manager. The DB must not be mutated
 // behind the manager's back once concurrent sessions are running.
 func New(db *engine.DB, opts Options) *Manager {
-	if opts.Registry == nil {
-		opts.Registry = obs.DefaultRegistry()
-	}
 	return &Manager{
 		db:           db,
 		catchupBatch: 256,
-		metrics:      newSessionMetrics(opts.Registry),
+		metrics:      newSessionMetrics(db.Registry()),
 		rng:          rand.New(rand.NewSource(opts.Seed)),
 	}
 }

@@ -49,7 +49,9 @@ func newPopulatedDB(t *testing.T, rows, marked int) *engine.DB {
 
 func TestReadWriteRouting(t *testing.T) {
 	reg := obs.NewRegistry()
-	sm := New(newPopulatedDB(t, 10, 4), Options{Seed: 1, Registry: reg})
+	db := newPopulatedDB(t, 10, 4)
+	db.SetMetrics(reg)
+	sm := New(db, Options{Seed: 1})
 
 	res, err := sm.Exec("SELECT COUNT(*) FROM items WHERE k = 2")
 	if err != nil {

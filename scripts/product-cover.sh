@@ -78,6 +78,11 @@ run "$bin/benchdiff" -skip-wall -threshold 0 BENCH_loadgen.json "$work/BENCH_loa
 run "$bin/benchrunner" -loadgen -workers 8 -online-tune -qps 400 -duration 2s
 run "$bin/benchrunner" -loadgen -guardrail -workers 8 -qps 400 -duration 2s
 run "$bin/benchrunner" -exp q32 -trace-out "$work/q32.jsonl"
+run "$bin/benchrunner" -exp fig5 -quick -trace-out "$work/fig5.jsonl"
+if grep '"name":"apply"' "$work/fig5.jsonl" | grep -v '"parent_id"'; then
+	echo "product-cover: fig5 apply span without a parent: the round's trace is not one tree" >&2
+	exit 1
+fi
 
 # The advisor CLI smokes, the same commands CI runs.
 cat >"$work/tpcc.sql" <<'EOF'
