@@ -26,6 +26,7 @@ import (
 	"repro/internal/mcts"
 	"repro/internal/obs"
 	"repro/internal/session"
+	"repro/internal/sqlparser"
 	"repro/internal/workload/banking"
 	"repro/internal/workload/epidemic"
 	"repro/internal/workload/tpcc"
@@ -115,10 +116,8 @@ func run(scenario string, scale int, schemaFile, workloadFile string,
 		if workloadFile == "" {
 			return fmt.Errorf("-load requires -workload")
 		}
-		var errRead error
-		stream, errRead = readLines(workloadFile)
-		if errRead != nil {
-			return errRead
+		if stream, err = readLines(workloadFile); err != nil {
+			return err
 		}
 		return tune(db, stream, budget, seed, apply, saveSnap, rounds)
 	}
@@ -162,8 +161,7 @@ func run(scenario string, scale int, schemaFile, workloadFile string,
 			return err
 		}
 		var err error
-		stream, err = readLines(workloadFile)
-		if err != nil {
+		if stream, err = readLines(workloadFile); err != nil {
 			return err
 		}
 		if err := db.AnalyzeAll(); err != nil {
@@ -208,16 +206,15 @@ func tune(db *engine.DB, stream []string, budget, seed int64, apply bool,
 			verifyWindows, regressThreshold)
 	}
 
+	// Attached, the manager observes every DML statement the engine runs.
+	mgr.Attach()
 	var baseline float64
 	for round := 1; round <= rounds; round++ {
 		if rounds > 1 {
 			fmt.Printf("\n===== round %d/%d =====\n", round, rounds)
 		}
 		fmt.Printf("executing %d workload statements (observing templates)...\n", len(stream))
-		run, err := harness.RunAndObserve(db, stream, mgr.Observe)
-		if err != nil {
-			return err
-		}
+		run := harness.Run(db, stream)
 		if round == 1 {
 			baseline = run.Throughput()
 		}
@@ -287,6 +284,7 @@ func tune(db *engine.DB, stream []string, budget, seed int64, apply bool,
 				len(applied.Created), len(applied.Dropped))
 		}
 	}
+	mgr.Detach()
 
 	if apply {
 		after := harness.Run(db, stream)
@@ -352,6 +350,9 @@ func execFile(db *engine.DB, path string) error {
 	return nil
 }
 
+// readLines reads one SQL statement per line, skipping blank lines and "--"
+// comments, and parses each once here: a line that does not parse stops the
+// run, named, before anything executes.
 func readLines(path string) ([]string, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -366,7 +367,11 @@ func readLines(path string) ([]string, error) {
 		if line == "" || strings.HasPrefix(line, "--") {
 			continue
 		}
-		out = append(out, strings.TrimSuffix(line, ";"))
+		sql := strings.TrimSuffix(line, ";")
+		if _, err := sqlparser.Parse(sql); err != nil {
+			return nil, fmt.Errorf("%s: %w", sql, err)
+		}
+		out = append(out, sql)
 	}
 	return out, sc.Err()
 }

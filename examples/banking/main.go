@@ -35,17 +35,11 @@ func main() {
 	})
 	db.ResetUsage()
 
-	// Run the two services while AutoIndex observes.
-	withdraw := loader.WithdrawalService(800)
-	summarize := loader.SummarizationService(400)
-	runW, err := harness.RunAndObserve(db, withdraw, mgr.Observe)
-	if err != nil {
-		log.Fatal(err)
-	}
-	runS, err := harness.RunAndObserve(db, summarize, mgr.Observe)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Run the two services while AutoIndex observes: attached, the manager
+	// sees every DML statement the engine executes.
+	mgr.Attach()
+	runW := harness.Run(db, loader.WithdrawalService(800))
+	runS := harness.Run(db, loader.SummarizationService(400))
 	fmt.Printf("baseline: withdraw tps=%.3f, summarization tps=%.3f\n",
 		runW.Throughput(), runS.Throughput())
 

@@ -36,6 +36,8 @@ func main() {
 		MCTS: mcts.Config{Iterations: 120, Seed: 13, EarlyStopRounds: 40},
 	})
 	mgr.Instrument(obs.NewTracer(os.Stderr))
+	// Attached, the manager observes every DML statement the engine executes.
+	mgr.Attach()
 
 	epochs := []struct {
 		name string
@@ -49,10 +51,7 @@ func main() {
 
 	for i, ep := range epochs {
 		stmts := harness.Flatten(loader.Transactions(200, ep.mix))
-		run, err := harness.RunAndObserve(db, stmts, mgr.Observe)
-		if err != nil {
-			log.Fatal(err)
-		}
+		run := harness.Run(db, stmts)
 		// Completes the previous epoch's predicted-vs-actual record.
 		mgr.ObserveMeasuredCost(run.TotalCost)
 		fmt.Printf("epoch %d (%s): %d stmts, cost=%.0f, throughput=%.3f\n",

@@ -25,13 +25,12 @@ func main() {
 	mgr := autoindex.New(db, autoindex.Options{
 		MCTS: mcts.Config{Iterations: 120, Seed: 7},
 	})
+	// Attached, the manager observes every DML statement the engine executes.
+	mgr.Attach()
 
 	phase := func(name string, stmts []string) {
 		fmt.Printf("\n--- %s (%d statements) ---\n", name, len(stmts))
-		run, err := harness.RunAndObserve(db, stmts, mgr.Observe)
-		if err != nil {
-			log.Fatal(err)
-		}
+		run := harness.Run(db, stmts)
 		fmt.Printf("executed: cost=%.1f errors=%d\n", run.TotalCost, run.Errors)
 
 		rec, _, err := mgr.Tune(context.Background())

@@ -48,10 +48,8 @@ func main() {
 		for i := 0; i < 200; i++ {
 			stmts = append(stmts, queries(i))
 		}
-		before, err := harness.RunAndObserve(db, stmts, mgr.Observe)
-		if err != nil {
-			log.Fatal(err)
-		}
+		mgr.Attach()
+		before := harness.Run(db, stmts)
 		rec, _, err := mgr.Tune(context.Background())
 		if err != nil {
 			log.Fatal(err)

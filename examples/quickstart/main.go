@@ -38,15 +38,15 @@ func main() {
 			`UPDATE users SET score = score + 1 WHERE id = %d`, i*7))
 	}
 
-	// 3. Create the AutoIndex manager and observe the workload while it runs.
+	// 3. Create the AutoIndex manager and observe the workload while it runs:
+	// attached, the manager sees every DML statement the engine executes.
 	mgr := autoindex.New(db, autoindex.Options{
 		Budget: 0, // unlimited storage
 		MCTS:   mcts.Config{Iterations: 100, Seed: 1},
 	})
-	before, err := harness.RunAndObserve(db, workload, mgr.Observe)
-	if err != nil {
-		log.Fatal(err)
-	}
+	mgr.Attach()
+	before := harness.Run(db, workload)
+	mgr.Detach()
 	// Report the measured cost: it becomes the baseline of the next applied
 	// recommendation's predicted-vs-actual benefit record.
 	mgr.ObserveMeasuredCost(before.TotalCost)

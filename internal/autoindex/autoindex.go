@@ -129,10 +129,10 @@ func (m *Manager) TemplateStore() *template.Store { return m.store }
 // behind the same lock. sm must wrap the database the manager was created over.
 func (m *Manager) UseSessions(sm *session.Manager) { m.sessions = sm }
 
-// Observe routes one executed statement into the template store. Call it
-// for every workload statement (or use Attach to hook the engine directly).
-// Safe for concurrent use: under a session layer the attached observer
-// fires from parallel reader sessions.
+// Observe routes one statement into the template store: observe without
+// executing; Attach observes what the engine runs. Safe for concurrent use:
+// under a session layer the attached observer fires from parallel reader
+// sessions.
 func (m *Manager) Observe(sql string) error {
 	m.observeMu.Lock()
 	defer m.observeMu.Unlock()

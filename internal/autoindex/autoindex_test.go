@@ -178,16 +178,11 @@ func TestEpidemicPhasesIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := New(db, Options{MCTS: mctsFast()})
-
-	run := func(stmts []string) {
-		t.Helper()
-		if _, err := harness.RunAndObserve(db, stmts, m.Observe); err != nil {
-			t.Fatal(err)
-		}
-	}
+	m.Attach()
+	defer m.Detach()
 
 	// W1: read-only → expect indexes on temperature and community.
-	run(l.W1(200))
+	harness.Run(db, l.W1(200))
 	rec1, err := m.Recommend(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +198,7 @@ func TestEpidemicPhasesIncremental(t *testing.T) {
 	// W2: insert-heavy → community index should be dropped (maintenance
 	// exceeds benefit; temperature survives thanks to the periodic reads).
 	m.TemplateStore().Decay(0.01, 0.5) // phase change: age out W1 templates
-	run(l.W2(400))
+	harness.Run(db, l.W2(400))
 	rec2, err := m.Recommend(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -373,6 +368,39 @@ func TestAttachObservesAutomatically(t *testing.T) {
 	}
 	if m.TemplateStore().Len() != 1 {
 		t.Errorf("DDL leaked into template store: %d templates", m.TemplateStore().Len())
+	}
+
+	// A mixed stream through harness.Run: the attached store must equal a
+	// store fed by Observe with the stream's DML statements in order,
+	// whether they execute or fail, and with nothing else.
+	dml := []string{
+		"SELECT score FROM ev WHERE user_id = 3",
+		"UPDATE ev SET score = 1.5 WHERE id = 7",
+		"SELECT ghost FROM ev WHERE id = 1", // no such column: fails at execution
+		"select id from ev where kind = 'k2' and score > 50",
+		"DELETE FROM ev WHERE id = 3999",
+		"SELECT score FROM ev WHERE user_id = 9",
+	}
+	stream := append(append(append([]string{}, dml[:3]...), "CREATE INDEX ev_kind ON ev (kind)"), dml[3:]...)
+	if run := harness.Run(db, stream); run.Errors != 1 {
+		t.Fatalf("stream: %d errors, want only the unknown column's", run.Errors)
+	}
+	ref := New(db, Options{})
+	for _, sql := range append(append([]string{}, reads[:50]...), dml...) {
+		if err := ref.Observe(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, want := m.TemplateStore().Templates(), ref.TemplateStore().Templates()
+	if len(got) != len(want) {
+		t.Fatalf("attached store has %d templates, reference %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Fingerprint != w.Fingerprint || g.Frequency != w.Frequency || g.LastSeen != w.LastSeen {
+			t.Errorf("template %d: attached %q freq=%v last=%d, reference %q freq=%v last=%d",
+				i, g.Fingerprint, g.Frequency, g.LastSeen, w.Fingerprint, w.Frequency, w.LastSeen)
+		}
 	}
 }
 

@@ -371,6 +371,8 @@ func TestErrorPaths(t *testing.T) {
 		"UPDATE orders SET ghost = 1",
 		"DROP INDEX nosuch",
 		"CREATE INDEX dup ON nosuch (a)",
+		// an aggregate ORDER BY key outside the select list
+		"SELECT city, COUNT(*) FROM customer GROUP BY city ORDER BY MAX(balance)",
 	} {
 		if _, err := db.Exec(sql); err == nil {
 			t.Errorf("Exec(%q) should fail", sql)

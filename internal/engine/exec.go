@@ -729,21 +729,10 @@ func (db *DB) runSort(ctx *evalCtx, n *planner.SortNode) ([]row, error) {
 				continue
 			}
 		}
-		cc := ctx.newCompiler(nil)
-		keys[j] = cc.value(o.Expr, false)
-		if cc.err == nil {
-			continue
-		}
-		if !overAgg {
-			return nil, cc.err
-		}
-		// A key that exists only in the aggregation's output yet is not
-		// one of its columns (an aggregate outside the select list) sorts
-		// by the first output column, charged the nodes it took to find out.
-		wasted := int64(cc.visited)
-		keys[j] = func(r row) sqltypes.Value {
-			ctx.ops += wasted
-			return r[resultSlot][0]
+		// A key that is not one of the aggregation's output columns (an
+		// aggregate outside the select list) does not compile over the row.
+		if keys[j], err = ctx.compile(o.Expr); err != nil {
+			return nil, err
 		}
 	}
 	type keyed struct {

@@ -65,9 +65,8 @@ func WriteCostAwareness(seed int64) (*WriteAwarenessResult, error) {
 		}
 		m := autoindex.New(db, autoindex.Options{MCTS: mcts.Config{Iterations: 150, Seed: seed}, RoundTimeout: RoundTimeout})
 		m.Estimator().IgnoreWriteCosts = ignoreWrites
-		if _, err := harness.RunAndObserve(db, l.W2(600), m.Observe); err != nil {
-			return false, err
-		}
+		m.Attach()
+		harness.Run(db, l.W2(600))
 		rec, err := m.Recommend(context.Background())
 		if err != nil {
 			return false, err

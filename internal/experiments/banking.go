@@ -45,11 +45,8 @@ func Fig1BankingRemoval(seed int64, stmtsPerPhase int) (*Fig1Result, error) {
 
 	// Phase 1: measure the default configuration under the service while
 	// the manager observes templates and the engine tracks index usage.
-	warm := l.WithdrawalService(stmtsPerPhase)
-	before, err := harness.RunAndObserve(db, warm, m.Observe)
-	if err != nil {
-		return nil, err
-	}
+	m.Attach()
+	before := harness.Run(db, l.WithdrawalService(stmtsPerPhase))
 	out.ThroughputBefore = before.Throughput()
 	out.StatementsManaged = before.Statements
 
@@ -115,14 +112,10 @@ func Table2Table3BankingCreation(seed int64, stmtsPerService int) (*Table2Result
 	summ := l.SummarizationService(stmtsPerService)
 	withd := l.WithdrawalService(stmtsPerService)
 
-	sumBefore, err := harness.RunAndObserve(db, summ, m.Observe)
-	if err != nil {
-		return nil, nil, err
-	}
-	wdBefore, err := harness.RunAndObserve(db, withd, m.Observe)
-	if err != nil {
-		return nil, nil, err
-	}
+	m.Attach()
+	sumBefore := harness.Run(db, summ)
+	wdBefore := harness.Run(db, withd)
+	m.Detach()
 
 	_, bytesBefore := secondaryIndexStats(db.Catalog())
 	start := time.Now()

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/autoindex"
 	"repro/internal/baseline"
 	"repro/internal/candgen"
 	"repro/internal/catalog"
@@ -75,16 +74,6 @@ func applyGreedy(db *engine.DB, res *baseline.GreedyResult) error {
 		stmt := fmt.Sprintf("CREATE INDEX %s ON %s (%s)", name, spec.Table,
 			strings.Join(spec.Columns, ", "))
 		if _, err := db.Exec(stmt); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// observeAll feeds statements into the manager's template store.
-func observeAll(m *autoindex.Manager, stmts []string) error {
-	for _, sql := range stmts {
-		if err := m.Observe(sql); err != nil {
 			return err
 		}
 	}

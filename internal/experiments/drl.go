@@ -40,9 +40,8 @@ func DRLComparison(seed int64) (*DRLComparisonResult, error) {
 		return nil, err
 	}
 	m := autoindex.New(db, autoindex.Options{MCTS: defaultMCTS(seed), RoundTimeout: RoundTimeout})
-	if _, err := harness.RunAndObserve(db, warm, m.Observe); err != nil {
-		return nil, err
-	}
+	m.Attach()
+	harness.Run(db, warm)
 	w := m.TemplateStore().Workload()
 	est, gen := newGreedyTools(db)
 	cands := gen.Generate(context.Background(), w)

@@ -111,9 +111,8 @@ func IndexTypeSelection(seed int64) (*PartTypeResult, error) {
 			return "", err
 		}
 		m := autoindex.New(db, autoindex.Options{MCTS: defaultMCTS(seed), RoundTimeout: RoundTimeout})
-		if _, err := harness.RunAndObserve(db, workload, m.Observe); err != nil {
-			return "", err
-		}
+		m.Attach()
+		harness.Run(db, workload)
 		rec, err := m.Recommend(context.Background())
 		if err != nil {
 			return "", err

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"repro/internal/autoindex"
 	"repro/internal/baseline"
@@ -34,74 +32,34 @@ func DefaultFig5Params(scale int) Fig5Params {
 }
 
 // Fig5TPCC runs the three methods on TPC-C at one scale (Fig. 5 reports
-// scales 1, 10 and 100). Each method gets its own identically-seeded
-// database and workload stream.
+// scales 1, 10 and 100).
 func Fig5TPCC(p Fig5Params) (*Fig5Result, error) {
-	out := &Fig5Result{Scale: p.Scale}
-
-	// Default: primary keys only.
-	{
-		db, loader, warm, eval, err := freshTPCC(p)
-		if err != nil {
-			return nil, err
-		}
-		_ = loader
-		harness.Run(db, warm)
-		run := harness.Run(db, eval)
-		n, bytes := secondaryIndexStats(db.Catalog())
-		out.Results = append(out.Results, MethodResult{
-			Method: "Default", Run: run, IndexCount: n, IndexBytes: bytes})
+	res, err := warmThenEval(p,
+		defaultArm,
+		greedyArm(baseline.GreedyOptions{Budget: p.Budget, AtomicOnly: true}),
+		autoIndexArm("AutoIndex", autoindex.Options{Budget: p.Budget, MCTS: defaultMCTS(p.Seed)}))
+	if err != nil {
+		return nil, err
 	}
+	return &Fig5Result{Scale: p.Scale, Results: res}, nil
+}
 
-	// Greedy baseline.
-	{
+// warmThenEval gives each method its own identically-seeded TPC-C database
+// and workload stream: the warm stream is one phase, after which the eval
+// stream is measured.
+func warmThenEval(p Fig5Params, methods ...method) ([]MethodResult, error) {
+	var out []MethodResult
+	for _, newArm := range methods {
 		db, _, warm, eval, err := freshTPCC(p)
 		if err != nil {
 			return nil, err
 		}
-		m := autoindex.New(db, autoindex.Options{RoundTimeout: RoundTimeout}) // template store reused for fairness
-		if _, err := harness.RunAndObserve(db, warm, m.Observe); err != nil {
-			return nil, err
-		}
-		est, gen := newGreedyTools(db)
-		w := m.TemplateStore().Workload()
-		start := time.Now()
-		gres, err := baseline.Greedy(est, gen, w, nil, baseline.GreedyOptions{Budget: p.Budget, AtomicOnly: true})
+		a := newArm(db)
+		_, tune, err := a.phase(warm)
 		if err != nil {
 			return nil, err
 		}
-		if err := applyGreedy(db, gres); err != nil {
-			return nil, err
-		}
-		tune := time.Since(start)
-		run := harness.Run(db, eval)
-		n, bytes := secondaryIndexStats(db.Catalog())
-		out.Results = append(out.Results, MethodResult{
-			Method: "Greedy", Run: run, IndexCount: n, IndexBytes: bytes,
-			TuneMillis: tune.Milliseconds()})
-	}
-
-	// AutoIndex.
-	{
-		db, _, warm, eval, err := freshTPCC(p)
-		if err != nil {
-			return nil, err
-		}
-		m := autoindex.New(db, autoindex.Options{
-			Budget: p.Budget, MCTS: defaultMCTS(p.Seed), RoundTimeout: RoundTimeout})
-		if _, err := harness.RunAndObserve(db, warm, m.Observe); err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		if _, _, err := m.Tune(context.Background()); err != nil {
-			return nil, err
-		}
-		tune := time.Since(start)
-		run := harness.Run(db, eval)
-		n, bytes := secondaryIndexStats(db.Catalog())
-		out.Results = append(out.Results, MethodResult{
-			Method: "AutoIndex", Run: run, IndexCount: n, IndexBytes: bytes,
-			TuneMillis: tune.Milliseconds()})
+		out = append(out, a.result(harness.Run(db, eval), tune))
 	}
 	return out, nil
 }
@@ -142,9 +100,8 @@ func Table1AddedIndexes(seed int64) ([]Table1Row, error) {
 		return nil, err
 	}
 	m := autoindex.New(db, autoindex.Options{MCTS: defaultMCTS(seed), RoundTimeout: RoundTimeout})
-	if _, err := harness.RunAndObserve(db, warm, m.Observe); err != nil {
-		return nil, err
-	}
+	m.Attach()
+	harness.Run(db, warm)
 	w := m.TemplateStore().Workload()
 
 	var rows []Table1Row
@@ -206,90 +163,37 @@ func Fig9Dynamic(seed int64, txnsPerEpoch int) ([]Fig9Epoch, error) {
 		{"standard", tpcc.StandardMix()},
 	}
 
-	type methodState struct {
-		name   string
-		db     *engine.DB
-		loader *tpcc.Loader
-		mgr    *autoindex.Manager
+	methods := []method{
+		defaultArm,
+		greedyArm(baseline.GreedyOptions{AtomicOnly: true}),
+		autoIndexArm("AutoIndex", autoindex.Options{MCTS: defaultMCTS(seed)}),
+		// Forecast mode (paper §IV-C): tuning rounds weight templates by
+		// their EWMA trend instead of their decayed cumulative counts.
+		autoIndexArm("AutoIndex+F", autoindex.Options{MCTS: defaultMCTS(seed), UseForecast: true}),
 	}
-	newState := func(name string) (*methodState, error) {
+	// Every arm's database is loaded by an identically seeded loader, so
+	// each loader would generate the same stream: the last one serves all.
+	var l *tpcc.Loader
+	arms := make([]*arm, len(methods))
+	for i, newArm := range methods {
 		db := engine.New()
-		l := tpcc.NewLoader(1, seed)
+		l = tpcc.NewLoader(1, seed)
 		if err := l.Load(db); err != nil {
 			return nil, err
 		}
-		st := &methodState{name: name, db: db, loader: l}
-		switch name {
-		case "Default":
-		case "AutoIndex+F":
-			// Forecast mode (paper §IV-C): tuning rounds weight templates by
-			// their EWMA trend instead of their decayed cumulative counts.
-			st.mgr = autoindex.New(db, autoindex.Options{
-				MCTS: defaultMCTS(seed), UseForecast: true, RoundTimeout: RoundTimeout})
-		default:
-			st.mgr = autoindex.New(db, autoindex.Options{MCTS: defaultMCTS(seed), RoundTimeout: RoundTimeout})
-		}
-		return st, nil
-	}
-
-	states := make([]*methodState, 0, 4)
-	for _, n := range []string{"Default", "Greedy", "AutoIndex", "AutoIndex+F"} {
-		st, err := newState(n)
-		if err != nil {
-			return nil, err
-		}
-		states = append(states, st)
+		arms[i] = newArm(db)
 	}
 
 	var out []Fig9Epoch
 	for e, mx := range mixes {
 		ep := Fig9Epoch{Epoch: e + 1, Mix: mx.name}
-		for _, st := range states {
-			stmts := harness.Flatten(st.loader.Transactions(txnsPerEpoch, mx.mix))
-			var run harness.RunStats
-			var tune time.Duration
-			switch st.name {
-			case "Default":
-				run = harness.Run(st.db, stmts)
-			case "Greedy":
-				// One-shot tuning after the first epoch only (greedy methods
-				// don't support incremental removal).
-				var err error
-				run, err = harness.RunAndObserve(st.db, stmts, st.mgr.Observe)
-				if err != nil {
-					return nil, err
-				}
-				if e == 0 {
-					est, gen := newGreedyTools(st.db)
-					start := time.Now()
-					gres, err := baseline.Greedy(est, gen, st.mgr.TemplateStore().Workload(), nil, baseline.GreedyOptions{AtomicOnly: true})
-					if err != nil {
-						return nil, err
-					}
-					if err := applyGreedy(st.db, gres); err != nil {
-						return nil, err
-					}
-					tune = time.Since(start)
-				}
-			case "AutoIndex", "AutoIndex+F":
-				var err error
-				run, err = harness.RunAndObserve(st.db, stmts, st.mgr.Observe)
-				if err != nil {
-					return nil, err
-				}
-				start := time.Now()
-				st.mgr.CloseWindow() // trend boundary (forecast variant)
-				if _, _, err := st.mgr.Tune(context.Background()); err != nil {
-					return nil, err
-				}
-				tune = time.Since(start)
-				// Workload shifts: decay template history between epochs.
-				st.mgr.TemplateStore().Decay(0.3, 0.5)
+		stmts := harness.Flatten(l.Transactions(txnsPerEpoch, mx.mix))
+		for _, a := range arms {
+			run, tune, err := a.phase(stmts)
+			if err != nil {
+				return nil, err
 			}
-			n, bytes := secondaryIndexStats(st.db.Catalog())
-			ep.Results = append(ep.Results, MethodResult{
-				Method: st.name, Run: run, IndexCount: n, IndexBytes: bytes,
-				TuneMillis: tune.Milliseconds()})
+			ep.Results = append(ep.Results, a.result(run, tune))
 		}
 		out = append(out, ep)
 	}
@@ -317,9 +221,8 @@ func Fig10StorageBudgets(seed int64, scale int) ([]Fig10Budget, error) {
 		return nil, err
 	}
 	mProbe := autoindex.New(dbProbe, autoindex.Options{MCTS: defaultMCTS(seed), RoundTimeout: RoundTimeout})
-	if _, err := harness.RunAndObserve(dbProbe, warmProbe, mProbe.Observe); err != nil {
-		return nil, err
-	}
+	mProbe.Attach()
+	harness.Run(dbProbe, warmProbe)
 	recProbe, err := mProbe.Recommend(context.Background())
 	if err != nil {
 		return nil, err
@@ -341,63 +244,11 @@ func Fig10StorageBudgets(seed int64, scale int) ([]Fig10Budget, error) {
 
 	for bi := range budgets {
 		b := &budgets[bi]
-
-		// Greedy under this budget.
-		{
-			db, _, warm, eval, err := freshTPCC(p)
-			if err != nil {
-				return nil, err
-			}
-			m := autoindex.New(db, autoindex.Options{RoundTimeout: RoundTimeout})
-			if _, err := harness.RunAndObserve(db, warm, m.Observe); err != nil {
-				return nil, err
-			}
-			est, gen := newGreedyTools(db)
-			start := time.Now()
-			gres, err := baseline.Greedy(est, gen, m.TemplateStore().Workload(), nil,
-				baseline.GreedyOptions{Budget: b.Budget, AtomicOnly: true})
-			if err != nil {
-				return nil, err
-			}
-			if err := applyGreedy(db, gres); err != nil {
-				return nil, err
-			}
-			tune := time.Since(start)
-			run := harness.Run(db, eval)
-			n, bytes := secondaryIndexStats(db.Catalog())
-			b.Results = append(b.Results, MethodResult{
-				Method: "Greedy", Run: run, IndexCount: n, IndexBytes: bytes,
-				TuneMillis: tune.Milliseconds()})
-		}
-
-		// AutoIndex under this budget.
-		{
-			db, _, warm, eval, err := freshTPCC(p)
-			if err != nil {
-				return nil, err
-			}
-			m := autoindex.New(db, autoindex.Options{Budget: b.Budget, MCTS: defaultMCTS(seed), RoundTimeout: RoundTimeout})
-			if _, err := harness.RunAndObserve(db, warm, m.Observe); err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			if _, _, err := m.Tune(context.Background()); err != nil {
-				return nil, err
-			}
-			tune := time.Since(start)
-			// The budget holds at apply time (against estimated sizes, with
-			// ~2% real-build drift); the eval run's inserts then grow the
-			// indexes naturally, as they would in production.
-			_, bytesAtApply := secondaryIndexStats(db.Catalog())
-			if b.Budget > 0 && bytesAtApply > b.Budget*102/100 {
-				return nil, fmt.Errorf("experiments: budget violated at apply: %d > %d",
-					bytesAtApply, b.Budget)
-			}
-			run := harness.Run(db, eval)
-			n, bytes := secondaryIndexStats(db.Catalog())
-			b.Results = append(b.Results, MethodResult{
-				Method: "AutoIndex", Run: run, IndexCount: n, IndexBytes: bytes,
-				TuneMillis: tune.Milliseconds()})
+		b.Results, err = warmThenEval(p,
+			greedyArm(baseline.GreedyOptions{Budget: b.Budget, AtomicOnly: true}),
+			autoIndexArm("AutoIndex", autoindex.Options{Budget: b.Budget, MCTS: defaultMCTS(seed)}))
+		if err != nil {
+			return nil, err
 		}
 	}
 	return budgets, nil

@@ -53,29 +53,6 @@ func Run(db *engine.DB, stmts []string) RunStats {
 	return out
 }
 
-// RunAndObserve executes statements, also feeding each into the observe
-// callback (AutoIndex's template store).
-func RunAndObserve(db *engine.DB, stmts []string, observe func(sql string) error) (RunStats, error) {
-	var out RunStats
-	start := time.Now()
-	for _, sql := range stmts {
-		if err := observe(sql); err != nil {
-			return out, err
-		}
-		res, err := db.Exec(sql)
-		out.Statements++
-		if err != nil {
-			out.Errors++
-			continue
-		}
-		out.TotalCost += res.Stats.ActualCost()
-		out.RowsReturned += res.Stats.RowsReturned
-		out.RowsAffected += res.Stats.RowsAffected
-	}
-	out.WallTime = time.Since(start)
-	return out, nil
-}
-
 // CollectSamples executes statements and returns (features, actual cost)
 // training samples using the estimator's feature computation under the
 // database's current real index configuration.

@@ -59,31 +59,6 @@ func TestRunCountsErrorsWithoutStopping(t *testing.T) {
 	}
 }
 
-func TestRunAndObserveFeedsCallback(t *testing.T) {
-	db := harnessDB(t)
-	var seen []string
-	stats, err := RunAndObserve(db, []string{"SELECT COUNT(*) FROM t"}, func(sql string) error {
-		seen = append(seen, sql)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 1 || stats.Statements != 1 {
-		t.Fatalf("observe: %v %+v", seen, stats)
-	}
-}
-
-func TestRunAndObserveStopsOnObserverError(t *testing.T) {
-	db := harnessDB(t)
-	_, err := RunAndObserve(db, []string{"SELECT 1 FROM t"}, func(string) error {
-		return fmt.Errorf("observer down")
-	})
-	if err == nil {
-		t.Fatal("observer errors must propagate")
-	}
-}
-
 func TestCollectSamplesCapsAndPairs(t *testing.T) {
 	db := harnessDB(t)
 	est := costmodel.NewEstimator(db.Catalog())

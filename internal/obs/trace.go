@@ -57,6 +57,7 @@ func (t *Tracer) Start(name string) *Span {
 	id := t.next.Add(1)
 	return &Span{
 		tracer: t,
+		trace:  &pendingTrace{},
 		data: SpanData{
 			TraceID: id,
 			SpanID:  id,
@@ -95,10 +96,36 @@ func (t *Tracer) emit(d SpanData) {
 	}
 }
 
+// pendingTrace holds a trace's ended spans until its root ends, so that
+// encoding and writing them never lands inside the root's own duration.
+type pendingTrace struct {
+	mu    sync.Mutex
+	spans []SpanData
+	done  bool // the root has ended: a later span is written at once
+}
+
+// add records an ended span and returns the spans now due to be written:
+// none while the root is open, the whole trace in end order when the root
+// ends, and a span that ends after its root on its own.
+func (p *pendingTrace) add(d SpanData) []SpanData {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.done {
+		return []SpanData{d}
+	}
+	p.spans = append(p.spans, d)
+	if d.ParentID != 0 {
+		return nil
+	}
+	p.done = true
+	return p.spans
+}
+
 // Span is one in-flight timed operation. All methods are nil-receiver-safe;
 // a nil span (tracing off) makes the whole facility free at call sites.
 type Span struct {
 	tracer *Tracer
+	trace  *pendingTrace
 	mu     sync.Mutex
 	data   SpanData
 	start  time.Time
@@ -112,6 +139,7 @@ func (s *Span) Child(name string) *Span {
 	}
 	return &Span{
 		tracer: s.tracer,
+		trace:  s.trace,
 		data: SpanData{
 			TraceID:  s.data.TraceID,
 			SpanID:   s.tracer.next.Add(1),
@@ -157,9 +185,10 @@ func (s *Span) Event(name string, kv ...any) {
 	s.mu.Unlock()
 }
 
-// End finishes the span and emits it. Ending twice is a no-op. Children
-// should be ended before their parent (they are emitted independently, so
-// violating this only affects readability of the JSONL ordering).
+// End finishes the span. Ending twice is a no-op. A trace is written when
+// its root ends, after the root's clock has stopped: its spans in the order
+// they ended, so children ended before their parent precede it. A child that
+// ends after its root is written when it ends.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -174,7 +203,9 @@ func (s *Span) End() {
 	s.data.DurU = time.Since(s.start).Microseconds()
 	d := s.data
 	s.mu.Unlock()
-	s.tracer.emit(d)
+	for _, due := range s.trace.add(d) {
+		s.tracer.emit(due)
+	}
 }
 
 // defaultTracer is the process-wide tracer picked up by autoindex.New when

@@ -85,6 +85,45 @@ func TestSpanNestingAndJSONL(t *testing.T) {
 	}
 }
 
+// writeCounter is a sink that counts the writes it receives.
+type writeCounter struct{ writes int }
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return len(p), nil
+}
+
+// TestTraceWrittenWhenRootEnds: encoding and writing a span costs time, so
+// nothing is written while the root is open; the root's End writes the whole
+// trace in end order, and a child ending after its root is written at once.
+func TestTraceWrittenWhenRootEnds(t *testing.T) {
+	sink := &writeCounter{}
+	tr := NewTracer(sink)
+	root := tr.Start("tuning_round")
+	c := root.Child("workload")
+	c.Child("scan").End()
+	c.End()
+	late := root.Child("apply")
+	if sink.writes != 0 || len(tr.Recent()) != 0 {
+		t.Fatalf("%d writes, %d ring spans before the root ended", sink.writes, len(tr.Recent()))
+	}
+	root.End()
+	if sink.writes != 3 {
+		t.Fatalf("root's End wrote %d spans, want 3", sink.writes)
+	}
+	var names []string
+	for _, d := range tr.Recent() {
+		names = append(names, d.Name)
+	}
+	if got := strings.Join(names, ","); got != "scan,workload,tuning_round" {
+		t.Fatalf("written in order %s", got)
+	}
+	late.End()
+	if sink.writes != 4 {
+		t.Fatalf("a child ending after its root was not written: %d writes", sink.writes)
+	}
+}
+
 func TestTracerRing(t *testing.T) {
 	tr := NewTracer(nil)
 	for i := 0; i < ringCapacity+2; i++ {

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Product-coverage gate. Builds every shipped binary with coverage
-# instrumentation, runs the shipped runs (the paper's experiments, the CI
+# instrumentation, runs the shipped runs (the paper's experiments, the
 # loadgen and CLI smokes, the lint suite, the examples and the benchmark),
 # and checks that every non-test function outside bench/ those runs leave at
 # 0% is listed, with a reason, in COVERAGE_product.txt. Run it from the
@@ -68,7 +68,9 @@ run() {
 	echo "  ok ($((SECONDS - start))s)" >&2
 }
 
-# The paper's experiments, and the CI snapshot runs with their diffs.
+# The paper's experiments, the bench snapshots with their exact diffs against
+# the committed BENCH_*.json, the online-tune and guardrail acceptance runs,
+# and the experiment traces with their checks.
 run "$bin/benchrunner" -exp all -quick
 run "$bin/benchrunner" -exp fig5 -quick -bench-out "$work/BENCH_fig5.json"
 run "$bin/benchdiff" -skip-wall -threshold 0 BENCH_fig5.json "$work/BENCH_fig5.json"
@@ -78,13 +80,21 @@ run "$bin/benchdiff" -skip-wall -threshold 0 BENCH_loadgen.json "$work/BENCH_loa
 run "$bin/benchrunner" -loadgen -workers 8 -online-tune -qps 400 -duration 2s
 run "$bin/benchrunner" -loadgen -guardrail -workers 8 -qps 400 -duration 2s
 run "$bin/benchrunner" -exp q32 -trace-out "$work/q32.jsonl"
+if ! test -s "$work/q32.jsonl"; then
+	echo "product-cover: q32 wrote no trace" >&2
+	exit 1
+fi
 run "$bin/benchrunner" -exp fig5 -quick -trace-out "$work/fig5.jsonl"
+if ! grep -q '"name":"apply"' "$work/fig5.jsonl"; then
+	echo "product-cover: fig5 traced no apply span" >&2
+	exit 1
+fi
 if grep '"name":"apply"' "$work/fig5.jsonl" | grep -v '"parent_id"'; then
 	echo "product-cover: fig5 apply span without a parent: the round's trace is not one tree" >&2
 	exit 1
 fi
 
-# The advisor CLI smokes, the same commands CI runs.
+# The advisor CLI smokes.
 cat >"$work/tpcc.sql" <<'EOF'
 SELECT c_last, c_balance FROM customer WHERE c_w_id = 1 AND c_d_id = 2 AND c_id = 7
 SELECT COUNT(*) FROM stock WHERE s_w_id = 1 AND s_quantity < 15
