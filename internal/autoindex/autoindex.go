@@ -301,8 +301,11 @@ func (m *Manager) roundWorkload() *workload.Workload {
 	return m.store.Workload()
 }
 
-// CloseWindow marks a tuning-round boundary for trend tracking (no-op
-// unless UseForecast consumers call it; safe to call regardless).
+// CloseWindow marks a tuning-round boundary: every template's trend moves
+// toward the count it matched since the last call (an exponential moving
+// average with weight forecastAlpha) and its window restarts. Only the
+// forecast workload (UseForecast) reads the trend; the window restarts on
+// every call either way.
 func (m *Manager) CloseWindow() {
 	m.store.CloseWindow(forecastAlpha)
 }

@@ -221,7 +221,7 @@ func TestEpidemicPhasesIncremental(t *testing.T) {
 func TestTrainEstimatorViaHarness(t *testing.T) {
 	db, reads := readHeavyDB(t)
 	m := New(db, Options{MCTS: mctsFast()})
-	samples, _ := harness.CollectSamples(db, m.Estimator(), reads[:100], 80)
+	samples := harness.CollectSamples(db, m.Estimator(), reads[:100], 80)
 	if len(samples) < 50 {
 		t.Fatalf("sample collection too small: %d", len(samples))
 	}

@@ -116,7 +116,7 @@ type treeMonitor struct {
 }
 
 // Both hooks guard the receiver so a detached (nil) monitor is a no-op,
-// per the btree.Monitor contract enforced by autoindexlint's nilsafeobs.
+// per the btree.Monitor contract enforced by internal/lint's nilsafeobs.
 func (tm *treeMonitor) Split() {
 	if tm == nil {
 		return

@@ -156,7 +156,7 @@ func EstimatorAccuracy(seed int64, txns int) (*EstimatorAccuracyResult, error) {
 	}
 	est := costmodel.NewEstimator(db.Catalog())
 	stream := append(warm, harness.Flatten(l.Transactions(txns, tpcc.StandardMix()))...)
-	samples, _ := harness.CollectSamples(db, est, stream, 400)
+	samples := harness.CollectSamples(db, est, stream, 400)
 
 	out := &EstimatorAccuracyResult{Samples: len(samples)}
 	out.LearnedError, err = costmodel.CrossValidate(samples, 9, 0, 400, seed)

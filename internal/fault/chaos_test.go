@@ -7,6 +7,7 @@ package fault_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -195,6 +196,79 @@ func TestChaosDropRollbackRebuildsDroppedIndex(t *testing.T) {
 	// The rebuilt index must be live, not just cataloged.
 	if _, err := db.Exec("SELECT id FROM ev WHERE kind = 'k3'"); err != nil {
 		t.Fatalf("query via rebuilt index failed: %v", err)
+	}
+}
+
+// TestChaosApplyErrorsKeepTheirCause fails each of Apply's four steps — a
+// drop, a create, a rollback drop and a rollback rebuild — and requires the
+// error the caller gets to unwrap to the failure underneath. session.Classify
+// and the retry loops read that chain: an error flattened on the way up
+// turns an injected transient fault into a permanent one.
+func TestChaosApplyErrorsKeepTheirCause(t *testing.T) {
+	userID := &catalog.IndexMeta{Table: "ev", Columns: []string{"user_id"}}
+	badColumn := &catalog.IndexMeta{Table: "ev", Columns: []string{"no_such_column"}}
+	for _, tc := range []struct {
+		name string
+		rec  *autoindex.Recommendation
+		// rule, when it names a site, is armed after setup.
+		rule fault.Rule
+		// dropMidApply drops ai_ev_user_id once it is published, as an
+		// operator racing the apply would.
+		dropMidApply bool
+		// rollback selects the rollback's error instead of the apply's.
+		rollback bool
+		cause    string
+	}{
+		{name: "drop", rec: &autoindex.Recommendation{Drop: []string{"no_such_index"}},
+			cause: "engine: unknown index"},
+		{name: "create", rec: &autoindex.Recommendation{Create: []*catalog.IndexMeta{userID}},
+			rule:  fault.Rule{Site: fault.SitePageRead, Kind: fault.KindIO, Nth: 2},
+			cause: "fault: injected io error"},
+		{name: "rollback_drop", rec: &autoindex.Recommendation{Create: []*catalog.IndexMeta{userID, badColumn}},
+			dropMidApply: true, rollback: true, cause: "engine: unknown index"},
+		// The create fails before reading a page, so the first page read is
+		// the rollback's rebuild of idx_kind.
+		{name: "rollback_rebuild", rec: &autoindex.Recommendation{Drop: []string{"idx_kind"}, Create: []*catalog.IndexMeta{badColumn}},
+			rule:     fault.Rule{Site: fault.SitePageRead, Kind: fault.KindIO, Nth: 1},
+			rollback: true, cause: "fault: injected io error"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, m := chaosDB(t, 1)
+			if _, err := db.Exec("CREATE INDEX idx_kind ON ev (kind)"); err != nil {
+				t.Fatal(err)
+			}
+			dropped := false
+			ctx := stepCtx{context.Background(), func() {
+				if tc.dropMidApply && !dropped && db.Catalog().Index("ai_ev_user_id") != nil {
+					dropped = true
+					if _, err := db.Exec("DROP INDEX ai_ev_user_id"); err != nil {
+						t.Errorf("operator drop: %v", err)
+					}
+				}
+			}}
+			if tc.rule.Site != "" {
+				db.SetFaultInjector(fault.New(1, tc.rule))
+			}
+			rep, err := m.Apply(ctx, tc.rec)
+			if err == nil {
+				t.Fatal("apply should fail")
+			}
+			if tc.dropMidApply && !dropped {
+				t.Fatal("the operator drop never ran")
+			}
+			if tc.rollback {
+				if err = rep.RollbackErr; err == nil {
+					t.Fatal("rollback should fail")
+				}
+			}
+			cause := err
+			for u := errors.Unwrap(cause); u != nil; u = errors.Unwrap(cause) {
+				cause = u
+			}
+			if !strings.HasPrefix(cause.Error(), tc.cause) {
+				t.Errorf("%v\nunwraps to %q, want the %q underneath", err, cause, tc.cause)
+			}
+		})
 	}
 }
 

@@ -7,12 +7,14 @@
 package guardrail_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
 	"testing"
 
 	"repro/internal/autoindex"
+	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/guardrail"
@@ -223,5 +225,53 @@ func TestChaosRevertUnderConcurrentReaders(t *testing.T) {
 	}
 	if db.Catalog().Index("ai_ev_user_id") != nil {
 		t.Fatal("index still present after revert under live readers")
+	}
+}
+
+// TestChaosRevertErrorsKeepTheirCause fails a revert two ways — a hard fault
+// at the guardrail.revert site, and a revert whose all-or-nothing drop fails
+// and whose rollback rebuild then faults — and requires RevertOutcome's error
+// to unwrap to the injected fault. The retry loop reads that chain with
+// fault.IsTransient: an error flattened on the way up is never retried.
+func TestChaosRevertErrorsKeepTheirCause(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// columns are the indexes the staged outcome created; an operator
+		// drops the last one before the revert when there are two.
+		columns []string
+		site    fault.Site
+	}{
+		{name: "revert_site", columns: []string{"user_id"}, site: fault.SiteGuardrailRevert},
+		{name: "rollback_incomplete", columns: []string{"user_id", "score"}, site: fault.SitePageRead},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := guardDB(t)
+			m := autoindex.New(db, autoindex.Options{})
+			in := fault.New(1, fault.Rule{Site: tc.site, Kind: fault.KindIO, Nth: 1})
+			c := guardrail.Attach(m, guardrail.Config{Seed: 1, VerifyWindows: 2, RegressThreshold: 0.1, Injector: in})
+
+			rec := &autoindex.Recommendation{EstimatedBenefit: 5}
+			for _, col := range tc.columns {
+				rec.Create = append(rec.Create, &catalog.IndexMeta{Table: "ev", Columns: []string{col}})
+			}
+			rep, err := m.Apply(context.Background(), rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(rep.Created); n > 1 {
+				if _, err := db.Exec("DROP INDEX " + rep.Created[n-1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			db.SetFaultInjector(in)
+
+			err = c.RevertOutcome(context.Background(), 0)
+			if err == nil {
+				t.Fatal("revert should fail")
+			}
+			if fe := fault.AsFault(err); fe == nil || fe.Site != tc.site {
+				t.Errorf("%v\nshould unwrap to the fault injected at %s", err, tc.site)
+			}
+		})
 	}
 }

@@ -299,14 +299,14 @@ func (c *Controller) revertOnce(ctx context.Context, names []string) error {
 	if ferr := c.cfg.Injector.Check(fault.SiteGuardrailRevert); ferr != nil {
 		return ferr
 	}
+	// ApplyDrops rolls back only after a failed drop, so a rollback error
+	// comes with one; it is the graver of the two (the index set is between
+	// configurations) and the one the chain carries.
 	rep, err := c.mgr.ApplyDrops(ctx, names)
-	if err != nil {
-		return err
-	}
 	if rep.RollbackErr != nil {
-		return fmt.Errorf("guardrail: rollback incomplete: %w", rep.RollbackErr)
+		return fmt.Errorf("guardrail: rollback incomplete after %v: %w", err, rep.RollbackErr)
 	}
-	return nil
+	return err
 }
 
 // backoff sleeps a seeded 1–5ms jitter between revert attempts, mirroring

@@ -1,13 +1,10 @@
 // Package harness runs workloads against the engine and measures the
 // quantities the paper's evaluation reports: total latency (the engine's
-// deterministic cost-unit sum), throughput (statements per cost unit and
-// per wall-second), optimized-query counts, and index-management overhead.
+// deterministic cost-unit sum) and throughput (statements per cost unit).
 // It also logs (features, actual cost) samples for estimator training.
 package harness
 
 import (
-	"time"
-
 	"repro/internal/costmodel"
 	"repro/internal/engine"
 	"repro/internal/sqlparser"
@@ -15,12 +12,9 @@ import (
 
 // RunStats aggregates one workload execution.
 type RunStats struct {
-	Statements   int
-	Errors       int
-	TotalCost    float64 // engine cost units ("total latency")
-	WallTime     time.Duration
-	RowsReturned int64
-	RowsAffected int64
+	Statements int
+	Errors     int
+	TotalCost  float64 // engine cost units ("total latency")
 }
 
 // Throughput returns statements per 1000 cost units (the deterministic
@@ -37,7 +31,6 @@ func (s RunStats) Throughput() float64 {
 // deleted by earlier ones).
 func Run(db *engine.DB, stmts []string) RunStats {
 	var out RunStats
-	start := time.Now()
 	for _, sql := range stmts {
 		res, err := db.Exec(sql)
 		out.Statements++
@@ -46,24 +39,18 @@ func Run(db *engine.DB, stmts []string) RunStats {
 			continue
 		}
 		out.TotalCost += res.Stats.ActualCost()
-		out.RowsReturned += res.Stats.RowsReturned
-		out.RowsAffected += res.Stats.RowsAffected
 	}
-	out.WallTime = time.Since(start)
 	return out
 }
 
 // CollectSamples executes statements and returns (features, actual cost)
 // training samples using the estimator's feature computation under the
 // database's current real index configuration.
-func CollectSamples(db *engine.DB, est *costmodel.Estimator, stmts []string, maxSamples int) ([]costmodel.Sample, RunStats) {
+func CollectSamples(db *engine.DB, est *costmodel.Estimator, stmts []string, maxSamples int) []costmodel.Sample {
 	var samples []costmodel.Sample
-	var out RunStats
-	start := time.Now()
 	for _, sql := range stmts {
 		stmt, err := sqlparser.Parse(sql)
 		if err != nil {
-			out.Errors++
 			continue
 		}
 		var f costmodel.Features
@@ -75,18 +62,11 @@ func CollectSamples(db *engine.DB, est *costmodel.Estimator, stmts []string, max
 			}
 		}
 		res, err := db.ExecStmt(stmt)
-		out.Statements++
-		if err != nil {
-			out.Errors++
-			continue
-		}
-		out.TotalCost += res.Stats.ActualCost()
-		if wantSample {
+		if err == nil && wantSample {
 			samples = append(samples, costmodel.Sample{Features: f, Actual: res.Stats.ActualCost()})
 		}
 	}
-	out.WallTime = time.Since(start)
-	return samples, out
+	return samples
 }
 
 // PerQueryCosts executes each statement separately and returns its measured

@@ -1,5 +1,5 @@
 // Package analysis is a self-contained reimplementation of the subset of
-// golang.org/x/tools/go/analysis that the autoindexlint suite needs. The
+// golang.org/x/tools/go/analysis that the internal/lint suite needs. The
 // repository vendors no third-party modules, so instead of the upstream
 // framework this package provides the same three ideas — an Analyzer with a
 // Run function, a Pass giving it one type-checked package, and Diagnostics
@@ -20,7 +20,7 @@ import (
 
 // Analyzer is one named check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and suppression comments.
+	// Name identifies the analyzer in diagnostics.
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
@@ -71,14 +71,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(pos, fmt.Sprintf(format, args...))
 }
 
-// IgnoreDirective is the comment prefix that suppresses a finding on the
-// same line or the line directly below the comment:
-//
-//	//autoindexlint:ignore mapiterorder reason...
-const IgnoreDirective = "//autoindexlint:ignore"
-
-// Run applies every analyzer to every package, honoring suppression
-// comments, and returns the surviving diagnostics sorted by position.
+// Run applies every analyzer to every package and returns the diagnostics
+// sorted by position.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	prog := BuildProgram(pkgs)
 	var diags []Diagnostic
@@ -98,7 +92,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			}
 		}
 	}
-	diags = applySuppressions(pkgs, diags)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -113,62 +106,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		return a.Analyzer < b.Analyzer
 	})
 	return diags, nil
-}
-
-// suppression is one ignore directive: which analyzer it silences and which
-// source lines it covers.
-type suppression struct {
-	analyzer string
-	file     string
-	lines    [2]int // directive line and the line below it
-}
-
-// applySuppressions drops diagnostics covered by an ignore directive placed
-// on the same line or on the line directly above the finding.
-func applySuppressions(pkgs []*Package, diags []Diagnostic) []Diagnostic {
-	var sups []suppression
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Syntax {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					rest, ok := strings.CutPrefix(c.Text, IgnoreDirective)
-					if !ok {
-						continue
-					}
-					fields := strings.Fields(rest)
-					if len(fields) == 0 {
-						continue
-					}
-					pos := pkg.Fset.Position(c.Pos())
-					sups = append(sups, suppression{
-						analyzer: fields[0],
-						file:     pos.Filename,
-						lines:    [2]int{pos.Line, pos.Line + 1},
-					})
-				}
-			}
-		}
-	}
-	if len(sups) == 0 {
-		return diags
-	}
-	kept := diags[:0]
-	for _, d := range diags {
-		silenced := false
-		for _, s := range sups {
-			if s.analyzer != d.Analyzer && s.analyzer != "all" {
-				continue
-			}
-			if s.file == d.Pos.Filename && (s.lines[0] == d.Pos.Line || s.lines[1] == d.Pos.Line) {
-				silenced = true
-				break
-			}
-		}
-		if !silenced {
-			kept = append(kept, d)
-		}
-	}
-	return kept
 }
 
 // PathBase returns the last element of an import path ("repro/internal/mcts"

@@ -81,17 +81,3 @@ func clone(m map[string]int) map[string]int {
 	}
 	return out
 }
-
-// Allowed: a justified suppression silences the finding.
-func suppressed(m map[string]int) map[int]bool {
-	seen := make(map[int]bool)
-	var order []int
-	for _, v := range m {
-		//autoindexlint:ignore mapiterorder drained into a set below, order-free
-		order = append(order, v)
-	}
-	for _, v := range order {
-		seen[v] = true
-	}
-	return seen
-}

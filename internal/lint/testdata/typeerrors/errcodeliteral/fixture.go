@@ -1,5 +1,5 @@
-// Package errcodeliteral holds the violation errclass's deleted rule 3
-// flagged: a build-error code written as an integer.
+// Package errcodeliteral holds the violation the deleted errclass
+// analyzer's rule 3 flagged: a build-error code written as an integer.
 package errcodeliteral
 
 import "repro/internal/session"

@@ -19,7 +19,7 @@ func TestDeletedRulesAreTypeErrors(t *testing.T) {
 		{"readmutate", "engine.Reader) does not satisfy executor (missing method Exec)"},
 		// sessionlock rule 3: no session.Manager.DB() around the lock seams.
 		{"sessiondb", "type *session.Manager has no field or method DB"},
-		// errclass rule 3: no integer session.ErrCode.
+		// The deleted errclass analyzer's rule 3: no integer session.ErrCode.
 		{"errcodeliteral", "cannot convert 4096 (untyped int constant) to type session.ErrCode"},
 	} {
 		t.Run(tc.pkg, func(t *testing.T) {

@@ -58,7 +58,7 @@ func Serve(addr string, reg *Registry, tr *Tracer) (*http.Server, error) {
 		return nil, err
 	}
 	srv := &http.Server{Addr: ln.Addr().String(), Handler: Handler(reg, tr)}
-	//autoindexlint:ignore goroutinehygiene srv.Serve returns when the listener closes; server.Close is the stop signal
+	// srv.Serve returns when the listener closes: server.Close stops it.
 	go func() { _ = srv.Serve(ln) }()
 	return srv, nil
 }

@@ -14,8 +14,7 @@ import (
 // asking. The test asserts the nested acquisition is still blocked after a
 // grace period (the goroutine is deliberately leaked: there is no way to
 // unwind a deadlocked mutex). If this test ever FAILS, the lock became
-// re-entrant and the analyzer's rule 1 — plus every suppression reasoning
-// about it — must be revisited.
+// re-entrant and the analyzer's rule 1 must be revisited.
 //
 // The lint suite skips _test.go files, so spelling out the forbidden
 // pattern here does not trip the analyzer; in shipped code the nested

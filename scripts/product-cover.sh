@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Product-coverage gate. Builds every shipped binary with coverage
 # instrumentation, runs the shipped runs (the paper's experiments, the
-# loadgen and CLI smokes, the lint suite, the examples and the benchmark),
+# loadgen and CLI smokes, the examples and the benchmark),
 # and checks that every non-test function outside bench/ those runs leave at
 # 0% is listed, with a reason, in COVERAGE_product.txt. Run it from the
 # repository root:
@@ -118,9 +118,7 @@ run "$bin/autoindex" -schema "$work/schema.sql" -workload "$work/workload.sql" -
 run "$bin/autoindex" -scenario tpcc -n 300 -metrics-addr 127.0.0.1:0
 run "$bin/autoindex" -scenario tpcc -n 300 -round-timeout 1ms
 
-# The lint suite over the tree, the examples, and the benchmark's untraced
-# and traced runs.
-run "$bin/autoindexlint" ./...
+# The examples, and the benchmark's untraced and traced runs.
 for ex in quickstart dynamic epidemic banking partitioned; do
 	run "$bin/$ex"
 done
