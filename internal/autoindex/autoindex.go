@@ -13,7 +13,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/candgen"
@@ -48,14 +47,9 @@ type Options struct {
 	RoundTimeout time.Duration
 }
 
-// Tuning constants: values no caller has needed to change.
-const (
-	// maxCandidates bounds the candidate pool handed to MCTS (top-weighted
-	// first).
-	maxCandidates = 24
-	// forecastAlpha is the EWMA smoothing factor of the template trend.
-	forecastAlpha = 0.5
-)
+// maxCandidates bounds the candidate pool handed to MCTS (top-weighted
+// first).
+const maxCandidates = 24
 
 // Manager is the AutoIndex system bound to one database.
 type Manager struct {
@@ -63,8 +57,6 @@ type Manager struct {
 	store     *template.Store
 	estimator *costmodel.Estimator
 	generator *candgen.Generator
-	// samples accumulates training data for the benefit estimator.
-	samples []costmodel.Sample
 	// Observability (nil when off): tracer wraps each tuning round in a
 	// span tree, metrics feed the autoindex_* instruments, outcomes track
 	// predicted-vs-measured benefit per applied recommendation.
@@ -84,11 +76,6 @@ type Manager struct {
 	// wraps the database in a private one; UseSessions swaps in the one the
 	// foreground traffic shares.
 	sessions *session.Manager
-	// observeMu serializes Observe: under sessions, the statement observer
-	// fires from concurrent reader goroutines, and the template store is not
-	// internally synchronized. What it guards is short: a statement of a
-	// known shape is a token scan and a map lookup (template.Store.ObserveSQL).
-	observeMu sync.Mutex
 }
 
 // New creates a manager over a live database, reaching it through a private
@@ -129,64 +116,33 @@ func (m *Manager) TemplateStore() *template.Store { return m.store }
 // behind the same lock. sm must wrap the database the manager was created over.
 func (m *Manager) UseSessions(sm *session.Manager) { m.sessions = sm }
 
-// Observe routes one statement into the template store: observe without
-// executing; Attach observes what the engine runs. Safe for concurrent use:
-// under a session layer the attached observer fires from parallel reader
-// sessions.
+// Observe routes one statement into the template store without executing
+// it; Attach observes what the engine runs. Safe for concurrent use
+// (template.Store.ObserveSQL). bench/ calls it, so it keeps its signature.
 func (m *Manager) Observe(sql string) error {
-	m.observeMu.Lock()
-	defer m.observeMu.Unlock()
 	_, _, err := m.store.ObserveSQL(sql)
 	return err
 }
 
-// Attach installs the manager as the database's statement observer: every
-// DML statement executed through db.Exec flows into the template store
-// automatically (the paper's in-server workload logging). DDL — including
-// the manager's own CREATE/DROP INDEX — is not recorded. Detach removes it.
+// Attach makes the template store the database's statement observer: every
+// DML statement the engine executes flows into it (the paper's in-server
+// workload logging); DDL — the manager's own CREATE/DROP INDEX included —
+// never reaches it. The hook is swapped under the exclusive lock, so no
+// in-flight statement sees it half installed. Detach removes it. bench/
+// calls both, so they keep their signatures.
 func (m *Manager) Attach() {
-	// Swapping the observer is a hook mutation: take the exclusive lock so
-	// in-flight readers never observe a half-installed hook.
 	_ = m.sessions.Exclusive(func(db *engine.DB) error {
-		db.SetObserver(func(sql string) {
-			if isDML(sql) {
-				_ = m.Observe(sql)
-			}
-		})
+		m.store.Attach(db)
 		return nil
 	})
-}
-
-// isDML reports whether sql opens with SELECT, INSERT, UPDATE or DELETE in
-// any case. It runs on every statement the engine executes.
-func isDML(sql string) bool {
-	trimmed := strings.TrimLeft(sql, " \t\n")
-	if len(trimmed) < 6 {
-		return false
-	}
-	verb := trimmed[:6]
-	return strings.EqualFold(verb, "SELECT") || strings.EqualFold(verb, "INSERT") ||
-		strings.EqualFold(verb, "UPDATE") || strings.EqualFold(verb, "DELETE")
 }
 
 // Detach removes the statement observer.
 func (m *Manager) Detach() {
 	_ = m.sessions.Exclusive(func(db *engine.DB) error {
-		db.SetObserver(nil)
+		m.store.Detach(db)
 		return nil
 	})
-}
-
-// LogSample records one (features, measured cost) pair for estimator
-// training. The harness calls this while executing workloads.
-func (m *Manager) LogSample(s costmodel.Sample) { m.samples = append(m.samples, s) }
-
-// TrainEstimator fits the deep regression model on the logged samples.
-func (m *Manager) TrainEstimator() error {
-	if err := m.estimator.Train(m.samples); err != nil {
-		return err
-	}
-	return nil
 }
 
 // Diagnose runs the index diagnosis over the current window, holding the
@@ -301,14 +257,10 @@ func (m *Manager) roundWorkload() *workload.Workload {
 	return m.store.Workload()
 }
 
-// CloseWindow marks a tuning-round boundary: every template's trend moves
-// toward the count it matched since the last call (an exponential moving
-// average with weight forecastAlpha) and its window restarts. Only the
-// forecast workload (UseForecast) reads the trend; the window restarts on
-// every call either way.
-func (m *Manager) CloseWindow() {
-	m.store.CloseWindow(forecastAlpha)
-}
+// CloseWindow marks a tuning-round boundary (template.Store.CloseWindow).
+// Only the forecast workload (UseForecast) reads the trend; the window
+// restarts on every call either way.
+func (m *Manager) CloseWindow() { m.store.CloseWindow() }
 
 // recommendSpanned is the tuning-round core; round (nil-safe) receives the
 // candgen → mcts → estimate child spans and the round summary attributes.

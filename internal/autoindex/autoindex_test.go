@@ -9,6 +9,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/harness"
 	"repro/internal/mcts"
+	"repro/internal/template"
 	"repro/internal/workload/epidemic"
 )
 
@@ -218,24 +219,6 @@ func TestEpidemicPhasesIncremental(t *testing.T) {
 	}
 }
 
-func TestTrainEstimatorViaHarness(t *testing.T) {
-	db, reads := readHeavyDB(t)
-	m := New(db, Options{MCTS: mctsFast()})
-	samples := harness.CollectSamples(db, m.Estimator(), reads[:100], 80)
-	if len(samples) < 50 {
-		t.Fatalf("sample collection too small: %d", len(samples))
-	}
-	for _, s := range samples {
-		m.LogSample(s)
-	}
-	if err := m.TrainEstimator(); err != nil {
-		t.Fatal(err)
-	}
-	if !m.Estimator().Model().Trained() {
-		t.Error("estimator should be trained")
-	}
-}
-
 func TestDiagnoseTriggersOnProblems(t *testing.T) {
 	db, reads := readHeavyDB(t)
 	// An unused index: never probed by the observed workload.
@@ -371,7 +354,7 @@ func TestAttachObservesAutomatically(t *testing.T) {
 	}
 
 	// A mixed stream through harness.Run: the attached store must equal a
-	// store fed by Observe with the stream's DML statements in order,
+	// bare store fed by ObserveSQL with the stream's DML statements in order,
 	// whether they execute or fail, and with nothing else.
 	dml := []string{
 		"SELECT score FROM ev WHERE user_id = 3",
@@ -385,13 +368,13 @@ func TestAttachObservesAutomatically(t *testing.T) {
 	if run := harness.Run(db, stream); run.Errors != 1 {
 		t.Fatalf("stream: %d errors, want only the unknown column's", run.Errors)
 	}
-	ref := New(db, Options{})
+	ref := template.NewStore(0)
 	for _, sql := range append(append([]string{}, reads[:50]...), dml...) {
-		if err := ref.Observe(sql); err != nil {
+		if _, _, err := ref.ObserveSQL(sql); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, want := m.TemplateStore().Templates(), ref.TemplateStore().Templates()
+	got, want := m.TemplateStore().Templates(), ref.Templates()
 	if len(got) != len(want) {
 		t.Fatalf("attached store has %d templates, reference %d", len(got), len(want))
 	}

@@ -124,9 +124,17 @@ func Greedy(est *costmodel.Estimator, gen *candgen.Generator, w *workload.Worklo
 		res.SizeBytes += bestIdx.SizeBytes
 	}
 
+	// Report the selection by key; each benefit stays with its index.
+	benefit := make(map[string]float64, len(res.Selected))
+	for i, m := range res.Selected {
+		benefit[m.Key()] = res.PerIndexBenefit[i]
+	}
 	sort.Slice(res.Selected, func(i, j int) bool {
 		return res.Selected[i].Key() < res.Selected[j].Key()
 	})
+	for i, m := range res.Selected {
+		res.PerIndexBenefit[i] = benefit[m.Key()]
+	}
 	res.Duration = time.Since(start)
 	return res, nil
 }

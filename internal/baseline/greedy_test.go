@@ -8,6 +8,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/costmodel"
 	"repro/internal/engine"
+	"repro/internal/floatcmp"
 	"repro/internal/harness"
 	"repro/internal/workload"
 )
@@ -60,6 +61,35 @@ func TestGreedySelectsByMarginalBenefit(t *testing.T) {
 	for _, b := range res.PerIndexBenefit {
 		if b <= 0 {
 			t.Errorf("selected index with non-positive marginal benefit: %v", res.PerIndexBenefit)
+		}
+	}
+}
+
+// TestGreedyBenefitStaysWithItsIndex selects two independent indexes whose
+// selection order (the heavier template's, b, first) differs from their key
+// order: each reported benefit must be the one its own index brings.
+func TestGreedyBenefitStaysWithItsIndex(t *testing.T) {
+	db, _ := greedyDB(t)
+	w := &workload.Workload{}
+	addSQL(t, w, "SELECT * FROM ev WHERE a = 7", 60)
+	addSQL(t, w, "SELECT * FROM ev WHERE b = 9", 100)
+	est := costmodel.NewEstimator(db.Catalog())
+	res, err := Greedy(est, candgen.NewGenerator(db.Catalog()), w, nil, GreedyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := keys(res.Selected); len(got) != 2 || got[0] != "ev(a)" || got[1] != "ev(b)" {
+		t.Fatalf("want [ev(a) ev(b)], got %v", got)
+	}
+	for i, spec := range res.Selected {
+		// The templates are independent, so an index's marginal benefit is
+		// the one it brings alone.
+		alone, err := est.WorkloadCost(w, []*catalog.IndexMeta{spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := res.BaseCost - alone; !floatcmp.Eq(res.PerIndexBenefit[i], want) {
+			t.Errorf("%s: reported benefit %v, its own %v", spec.Key(), res.PerIndexBenefit[i], want)
 		}
 	}
 }

@@ -43,9 +43,9 @@ type DB struct {
 	// changeLog, when attached by an online index build, records every write
 	// so the build can replay changes that landed after its snapshot scan.
 	changeLog *ChangeLog
-	// observer, when set, receives every executed statement's SQL text
-	// (AutoIndex attaches here to feed its template store, mirroring the
-	// paper's server-side workload logging).
+	// observer, when set, receives the SQL text of every executed DML
+	// statement (a template store attaches here, mirroring the paper's
+	// server-side workload logging).
 	observer func(sql string)
 	// metrics, when set via SetMetrics, receives engine_* counters and
 	// histograms; nil (the default) keeps the hot path free of them.
@@ -66,7 +66,10 @@ type DB struct {
 }
 
 // SetObserver installs a statement observer (nil to detach). The observer
-// runs synchronously before execution.
+// receives the text of every SELECT, INSERT, UPDATE and DELETE that parses,
+// synchronously before it executes, whether or not execution then succeeds;
+// DDL and EXPLAIN never reach it. Under a session layer it runs on
+// concurrent reader goroutines.
 func (db *DB) SetObserver(fn func(sql string)) { db.observer = fn }
 
 // stmtState is the per-statement scratch: IO and CPU-ish work counters for

@@ -561,3 +561,40 @@ func TestIndexSplitsCountedPerStatement(t *testing.T) {
 		}
 	}
 }
+
+// TestObserverSeesDMLOnly pins what reaches the statement observer: the text
+// of every SELECT, INSERT, UPDATE and DELETE that parses — in any case, with
+// leading whitespace, and also when execution fails — and nothing else.
+func TestObserverSeesDMLOnly(t *testing.T) {
+	db := newTestDB(t)
+	var seen []string
+	db.SetObserver(func(sql string) { seen = append(seen, sql) })
+	defer db.SetObserver(nil)
+	dml := []string{
+		"SELECT name FROM customer WHERE id = 1",
+		"  \n\tselect city from customer where id = 2",
+		"InSeRt INTO orders (oid, cid, amount, status) VALUES (5000, 1, 1.0, 'open')",
+		"update customer set balance = 1.0 where id = 3",
+		"DELETE FROM orders WHERE oid = 5000",
+		"SELECT ghost FROM customer WHERE id = 1", // no such column
+	}
+	other := []string{
+		"CREATE TABLE extra (a BIGINT, PRIMARY KEY (a))",
+		"CREATE INDEX cust_city ON customer (city)",
+		"EXPLAIN SELECT name FROM customer WHERE city = 'rome'",
+		"DROP INDEX cust_city",
+		"SELEC name FROM customer", // does not parse
+	}
+	for i, sql := range dml {
+		_, err := db.Exec(sql)
+		if fails := i == len(dml)-1; (err != nil) != fails {
+			t.Fatalf("Exec(%q): err = %v, want failure %v", sql, err, fails)
+		}
+		if i < len(other) {
+			_, _ = db.Exec(other[i])
+		}
+	}
+	if strings.Join(seen, "\n") != strings.Join(dml, "\n") {
+		t.Errorf("observer saw %q, want %q", seen, dml)
+	}
+}

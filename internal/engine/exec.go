@@ -23,12 +23,15 @@ func (db *DB) Exec(sql string) (*Result, error) {
 	return db.ExecParsed(sql, stmt)
 }
 
-// ExecParsed executes an already-parsed statement, still running the
-// observer on the original SQL text. The session layer parses once to
-// classify reads vs writes and then routes here.
+// ExecParsed executes an already-parsed statement, first handing the original
+// SQL text of a DML statement to the observer (SetObserver). The session
+// layer parses once to classify reads vs writes and then routes here.
 func (db *DB) ExecParsed(sql string, stmt sqlparser.Statement) (*Result, error) {
 	if db.observer != nil {
-		db.observer(sql)
+		switch stmt.(type) {
+		case *sqlparser.SelectStmt, *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
+			db.observer(sql)
+		}
 	}
 	return db.ExecStmt(stmt)
 }

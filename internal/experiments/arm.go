@@ -9,6 +9,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/engine"
 	"repro/internal/harness"
+	"repro/internal/template"
 )
 
 // An arm is one method of the paper's comparison (§VI) — Default, Greedy or
@@ -17,9 +18,10 @@ import (
 type arm struct {
 	name string
 	db   *engine.DB
-	// mgr observes the phases through Attach; nil for Default. Greedy's
-	// manager only keeps the template store its selection reads (paper:
-	// both methods see the same templates).
+	// store observes the phases; nil for Default. Greedy and AutoIndex read
+	// their workload from it (paper: both methods see the same templates).
+	store *template.Store
+	// mgr is AutoIndex's manager, tuning over store; nil for the others.
 	mgr *autoindex.Manager
 	// greedy holds Greedy's selection options; nil for the other methods.
 	greedy *baseline.GreedyOptions
@@ -38,8 +40,7 @@ func defaultArm(db *engine.DB) *arm { return &arm{name: "Default", db: db} }
 // remove an index, so it has no incremental step.
 func greedyArm(opts baseline.GreedyOptions) method {
 	return func(db *engine.DB) *arm {
-		m := autoindex.New(db, autoindex.Options{RoundTimeout: RoundTimeout})
-		return &arm{name: "Greedy", db: db, mgr: m, greedy: &opts}
+		return &arm{name: "Greedy", db: db, store: template.NewStore(0), greedy: &opts}
 	}
 }
 
@@ -48,7 +49,8 @@ func greedyArm(opts baseline.GreedyOptions) method {
 func autoIndexArm(name string, opts autoindex.Options) method {
 	opts.RoundTimeout = RoundTimeout
 	return func(db *engine.DB) *arm {
-		return &arm{name: name, db: db, mgr: autoindex.New(db, opts), budget: opts.Budget}
+		m := autoindex.New(db, opts)
+		return &arm{name: name, db: db, store: m.TemplateStore(), mgr: m, budget: opts.Budget}
 	}
 }
 
@@ -57,16 +59,16 @@ func autoIndexArm(name string, opts autoindex.Options) method {
 // time spent tuning.
 func (a *arm) phase(stmts []string) (harness.RunStats, time.Duration, error) {
 	a.phases++
-	if a.mgr == nil {
+	if a.store == nil {
 		return harness.Run(a.db, stmts), 0, nil
 	}
-	if a.greedy == nil && a.phases > 1 {
+	if a.mgr != nil && a.phases > 1 {
 		// The workload shifts between phases: decay the template history.
-		a.mgr.TemplateStore().Decay(0.3, 0.5)
+		a.store.Decay(0.3, 0.5)
 	}
-	a.mgr.Attach()
+	a.store.Attach(a.db)
 	run := harness.Run(a.db, stmts)
-	a.mgr.Detach()
+	a.store.Detach(a.db)
 
 	if a.greedy != nil {
 		if a.phases > 1 {
@@ -74,7 +76,7 @@ func (a *arm) phase(stmts []string) (harness.RunStats, time.Duration, error) {
 		}
 		est, gen := newGreedyTools(a.db)
 		start := time.Now()
-		gres, err := baseline.Greedy(est, gen, a.mgr.TemplateStore().Workload(), nil, *a.greedy)
+		gres, err := baseline.Greedy(est, gen, a.store.Workload(), nil, *a.greedy)
 		if err != nil {
 			return run, 0, err
 		}

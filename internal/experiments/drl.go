@@ -4,11 +4,11 @@ import (
 	"context"
 	"time"
 
-	"repro/internal/autoindex"
 	"repro/internal/baseline"
 	"repro/internal/catalog"
 	"repro/internal/harness"
 	"repro/internal/mcts"
+	"repro/internal/template"
 )
 
 // DRLComparisonResult contrasts MCTS-based AutoIndex with an episodic
@@ -39,10 +39,11 @@ func DRLComparison(seed int64) (*DRLComparisonResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := autoindex.New(db, autoindex.Options{MCTS: defaultMCTS(seed), RoundTimeout: RoundTimeout})
-	m.Attach()
+	store := template.NewStore(0)
+	store.Attach(db)
 	harness.Run(db, warm)
-	w := m.TemplateStore().Workload()
+	store.Detach(db)
+	w := store.Workload()
 	est, gen := newGreedyTools(db)
 	cands := gen.Generate(context.Background(), w)
 	if len(cands) > 12 {

@@ -310,8 +310,8 @@ func TestShapeDifferential(t *testing.T) {
 					}
 					switch {
 					case i%97 == 96:
-						ref.CloseWindow(0.5)
-						got.CloseWindow(0.5)
+						ref.CloseWindow()
+						got.CloseWindow()
 						compare(fmt.Sprintf("after window at %d", i))
 					case i%211 == 210:
 						if r, g := ref.Decay(0.5, 1.5), got.Decay(0.5, 1.5); r != g {

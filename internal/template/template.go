@@ -7,7 +7,9 @@ package template
 
 import (
 	"sort"
+	"sync"
 
+	"repro/internal/engine"
 	"repro/internal/sqlparser"
 	"repro/internal/workload"
 )
@@ -52,9 +54,13 @@ func (t *Template) sampleStmt() sqlparser.Statement {
 	return t.sample
 }
 
-// Store is the bounded template set. Not safe for concurrent use; callers
-// serialize (the paper's index manager is a single tuning loop).
+// Store is the bounded template set. ObserveSQL, the statement observer
+// Attach installs, is safe for concurrent use: under a session layer it runs
+// on parallel reader goroutines, and it takes the store's mutex, always
+// innermost. Every other method needs observers kept out, as a tuning round
+// does by holding the session's exclusive lock.
 type Store struct {
+	mu        sync.Mutex
 	capacity  int
 	templates map[string]*Template
 	// shapes maps a statement shape (sqlparser.Shape) to the template that
@@ -135,8 +141,10 @@ func (s *Store) match(t *Template) {
 // ObserveSQL observes raw SQL. A statement whose shape the store has seen is
 // matched on the shape alone — no parse, no allocation; any other is parsed
 // and observed by its canonical fingerprint, and its shape registered under
-// the template that took it.
+// the template that took it. Safe for concurrent use.
 func (s *Store) ObserveSQL(sql string) (*Template, bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	shape, err := sqlparser.Shape(s.shapeBuf[:0], sql)
 	s.shapeBuf = shape
 	if err != nil {
@@ -164,6 +172,17 @@ func (s *Store) ObserveSQL(sql string) (*Template, bool, error) {
 	s.shapes[key] = t
 	return t, existed, nil
 }
+
+// Attach makes the store db's statement observer: every DML statement db
+// executes is observed by its text (engine.DB.SetObserver says which
+// statements those are). Detach removes it. Whoever serves db concurrently
+// swaps the hook with its statements kept out.
+func (s *Store) Attach(db *engine.DB) {
+	db.SetObserver(func(sql string) { _, _, _ = s.ObserveSQL(sql) })
+}
+
+// Detach removes the statement observer from db.
+func (s *Store) Detach(db *engine.DB) { db.SetObserver(nil) }
 
 // drop removes a template and the shapes that lead to it.
 func (s *Store) drop(t *Template) {
@@ -205,17 +224,17 @@ func (s *Store) Decay(factor, minFreq float64) int {
 	return dropped
 }
 
+// forecastAlpha is the EWMA smoothing factor of the template trend.
+const forecastAlpha = 0.5
+
 // CloseWindow ends one observation window: each template's match count in
 // the window updates its Trend as an exponentially weighted moving average
-// with smoothing factor alpha (0 < alpha ≤ 1; higher weights the newest
-// window more). Call it at tuning-round boundaries.
-func (s *Store) CloseWindow(alpha float64) {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.5
-	}
+// with weight forecastAlpha on the newest window. Call it at tuning-round
+// boundaries.
+func (s *Store) CloseWindow() {
 	for _, t := range s.templates {
 		windowCount := t.Frequency - t.windowStart
-		t.Trend = alpha*windowCount + (1-alpha)*t.Trend
+		t.Trend = forecastAlpha*windowCount + (1-forecastAlpha)*t.Trend
 		t.windowStart = t.Frequency
 	}
 }

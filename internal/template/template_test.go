@@ -108,12 +108,12 @@ func TestDecayScalesTheWindowStart(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		mustObserve(t, s, "SELECT * FROM t WHERE x = 1")
 	}
-	s.CloseWindow(0.5)
+	s.CloseWindow()
 	s.Decay(0.3, 0.5)
 	for i := 0; i < 2; i++ {
 		mustObserve(t, s, "SELECT * FROM t WHERE x = 1")
 	}
-	s.CloseWindow(0.5)
+	s.CloseWindow()
 	if got := s.Templates()[0].Trend; math.Abs(got-3.5) > 1e-9 {
 		t.Fatalf("trend = %v, want 3.5", got)
 	}
@@ -204,7 +204,7 @@ func TestCloseWindowTrendTracking(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		mustObserve(t, s, "SELECT * FROM cold WHERE x = 1")
 	}
-	s.CloseWindow(0.5)
+	s.CloseWindow()
 	// Window 2: hot fades, cold surges.
 	for i := 0; i < 1; i++ {
 		mustObserve(t, s, "SELECT * FROM hot WHERE x = 1")
@@ -212,7 +212,7 @@ func TestCloseWindowTrendTracking(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		mustObserve(t, s, "SELECT * FROM cold WHERE x = 1")
 	}
-	s.CloseWindow(0.5)
+	s.CloseWindow()
 
 	var hot, cold *Template
 	for _, tmpl := range s.Templates() {
