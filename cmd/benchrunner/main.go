@@ -6,7 +6,7 @@
 //	benchrunner -exp fig5                              # one experiment
 //	benchrunner -exp all                               # everything (minutes)
 //	benchrunner -exp fig10 -seed 3                     # change the deterministic seed
-//	benchrunner -exp fig5 -quick -bench-out BENCH_fig5.json   # persist a perf snapshot
+//	benchrunner -exp fig5 -quick -bench-out BENCH_fig5.json   # regenerate the fig5 pin
 //	benchrunner -loadgen -qps 200 -duration 5s -workers 4     # open-loop tail-latency run
 //	benchrunner -loadgen -workers 8 -online-tune              # tune online under live traffic
 //	benchrunner -loadgen -read-only -max-requests 2000        # deterministic counter snapshot
@@ -24,10 +24,10 @@
 // Experiments: fig1, fig5, table1, fig6, fig7, table2, table3, fig8, fig9,
 // fig10, estimator, q32, parttype, writeaware, gamma, drl, all.
 //
-// -bench-out writes a BENCH_<exp>.json snapshot (schema: internal/obs
-// BenchSnapshot) holding wall time, throughput, p50/p95/p99 latency,
-// what-if cache hit rate, and the deterministic ops counters; cmd/benchdiff
-// compares two snapshots and gates on regressions.
+// -bench-out writes a BENCH_<exp>.json pin (internal/obs BenchSnapshot):
+// the run's deterministic ops counters and its statement-cost histogram,
+// byte-identical for a given command and seed. scripts/product-cover.sh
+// diffs a fresh pin against the committed one.
 package main
 
 import (
@@ -63,7 +63,7 @@ func main() {
 	roundTimeout := flag.Duration("round-timeout", 0,
 		"deadline per tuning round's search (0 = unbounded); degraded best-so-far results on expiry")
 	benchOut := flag.String("bench-out", "",
-		"write a BENCH_<exp>.json perf snapshot (wall time, throughput, p50/p95/p99, cache hit rate, ops counters) to this file")
+		"write a BENCH_<exp>.json pin (ops counters and statement-cost histogram) to this file")
 	useLoadgen := flag.Bool("loadgen", false,
 		"run the open-loop load generator against a TPC-C database instead of a paper experiment")
 	qps := flag.Float64("qps", 200, "loadgen: target offered rate (Poisson arrivals)")
@@ -148,7 +148,6 @@ func main() {
 		"drl":        runDRL,
 	}
 
-	start := time.Now()
 	if *exp == "all" {
 		order := []string{"fig5", "table1", "fig6", "fig1", "table2", "fig8", "fig9", "fig10", "estimator", "q32", "parttype", "writeaware", "gamma", "drl"}
 		for _, id := range order {
@@ -169,24 +168,20 @@ func main() {
 		}
 	}
 	if *benchOut != "" {
-		if err := writeSnapshot(*benchOut, *exp, *seed, *quick, time.Since(start)); err != nil {
+		if err := writeSnapshot(*benchOut, *exp, *seed, *quick); err != nil {
 			fmt.Fprintln(os.Stderr, "benchrunner: bench-out:", err)
 			os.Exit(1)
 		}
 	}
 }
 
-// writeSnapshot persists one perf-trajectory point from the process
-// registry the experiments just fed.
-func writeSnapshot(path, exp string, seed int64, quick bool, wall time.Duration) error {
-	obs.SampleRuntime(obs.DefaultRegistry()) // end-of-run heap/GC/goroutine state beside the counters
-	snap := obs.BuildBenchSnapshot(exp, seed, quick, wall, obs.DefaultRegistry())
-	if err := snap.WriteFile(path); err != nil {
+// writeSnapshot writes the pin of the run that just fed the process
+// registry.
+func writeSnapshot(path, exp string, seed int64, quick bool) error {
+	if err := obs.BuildBenchSnapshot(exp, seed, quick, obs.DefaultRegistry()).WriteFile(path); err != nil {
 		return err
 	}
-	fmt.Printf("\nbench snapshot → %s  (stmts=%d p50=%.1f p95=%.1f p99=%.1f %s, %.1f stmt/s, whatif-hit=%.2f)\n",
-		path, snap.Statements, snap.Latency.P50, snap.Latency.P95, snap.Latency.P99,
-		snap.Latency.Unit, snap.ThroughputPerSec, snap.WhatIfHitRate)
+	fmt.Printf("\nbench snapshot → %s\n", path)
 	return nil
 }
 
@@ -263,7 +258,6 @@ func runLoadgen(o loadgenOpts) error {
 		}()
 	}
 
-	start := time.Now()
 	res, err := loadgen.Run(ctx, loadgen.NewSessionExecutor(sm), loadgen.Config{
 		Seed:        o.seed,
 		QPS:         o.qps,
@@ -293,21 +287,7 @@ func runLoadgen(o loadgenOpts) error {
 	}
 
 	if o.benchOut != "" {
-		snap := obs.BuildBenchSnapshot("loadgen", o.seed, false, time.Since(start), obs.DefaultRegistry())
-		snap.ThroughputPerSec = res.AchievedQPS
-		snap.Errors = int64(res.Errors)
-		snap.Latency = obs.LatencySummary{
-			Unit:  "seconds",
-			Count: int64(res.Requests),
-			Mean:  res.Mean.Seconds(),
-			P50:   res.P50.Seconds(),
-			P95:   res.P95.Seconds(),
-			P99:   res.P99.Seconds(),
-		}
-		if err := snap.WriteFile(o.benchOut); err != nil {
-			return err
-		}
-		fmt.Printf("bench snapshot → %s\n", o.benchOut)
+		return writeSnapshot(o.benchOut, "loadgen", o.seed, false)
 	}
 	return nil
 }

@@ -1,10 +1,10 @@
 // Package experiments implements every experiment of the paper's evaluation
 // section (§VI): each Fig*/Table* function loads the relevant scenario,
 // runs Default / Greedy / AutoIndex as the paper does, and returns the rows
-// or series the paper reports. cmd/benchrunner prints them; bench_test.go
-// wraps them in testing.B benchmarks. Absolute numbers differ from the
-// paper (the substrate is an in-process engine, not a provisioned server);
-// the comparisons and trends are the reproduction target.
+// or series the paper reports. cmd/benchrunner prints them. Absolute numbers
+// differ from the paper (the substrate is an in-process engine, not a
+// provisioned server); the comparisons and trends are the reproduction
+// target.
 package experiments
 
 import (

@@ -143,72 +143,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Quantile estimates the q-th quantile (0 <= q <= 1) of the observed
-// distribution from the bucket counts by linear interpolation inside the
-// bucket that holds the target rank.
-//
-// Error bounds: the true quantile lies inside the same bucket, so the
-// absolute error is at most that bucket's width. With LogBuckets bounds
-// (geometric spacing with growth factor g) the relative error is at most
-// g−1 — e.g. ≤ ~58% per-decade-of-5 buckets in the worst case, and in
-// practice much less because interpolation is exact for locally uniform
-// mass. Values in the implicit +Inf bucket cannot be interpolated; the
-// highest finite bound is returned (an underestimate). With no
-// observations, or on a nil histogram, Quantile returns 0. q is clamped
-// to [0, 1].
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	if math.IsNaN(q) {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	// Rank of the target observation, 1-based, ceil(q*N) clamped to [1, N].
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if c == 0 {
-			cum += c
-			continue
-		}
-		if cum+c >= rank {
-			if i >= len(h.bounds) {
-				// +Inf bucket: no finite upper edge to interpolate toward.
-				if len(h.bounds) == 0 {
-					return 0
-				}
-				return h.bounds[len(h.bounds)-1]
-			}
-			lower := 0.0
-			if i > 0 {
-				lower = h.bounds[i-1]
-			}
-			upper := h.bounds[i]
-			frac := float64(rank-cum) / float64(c)
-			return lower + (upper-lower)*frac
-		}
-		cum += c
-	}
-	if len(h.bounds) == 0 {
-		return 0
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // Count returns the total number of observations.
 func (h *Histogram) Count() int64 {
 	if h == nil {

@@ -179,3 +179,55 @@ func TestSnapshotJSON(t *testing.T) {
 		t.Fatalf("gauge vec snapshot = %v", gv)
 	}
 }
+
+func TestObserveNaNIsDropped(t *testing.T) {
+	h := newHistogram([]float64{1, 10, 100})
+	h.Observe(5)
+	h.Observe(math.NaN())
+	h.Observe(50)
+
+	if got := h.Count(); got != 2 {
+		t.Fatalf("Count after NaN observation = %d, want 2", got)
+	}
+	if got := h.Sum(); got != 55 {
+		t.Fatalf("Sum after NaN observation = %v, want 55 (NaN must not poison the sum)", got)
+	}
+	// The NaN lands in no bucket: 5 in le=10, 50 in le=100, none in +Inf.
+	_, cum := h.Buckets()
+	for i, want := range []int64{0, 1, 2, 2} {
+		if cum[i] != want {
+			t.Fatalf("cumulative buckets after NaN observation = %v, want [0 1 2 2]", cum)
+		}
+	}
+}
+
+func TestLogBuckets(t *testing.T) {
+	b := LogBuckets(0.001, 10, 5)
+	if len(b) == 0 || b[0] != 0.001 {
+		t.Fatalf("LogBuckets first bound = %v", b)
+	}
+	if last := b[len(b)-1]; last < 10 {
+		t.Fatalf("LogBuckets last bound %v < max 10", last)
+	}
+	growth := math.Pow(10, 1.0/5)
+	for i := 1; i < len(b); i++ {
+		ratio := b[i] / b[i-1]
+		if math.Abs(ratio-growth) > 1e-9 {
+			t.Fatalf("bucket ratio %v at %d, want %v", ratio, i, growth)
+		}
+	}
+	// Deterministic: two calls produce identical schedules.
+	b2 := LogBuckets(0.001, 10, 5)
+	for i := range b {
+		if b[i] != b2[i] {
+			t.Fatalf("LogBuckets not deterministic at %d: %v vs %v", i, b[i], b2[i])
+		}
+	}
+	// Degenerate arguments fall back to a single bucket.
+	if got := LogBuckets(-1, 10, 5); len(got) != 1 {
+		t.Fatalf("LogBuckets(-1,10,5) = %v, want single fallback bucket", got)
+	}
+	if got := LogBuckets(5, 1, 5); len(got) != 1 {
+		t.Fatalf("LogBuckets(5,1,5) = %v, want single fallback bucket", got)
+	}
+}

@@ -2,81 +2,44 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
-	"math"
 	"os"
-	"runtime"
-	"sort"
 	"strings"
-	"time"
 )
 
-// BenchSnapshotSchema versions the BENCH_*.json layout; benchdiff refuses
-// to compare snapshots across schema versions.
-const BenchSnapshotSchema = 1
-
-// LatencySummary is the tail-latency block of a snapshot. Unit is
-// "cost-units" for the engine's deterministic latency proxy (comparable
-// across machines) or "seconds" for wall-clock response times from the
-// open-loop load generator (comparable only on like hardware).
-type LatencySummary struct {
-	Unit  string  `json:"unit"`
-	Count int64   `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-}
-
-// BenchSnapshot is one point of the persisted perf trajectory: everything
-// BENCH_<exp>.json records about one experiment or load-generator run.
-// Fields split into two comparability classes — wall-clock-derived
-// (WallSeconds, ThroughputPerSec, and seconds-unit latencies), which only
-// compare on like hardware, and deterministic (cost-unit latencies, error
-// counts, ops Counters, WhatIfHitRate), which must reproduce exactly for a
-// given seed and are what CI gates on.
+// BenchSnapshot is what a committed BENCH_<exp>.json pins: only values that
+// reproduce byte for byte for a given command and seed, so the gate is a
+// plain diff against a fresh run (DESIGN.md "The BENCH pin").
 type BenchSnapshot struct {
-	Schema           int              `json:"schema"`
-	Experiment       string           `json:"experiment"`
-	Seed             int64            `json:"seed"`
-	Quick            bool             `json:"quick"`
-	GoVersion        string           `json:"go_version"`
-	UnixSeconds      int64            `json:"unix_seconds"`
-	WallSeconds      float64          `json:"wall_seconds"`
-	Statements       int64            `json:"statements"`
-	Errors           int64            `json:"errors"`
-	ThroughputPerSec float64          `json:"throughput_per_sec"`
-	Latency          LatencySummary   `json:"latency"`
-	WhatIfHitRate    float64          `json:"whatif_hit_rate"`
-	Counters         map[string]int64 `json:"counters"`
+	Experiment string           `json:"experiment"`
+	Seed       int64            `json:"seed"`
+	Quick      bool             `json:"quick"`
+	Counters   map[string]int64 `json:"counters"`
+	// Latency is the engine_statement_cost histogram, the engine's
+	// cost-unit latency proxy: its count and cumulative bucket counts fix
+	// every cost quantile. Its float sum is left out because concurrent
+	// Observe calls add to it in scheduling order; the counters determine it.
+	Latency *costHistogram `json:"engine_statement_cost,omitempty"`
 }
 
-// counterPrefixes selects the deterministic ops counters a snapshot
-// persists from the registry; runtime_* gauges and other wall-clock-tainted
-// series are deliberately excluded so committed baselines diff cleanly.
-var counterPrefixes = []string{"engine_", "costmodel_", "autoindex_", "mcts_", "fault_", "session_", "bufferpool_", "guardrail_"}
+// costHistogram is a histogram without its sum. Buckets are cumulative and
+// aligned with Bounds; the last one is +Inf.
+type costHistogram struct {
+	Count   int64     `json:"count"`
+	Bounds  []float64 `json:"bounds"`
+	Buckets []int64   `json:"buckets"`
+}
 
-// BuildBenchSnapshot assembles a snapshot from the process registry after
-// an experiment run: per-statement cost quantiles from the
-// engine_statement_cost histogram (deterministic cost units), the what-if
-// cache hit rate, and every deterministic ops counter. wall is the
-// experiment's wall time; throughput is statements per wall second.
-func BuildBenchSnapshot(exp string, seed int64, quick bool, wall time.Duration, reg *Registry) BenchSnapshot {
-	s := BenchSnapshot{
-		Schema:      BenchSnapshotSchema,
-		Experiment:  exp,
-		Seed:        seed,
-		Quick:       quick,
-		GoVersion:   runtime.Version(),
-		UnixSeconds: time.Now().Unix(),
-		WallSeconds: wall.Seconds(),
-		Counters:    map[string]int64{},
-	}
-	if reg == nil {
-		return s
-	}
-	snap := reg.Snapshot()
-	for name, v := range snap {
+// counterPrefixes selects the registry counters a snapshot pins. Gauges,
+// vectors and *_seconds histograms are never read: they hold wall-clock or
+// order-dependent values.
+var counterPrefixes = []string{"engine_", "costmodel_", "autoindex_", "mcts_", "fault_", "session_", "bufferpool_", "guardrail_", "loadgen_"}
+
+// BuildBenchSnapshot reads the pinned values from the registry after a run:
+// every int64 counter under counterPrefixes and the engine_statement_cost
+// histogram's count and buckets.
+func BuildBenchSnapshot(exp string, seed int64, quick bool, reg *Registry) BenchSnapshot {
+	s := BenchSnapshot{Experiment: exp, Seed: seed, Quick: quick, Counters: map[string]int64{}}
+	for name, v := range reg.Snapshot() {
 		n, ok := v.(int64)
 		if !ok {
 			continue
@@ -88,25 +51,9 @@ func BuildBenchSnapshot(exp string, seed int64, quick bool, wall time.Duration, 
 			}
 		}
 	}
-	s.Statements = s.Counters["engine_statements_total"]
-	s.Errors = s.Counters["engine_statement_errors_total"]
-	if s.WallSeconds > 0 {
-		s.ThroughputPerSec = float64(s.Statements) / s.WallSeconds
-	}
-	if h := reg.LookupHistogram("engine_statement_cost"); h != nil && h.Count() > 0 {
-		s.Latency = LatencySummary{
-			Unit:  "cost-units",
-			Count: h.Count(),
-			Mean:  h.Sum() / float64(h.Count()),
-			P50:   h.Quantile(0.50),
-			P95:   h.Quantile(0.95),
-			P99:   h.Quantile(0.99),
-		}
-	}
-	hits := s.Counters["costmodel_whatif_cache_hits_total"]
-	misses := s.Counters["costmodel_whatif_cache_misses_total"]
-	if total := hits + misses; total > 0 {
-		s.WhatIfHitRate = float64(hits) / float64(total)
+	if h := reg.LookupHistogram("engine_statement_cost"); h.Count() > 0 {
+		bounds, cum := h.Buckets()
+		s.Latency = &costHistogram{Count: h.Count(), Bounds: bounds[:len(bounds)-1], Buckets: cum}
 	}
 	return s
 }
@@ -118,133 +65,4 @@ func (s BenchSnapshot) WriteFile(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadBenchSnapshot loads a BENCH_*.json file.
-func ReadBenchSnapshot(path string) (BenchSnapshot, error) {
-	var s BenchSnapshot
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return s, err
-	}
-	if err := json.Unmarshal(data, &s); err != nil {
-		return s, fmt.Errorf("obs: %s: %w", path, err)
-	}
-	return s, nil
-}
-
-// DiffOptions controls CompareBenchSnapshots.
-type DiffOptions struct {
-	// Threshold is the tolerated relative worsening for deterministic
-	// metrics (cost-unit latencies, error counts, ops counters, hit rate):
-	// 0.1 allows candidates up to 10% worse than the baseline.
-	Threshold float64
-	// WallThreshold is the (usually much looser) tolerance for wall-clock
-	// metrics: wall time, throughput/sec, and seconds-unit latencies.
-	WallThreshold float64
-	// SkipWall drops wall-clock metrics from the comparison entirely — the
-	// right mode when baseline and candidate ran on different hardware
-	// (e.g. a committed baseline diffed on a CI runner).
-	SkipWall bool
-}
-
-// Regression is one metric that worsened beyond its threshold. Delta is
-// the relative change, sign-normalized so positive always means "worse"
-// (slower, fewer per second, more errors); +Inf marks a metric that went
-// from zero to nonzero in the bad direction.
-type Regression struct {
-	Metric string  `json:"metric"`
-	Base   float64 `json:"base"`
-	New    float64 `json:"new"`
-	Delta  float64 `json:"delta"`
-}
-
-func (r Regression) String() string {
-	d := fmt.Sprintf("%+.1f%%", r.Delta*100)
-	if math.IsInf(r.Delta, 1) {
-		d = "0→nonzero"
-	}
-	return fmt.Sprintf("%-40s %14g -> %14g  (%s worse)", r.Metric, r.Base, r.New, d)
-}
-
-// CompareBenchSnapshots diffs a candidate snapshot against a baseline and
-// returns every metric that regressed beyond its tolerance, sorted by
-// metric name. Comparing a snapshot against itself always yields zero
-// regressions. Counters present on only one side are ignored (instruments
-// come and go across PRs); latency blocks with different units are an
-// error, since cost units and wall seconds must never be diffed against
-// each other.
-func CompareBenchSnapshots(base, cand BenchSnapshot, opts DiffOptions) ([]Regression, error) {
-	if base.Schema != cand.Schema {
-		return nil, fmt.Errorf("obs: snapshot schema mismatch: baseline v%d vs candidate v%d", base.Schema, cand.Schema)
-	}
-	var out []Regression
-	add := func(metric string, baseV, candV, threshold float64, worseIfHigher bool) {
-		d := relWorsening(baseV, candV, worseIfHigher)
-		if d > threshold {
-			out = append(out, Regression{Metric: metric, Base: baseV, New: candV, Delta: d})
-		}
-	}
-
-	if !opts.SkipWall {
-		add("wall_seconds", base.WallSeconds, cand.WallSeconds, opts.WallThreshold, true)
-		add("throughput_per_sec", base.ThroughputPerSec, cand.ThroughputPerSec, opts.WallThreshold, false)
-	}
-
-	if base.Latency.Count > 0 && cand.Latency.Count > 0 {
-		if base.Latency.Unit != cand.Latency.Unit {
-			return nil, fmt.Errorf("obs: latency unit mismatch: baseline %q vs candidate %q",
-				base.Latency.Unit, cand.Latency.Unit)
-		}
-		latThreshold := opts.Threshold
-		wallLatency := base.Latency.Unit == "seconds"
-		if wallLatency {
-			latThreshold = opts.WallThreshold
-		}
-		if !(wallLatency && opts.SkipWall) {
-			add("latency.mean", base.Latency.Mean, cand.Latency.Mean, latThreshold, true)
-			add("latency.p50", base.Latency.P50, cand.Latency.P50, latThreshold, true)
-			add("latency.p95", base.Latency.P95, cand.Latency.P95, latThreshold, true)
-			add("latency.p99", base.Latency.P99, cand.Latency.P99, latThreshold, true)
-		}
-	}
-
-	add("errors", float64(base.Errors), float64(cand.Errors), opts.Threshold, true)
-	if base.WhatIfHitRate > 0 {
-		add("whatif_hit_rate", base.WhatIfHitRate, cand.WhatIfHitRate, opts.Threshold, false)
-	}
-
-	names := make([]string, 0, len(base.Counters))
-	for name := range base.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		candV, ok := cand.Counters[name]
-		if !ok {
-			continue
-		}
-		add("counters."+name, float64(base.Counters[name]), float64(candV), opts.Threshold, true)
-	}
-
-	sort.Slice(out, func(i, j int) bool { return out[i].Metric < out[j].Metric })
-	return out, nil
-}
-
-// relWorsening returns how much worse cand is than base as a fraction of
-// base, normalized so positive means worse; 0 when equal or improved.
-func relWorsening(base, cand float64, worseIfHigher bool) float64 {
-	if base == cand {
-		return 0
-	}
-	if !worseIfHigher {
-		base, cand = -base, -cand // flip so "higher is worse" below
-	}
-	if cand <= base {
-		return 0 // improved
-	}
-	if base == 0 {
-		return math.Inf(1)
-	}
-	return (cand - base) / math.Abs(base)
 }

@@ -1,172 +1,134 @@
 package obs
 
 import (
-	"math"
+	"bytes"
+	"encoding/json"
+	"os"
 	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
-	"time"
 )
 
-// testSnapshot builds a snapshot from a populated registry.
-func testSnapshot(t *testing.T) BenchSnapshot {
-	t.Helper()
-	reg := NewRegistry()
-	reg.Counter("engine_statements_total", "").Add(1000)
-	reg.Counter("engine_statement_errors_total", "").Add(3)
-	reg.Counter("engine_heap_pages_read_total", "").Add(50000)
-	reg.Counter("costmodel_whatif_cache_hits_total", "").Add(90)
-	reg.Counter("costmodel_whatif_cache_misses_total", "").Add(10)
-	reg.Counter("unrelated_total", "").Add(7)
-	reg.Gauge("runtime_heap_bytes", "").Set(1e6)
-	h := reg.Histogram("engine_statement_cost", "", []float64{1, 10, 100, 1000})
-	for i := 0; i < 100; i++ {
-		h.Observe(float64(i%40) + 1)
-	}
-	return BuildBenchSnapshot("fig5", 7, true, 2*time.Second, reg)
-}
-
 func TestBuildBenchSnapshot(t *testing.T) {
-	s := testSnapshot(t)
-	if s.Schema != BenchSnapshotSchema || s.Experiment != "fig5" || s.Seed != 7 || !s.Quick {
+	reg := NewRegistry()
+	reg.Counter("engine_heap_pages_read_total", "").Add(50000)
+	reg.Counter("loadgen_errors_total", "").Add(0)
+	reg.Counter("unrelated_total", "").Add(7)
+	reg.Gauge("engine_active_sessions", "").Set(3)
+	reg.CounterVec("engine_index_probes_total", "", "index").With("i1").Add(4)
+	reg.Histogram("engine_statement_seconds", "", []float64{0.1}).Observe(0.05)
+	h := reg.Histogram("engine_statement_cost", "", []float64{1, 10, 100})
+	for _, v := range []float64{0.5, 5, 5, 50, 500} {
+		h.Observe(v)
+	}
+
+	s := BuildBenchSnapshot("fig5", 7, true, reg)
+	if s.Experiment != "fig5" || s.Seed != 7 || !s.Quick {
 		t.Fatalf("header fields wrong: %+v", s)
 	}
-	if s.Statements != 1000 || s.Errors != 3 {
-		t.Fatalf("statements/errors = %d/%d", s.Statements, s.Errors)
+	// Counters under the pinned prefixes only: no gauge, vector, histogram
+	// or other prefix.
+	want := map[string]int64{"engine_heap_pages_read_total": 50000, "loadgen_errors_total": 0}
+	if !reflect.DeepEqual(s.Counters, want) {
+		t.Fatalf("counters = %v, want %v", s.Counters, want)
 	}
-	if s.ThroughputPerSec != 500 {
-		t.Fatalf("throughput = %v, want 500", s.ThroughputPerSec)
+	wantCost := &costHistogram{Count: 5, Bounds: []float64{1, 10, 100}, Buckets: []int64{1, 3, 4, 5}}
+	if !reflect.DeepEqual(s.Latency, wantCost) {
+		t.Fatalf("statement cost = %+v, want %+v", s.Latency, wantCost)
 	}
-	if s.Latency.Unit != "cost-units" || s.Latency.Count != 100 {
-		t.Fatalf("latency block = %+v", s.Latency)
-	}
-	if s.Latency.P50 <= 0 || s.Latency.P95 < s.Latency.P50 || s.Latency.P99 < s.Latency.P95 {
-		t.Fatalf("percentiles not ordered: %+v", s.Latency)
-	}
-	if math.Abs(s.WhatIfHitRate-0.9) > 1e-9 {
-		t.Fatalf("whatif hit rate = %v, want 0.9", s.WhatIfHitRate)
-	}
-	if _, ok := s.Counters["unrelated_total"]; ok {
-		t.Fatal("non-prefixed counter leaked into snapshot")
-	}
-	if _, ok := s.Counters["runtime_heap_bytes"]; ok {
-		t.Fatal("runtime gauge leaked into deterministic counters")
-	}
-	if s.Counters["engine_heap_pages_read_total"] != 50000 {
-		t.Fatalf("counters = %v", s.Counters)
+
+	if empty := BuildBenchSnapshot("fig5", 7, true, nil); len(empty.Counters) != 0 || empty.Latency != nil {
+		t.Fatalf("snapshot of no registry = %+v, want no counters and no cost histogram", empty)
 	}
 }
 
 func TestBenchSnapshotRoundTrip(t *testing.T) {
-	s := testSnapshot(t)
-	path := filepath.Join(t.TempDir(), "BENCH_fig5.json")
+	reg := NewRegistry()
+	reg.Counter("engine_statements_total", "").Add(3)
+	h := reg.Histogram("engine_statement_cost", "", LogBuckets(0.5, 1000, 5))
+	for _, v := range []float64{0.7, 18.6, 370} {
+		h.Observe(v)
+	}
+	s := BuildBenchSnapshot("loadgen", 1, false, reg)
+	path := filepath.Join(t.TempDir(), "BENCH_loadgen.json")
 	if err := s.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBenchSnapshot(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Statements != s.Statements || got.Latency.P99 != s.Latency.P99 ||
-		got.Counters["engine_heap_pages_read_total"] != 50000 {
+	// Every field reaches the file: one that did not would be unpinned.
+	var got BenchSnapshot
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, s) {
 		t.Fatalf("round trip mismatch:\nwrote %+v\nread  %+v", s, got)
 	}
 }
 
-func TestCompareSnapshotWithItselfIsClean(t *testing.T) {
-	s := testSnapshot(t)
-	regs, err := CompareBenchSnapshots(s, s, DiffOptions{Threshold: 0, WallThreshold: 0})
-	if err != nil {
-		t.Fatal(err)
+// TestBenchSnapshotIsOrderIndependent feeds two registries the same counter
+// increments and cost observations, one serially and one from 8 goroutines
+// in another order, and requires byte-identical files. The feed makes the
+// histogram's float sum, and an engine_ gauge fed the same adds, differ
+// between the two: 1e17 absorbs any later addend below 8 (its ulp is 16), so
+// the sum is 1e17 when 1e17 comes first and more when a goroutine's small
+// values precede it.
+func TestBenchSnapshotIsOrderIndependent(t *testing.T) {
+	const workers, per = 8, 64
+	const big = 1e17
+	feed := func(reg *Registry, v float64) {
+		reg.Counter("engine_statements_total", "").Inc()
+		reg.Counter("engine_tuples_processed_total", "").Add(int64(v) % 7)
+		reg.Histogram("engine_statement_cost", "", []float64{1, 4, 10}).Observe(v)
+		reg.Gauge("engine_cost_gauge", "").Add(v)
 	}
-	if len(regs) != 0 {
-		t.Fatalf("self-compare found regressions: %v", regs)
-	}
-}
+	small := func(i int) float64 { return float64(1 + 2*(i%3)) } // 1, 3, 5
 
-func TestCompareFlagsRegressions(t *testing.T) {
-	base := testSnapshot(t)
-	cand := testSnapshot(t)
-	cand.Latency.P99 = base.Latency.P99 * 2           // deterministic regression
-	cand.ThroughputPerSec = base.ThroughputPerSec / 3 // wall regression
-	cand.Errors = base.Errors + 100
-	cand.Counters = map[string]int64{"engine_heap_pages_read_total": 200000}
-	cand.WhatIfHitRate = 0.2
+	serial := NewRegistry()
+	feed(serial, big)
+	for i := 0; i < workers*per; i++ {
+		feed(serial, small(i))
+	}
 
-	regs, err := CompareBenchSnapshots(base, cand, DiffOptions{Threshold: 0.25, WallThreshold: 0.5})
-	if err != nil {
-		t.Fatal(err)
+	concurrent := NewRegistry()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := workers*per - 1 - w; i >= 0; i -= workers {
+				feed(concurrent, small(i))
+			}
+			if w == 0 {
+				feed(concurrent, big)
+			}
+		}(w)
 	}
-	want := map[string]bool{
-		"latency.p99":                           true,
-		"throughput_per_sec":                    true,
-		"errors":                                true,
-		"counters.engine_heap_pages_read_total": true,
-		"whatif_hit_rate":                       true,
+	wg.Wait()
+
+	hs := serial.LookupHistogram("engine_statement_cost")
+	hc := concurrent.LookupHistogram("engine_statement_cost")
+	if hs.Sum() == hc.Sum() {
+		t.Fatalf("feed is order-insensitive (both sums %v): the test would not catch a float sum in the pin", hs.Sum())
 	}
-	got := map[string]bool{}
-	for _, r := range regs {
-		got[r.Metric] = true
-		if r.Delta <= 0 {
-			t.Errorf("%s: delta %v not positive", r.Metric, r.Delta)
+
+	dir := t.TempDir()
+	read := func(name string, reg *Registry) []byte {
+		path := filepath.Join(dir, name)
+		if err := BuildBenchSnapshot("fig5", 1, true, reg).WriteFile(path); err != nil {
+			t.Fatal(err)
 		}
-	}
-	for m := range want {
-		if !got[m] {
-			t.Errorf("expected regression %s not reported (got %v)", m, regs)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return data
 	}
-	// Counters only in the baseline are ignored, not regressions.
-	for _, r := range regs {
-		if r.Metric == "counters.costmodel_whatif_cache_hits_total" {
-			t.Errorf("counter missing from candidate reported as regression")
-		}
-	}
-}
-
-func TestCompareSkipWall(t *testing.T) {
-	base := testSnapshot(t)
-	cand := testSnapshot(t)
-	cand.WallSeconds = base.WallSeconds * 100
-	cand.ThroughputPerSec = base.ThroughputPerSec / 100
-	regs, err := CompareBenchSnapshots(base, cand, DiffOptions{Threshold: 0.1, WallThreshold: 0.1, SkipWall: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 0 {
-		t.Fatalf("SkipWall still flagged wall metrics: %v", regs)
-	}
-}
-
-func TestCompareUnitAndSchemaMismatch(t *testing.T) {
-	base := testSnapshot(t)
-	cand := testSnapshot(t)
-	cand.Latency.Unit = "seconds"
-	if _, err := CompareBenchSnapshots(base, cand, DiffOptions{}); err == nil {
-		t.Fatal("unit mismatch not rejected")
-	}
-	cand = testSnapshot(t)
-	cand.Schema = BenchSnapshotSchema + 1
-	if _, err := CompareBenchSnapshots(base, cand, DiffOptions{}); err == nil {
-		t.Fatal("schema mismatch not rejected")
-	}
-}
-
-func TestCompareZeroToNonzeroErrors(t *testing.T) {
-	base := testSnapshot(t)
-	base.Errors = 0
-	cand := testSnapshot(t)
-	cand.Errors = 1
-	regs, err := CompareBenchSnapshots(base, cand, DiffOptions{Threshold: 0.25, WallThreshold: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, r := range regs {
-		if r.Metric == "errors" && math.IsInf(r.Delta, 1) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("0→1 errors not flagged as infinite regression: %v", regs)
+	a, b := read("serial.json", serial), read("concurrent.json", concurrent)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("pins differ with feed order:\nserial:\n%s\nconcurrent:\n%s", a, b)
 	}
 }

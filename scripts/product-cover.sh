@@ -68,15 +68,26 @@ run() {
 	echo "  ok ($((SECONDS - start))s)" >&2
 }
 
-# The paper's experiments, the bench snapshots with their exact diffs against
-# the committed BENCH_*.json, the online-tune and guardrail acceptance runs,
-# and the experiment traces with their checks.
+# pin FILE ARGS...: a benchrunner run whose -bench-out pin must equal the
+# committed FILE byte for byte, so a counter that rises, falls, appears or
+# vanishes fails the gate (DESIGN.md "The BENCH pin").
+pin() {
+	local file=$1
+	shift
+	run "$bin/benchrunner" "$@" -bench-out "$work/$file"
+	if ! diff -u "$file" "$work/$file" >&2; then
+		echo "product-cover: $file differs from a fresh run (diff above). If the change is meant," >&2
+		echo "regenerate the file, commit it and give the reason in CHANGES.md:" >&2
+		echo "  go run ./cmd/benchrunner $* -bench-out $file" >&2
+		exit 1
+	fi
+}
+
+# The paper's experiments, the BENCH_*.json pins, the online-tune and
+# guardrail acceptance runs, and the experiment traces with their checks.
 run "$bin/benchrunner" -exp all -quick
-run "$bin/benchrunner" -exp fig5 -quick -bench-out "$work/BENCH_fig5.json"
-run "$bin/benchdiff" -skip-wall -threshold 0 BENCH_fig5.json "$work/BENCH_fig5.json"
-run "$bin/benchrunner" -loadgen -workers 8 -read-only -max-requests 2000 -qps 100000 \
-	-bench-out "$work/BENCH_loadgen.json"
-run "$bin/benchdiff" -skip-wall -threshold 0 BENCH_loadgen.json "$work/BENCH_loadgen.json"
+pin BENCH_fig5.json -exp fig5 -quick
+pin BENCH_loadgen.json -loadgen -workers 8 -read-only -max-requests 2000 -qps 100000
 run "$bin/benchrunner" -loadgen -workers 8 -online-tune -qps 400 -duration 2s
 run "$bin/benchrunner" -loadgen -guardrail -workers 8 -qps 400 -duration 2s
 run "$bin/benchrunner" -exp q32 -trace-out "$work/q32.jsonl"
